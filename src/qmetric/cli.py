@@ -77,9 +77,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         config = _load_config(args)
         report = RUNNERS[args.experiment](config)
         _emit(report, args.out, args.format)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
     except ResourceError as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 3

@@ -20,11 +20,11 @@ import numpy as np
 from . import __version__
 from .errors import ConfigError
 from .groups import Group, decode_element, group_from_json
-from .metrics import connes_bracket, connes_heuristic, d_2, d_inf
+from .metrics import connes_bracket, connes_heuristic, d_2
 from .opalgebra import AlgebraElement
 from .states import (CharacterState, DensityState, StateRep, kappa_bounds,
                      state_from_json)
-from .wordlength import enumerate_ball, growth_fit, square_sum_evidence
+from .wordlength import Ball, enumerate_ball, growth_fit, square_sum_evidence
 
 ORDER_TOL = 1e-9
 HEURISTIC_SLACK = 1e-6
@@ -114,11 +114,35 @@ def _get_group(config: dict) -> Group:
     return group_from_json(_load_spec(_require(config, "group"), "group"))
 
 
-def _get_radius(config: dict, key: str = "radius") -> int:
-    value = _require(config, key)
-    if not isinstance(value, int) or value < 1:
+def _get_positive_int(config: dict, key: str = "radius",
+                      default: Optional[int] = None) -> int:
+    value = _require(config, key) if default is None else config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
         raise ConfigError(f"{key}: must be a positive integer")
     return value
+
+
+def _get_number(config: dict, key: str) -> float:
+    try:
+        return float(_require(config, key))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{key}: must be a number") from exc
+
+
+def _get_truncation(config: dict, trunc_default: Optional[int] = None,
+                    support_default: Optional[int] = None) -> tuple[int, int]:
+    """Heuristic radii (trunc, support_radius), with trunc >= 2 * support_radius.
+
+    Without defaults trunc is required and support_radius defaults to
+    min(3, trunc // 2), but at least 1.
+    """
+    trunc = _get_positive_int(config, "trunc", trunc_default)
+    if support_default is None:
+        support_default = min(3, max(1, trunc // 2))
+    support_radius = _get_positive_int(config, "support_radius", support_default)
+    if trunc < 2 * support_radius:
+        raise ConfigError("trunc: must be at least twice the support radius")
+    return trunc, support_radius
 
 
 def _get_states(config: dict, group: Group) -> list[tuple[str, StateRep]]:
@@ -147,26 +171,24 @@ def _base_meta(config: dict, **extra) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
-def _ball_rows(group: Group, radius: int):
-    ball = enumerate_ball(group, radius)
+def _ball_rows(ball: Ball) -> list[list]:
     shells = ball.shell_sizes
-    bound = group.shell_bound
+    bound = ball.group.shell_bound
     rows = []
     cumulative = 0
     partial = 0.0
-    for k in range(radius + 1):
+    for k in range(ball.radius + 1):
         cumulative += int(shells[k])
         if k >= 1:
             partial += int(shells[k]) / k ** 2
         tail = bound / k if (bound is not None and k >= 1) else None
         rows.append([k, cumulative, int(shells[k]), partial, tail])
-    return ball, rows
+    return rows
 
 
 def run_ball(config: dict) -> Report:
     group = _get_group(config)
-    radius = _get_radius(config)
-    _, rows = _ball_rows(group, radius)
+    rows = _ball_rows(enumerate_ball(group, _get_positive_int(config)))
     return Report("ball",
                   ["radius", "ball_size", "shell_size", "partial_square_sum",
                    "tail_bound"],
@@ -175,10 +197,10 @@ def run_ball(config: dict) -> Report:
 
 def run_growth(config: dict) -> Report:
     group = _get_group(config)
-    radius = _get_radius(config)
+    radius = _get_positive_int(config)
     if radius < 3:
         raise ConfigError("growth: radius must be >= 3")
-    ball, rows = _ball_rows(group, radius)
+    ball = enumerate_ball(group, radius)
     fit = growth_fit(ball)
     meta = _base_meta(config, family=group.family, fit_k=fit.fit_k, fit_l=fit.fit_l,
                       residual=fit.residual,
@@ -187,33 +209,28 @@ def run_growth(config: dict) -> Report:
     return Report("growth",
                   ["radius", "ball_size", "shell_size", "partial_square_sum",
                    "tail_bound"],
-                  rows, meta)
+                  _ball_rows(ball), meta)
 
 
 def run_summable(config: dict) -> Report:
     group = _get_group(config)
-    radius = _get_radius(config)
-    ball = enumerate_ball(group, radius)
+    ball = enumerate_ball(group, _get_positive_int(config))
     partial, tail = square_sum_evidence(ball)
-    _, rows = _ball_rows(group, radius)
-    rows = [[row[0], row[3], row[4]] for row in rows if row[0] >= 1]
+    rows = [[row[0], row[3], row[4]] for row in _ball_rows(ball) if row[0] >= 1]
     meta = _base_meta(config, family=group.family, partial=partial, tail_bound=tail)
     passed = True
-    threshold = config.get("require_exceeds")
-    if threshold is not None:
-        passed = partial > float(threshold)
-        meta["threshold"] = float(threshold)
+    if config.get("require_exceeds") is not None:
+        threshold = _get_number(config, "require_exceeds")
+        passed = partial > threshold
+        meta["threshold"] = threshold
     return Report("summable", ["radius", "partial_square_sum", "tail_bound"],
                   rows, meta, passed)
 
 
 def _dist_row(group: Group, phi: StateRep, psi: StateRep, radius: int,
               trunc: int, mode: str, support_radius: int):
-    ball = enumerate_ball(group, radius)
-    growth = growth_fit(ball) if radius >= 3 else None
-    lower = d_inf(phi, psi, ball)
-    upper = d_2(phi, psi, ball, growth)
-    bracket = connes_bracket(phi, psi, ball, growth)
+    bracket = connes_bracket(phi, psi, enumerate_ball(group, radius))
+    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
     heuristic = drift = None
     if mode in ("heuristic", "both"):
         result = connes_heuristic(phi, psi, group, support_radius, trunc)
@@ -226,16 +243,11 @@ def run_dist(config: dict) -> Report:
     group = _get_group(config)
     phi = state_from_json(group, _load_spec(_require(config, "state_a"), "state_a"))
     psi = state_from_json(group, _load_spec(_require(config, "state_b"), "state_b"))
-    radius = _get_radius(config)
-    trunc = _get_radius(config, "trunc")
+    radius = _get_positive_int(config)
+    trunc, support_radius = _get_truncation(config)
     mode = config.get("mode", "both")
     if mode not in ("bracket", "heuristic", "both"):
         raise ConfigError("mode: must be one of bracket, heuristic, both")
-    support_radius = config.get("support_radius", min(3, max(1, trunc // 2)))
-    if not isinstance(support_radius, int) or support_radius < 1:
-        raise ConfigError("support_radius: must be a positive integer")
-    if trunc < 2 * support_radius:
-        raise ConfigError("trunc: must be at least twice the support radius")
     row = _dist_row(group, phi, psi, radius, trunc, mode, support_radius)
     return Report("dist",
                   ["d_inf_lo", "d_inf_hi", "d2_lo", "d2_hi", "d_lo", "d_hi",
@@ -247,18 +259,16 @@ def run_dist(config: dict) -> Report:
 def run_sandwich(config: dict) -> Report:
     group = _get_group(config)
     states = _get_states(config, group)
-    radius = _get_radius(config)
-    trunc = config.get("trunc", 40)
-    support_radius = config.get("support_radius", 3)
+    radius = _get_positive_int(config)
+    trunc, support_radius = _get_truncation(config, trunc_default=40, support_default=3)
     ball = enumerate_ball(group, radius)
-    growth = growth_fit(ball) if radius >= 3 else None
     rows = []
     all_pass = True
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             (la, phi), (lb, psi) = states[i], states[j]
-            lower = d_inf(phi, psi, ball)
-            upper = d_2(phi, psi, ball, growth)
+            bracket = connes_bracket(phi, psi, ball)
+            lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
             result = connes_heuristic(phi, psi, group, support_radius, trunc)
             divergent = math.isinf(upper.hi)
             ok = (lower.lo <= upper.lo + ORDER_TOL
@@ -283,13 +293,13 @@ def _sequence_states(config: dict, group: Group) -> list[tuple[int, StateRep]]:
         raise ConfigError("sequence: must be an object with a 'kind'")
     kind = seq["kind"]
     if kind == "character_inverse_n":
-        n_max = seq.get("n_max", 50)
+        n_max = _get_positive_int(seq, "n_max", 50)
         if group.family != "free_abelian":
             raise ConfigError("character_inverse_n requires a free abelian group")
         return [(n, CharacterState(group, [np.exp(1j / n)] * group.rank))
                 for n in range(1, n_max + 1)]
     if kind == "density_inverse_n":
-        n_max = seq.get("n_max", 50)
+        n_max = _get_positive_int(seq, "n_max", 50)
         base_el = decode_element(group, _require(seq, "base_element"))
         step_el = decode_element(group, _require(seq, "step_element"))
         return [(n, DensityState(group, AlgebraElement({base_el: 1.0,
@@ -309,16 +319,17 @@ def run_converge(config: dict) -> Report:
     limit = state_from_json(group, _load_spec(_require(config, "limit_state"),
                                               "limit_state"))
     sequence = _sequence_states(config, group)
-    radius = _get_radius(config)
-    epsilon = float(_require(config, "epsilon"))
+    radius = _get_positive_int(config)
+    epsilon = _get_number(config, "epsilon")
+    if not epsilon > 0:
+        raise ConfigError("epsilon: must be positive")
     ball = enumerate_ball(group, radius)
-    growth = growth_fit(ball) if radius >= 3 else None
     rows = []
     prev_inf = prev_2 = math.inf
     monotone = True
     for n, state in sequence:
-        hi_inf = d_inf(state, limit, ball).hi
-        hi_2 = d_2(state, limit, ball, growth).hi
+        bracket = connes_bracket(state, limit, ball)
+        hi_inf, hi_2 = bracket.diagnostics["d_inf"].hi, bracket.hi
         monotone = monotone and hi_inf <= prev_inf + 1e-12 and hi_2 <= prev_2 + 1e-12
         prev_inf, prev_2 = hi_inf, hi_2
         rows.append([n, hi_inf, hi_2])
@@ -331,9 +342,8 @@ def run_converge(config: dict) -> Report:
 def run_kappa(config: dict) -> Report:
     group = _get_group(config)
     states = _get_states(config, group)
-    radius = _get_radius(config)
+    radius = _get_positive_int(config)
     ball = enumerate_ball(group, radius)
-    growth = growth_fit(ball) if radius >= 3 else None
     rows = []
     all_pass = True
     kappas = {}
@@ -351,7 +361,7 @@ def run_kappa(config: dict) -> Report:
     for i in range(len(states)):
         for j in range(i + 1, len(states)):
             (la, phi), (lb, psi) = states[i], states[j]
-            hi = d_2(phi, psi, ball, growth).hi
+            hi = d_2(phi, psi, ball).hi
             cap = 2.0 * max(kappas[la], kappas[lb])
             ok = hi <= cap + ORDER_TOL
             all_pass = all_pass and ok

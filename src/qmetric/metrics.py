@@ -18,12 +18,11 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import Group
-from .opalgebra import AlgebraElement, _top_singular, commutator_matrix
+from .opalgebra import _DENSE_CUTOFF, AlgebraElement, _top_singular, commutator_matrix
 from .states import StateRep
-from .wordlength import Ball, GrowthReport, enumerate_ball
+from .wordlength import Ball, enumerate_ball
 
 
 @dataclass
@@ -44,11 +43,9 @@ def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
     return c
 
 
-def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
-    """Sup metric, exact on the ball; the tail uses |c_g| <= 2 and L >= r+1 outside."""
+def _sup_bracket(c: np.ndarray, ball: Ball) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_inf needs ball radius >= 1")
-    c = delta_coeffs(phi, psi, ball)
     lengths = ball.lengths
     ratios = np.abs(c[1:]) / lengths[1:]
     best = int(np.argmax(ratios))
@@ -60,17 +57,10 @@ def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     })
 
 
-def d_2(phi: StateRep, psi: StateRep, ball: Ball,
-        growth: Optional[GrowthReport] = None) -> MetricBracket:
-    """l2 metric; certified upper bound requires an analytic shell-size bound.
-
-    Without one the upper endpoint is infinite and the diagnostics record the
-    partial sums across sub-radii as divergence evidence.
-    """
+def _l2_bracket(c: np.ndarray, ball: Ball) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_2 needs ball radius >= 1")
-    bound = growth.shell_bound if growth is not None else ball.group.shell_bound
-    c = delta_coeffs(phi, psi, ball)
+    bound = ball.group.shell_bound
     lengths = ball.lengths
     weights = (np.abs(c[1:]) / lengths[1:]) ** 2
     by_radius = np.zeros(ball.radius + 1)
@@ -85,11 +75,25 @@ def d_2(phi: StateRep, psi: StateRep, ball: Ball,
                          tail, diagnostics)
 
 
-def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball,
-                   growth: Optional[GrowthReport] = None) -> MetricBracket:
+def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
+    """Sup metric, exact on the ball; the tail uses |c_g| <= 2 and L >= r+1 outside."""
+    return _sup_bracket(delta_coeffs(phi, psi, ball), ball)
+
+
+def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
+    """l2 metric; certified upper bound requires an analytic shell-size bound.
+
+    Without one the upper endpoint is infinite and the diagnostics record the
+    partial sums across sub-radii as divergence evidence.
+    """
+    return _l2_bracket(delta_coeffs(phi, psi, ball), ball)
+
+
+def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Certified enclosure of the Connes metric: [d_inf.lo, d_2.hi]."""
-    lower = d_inf(phi, psi, ball)
-    upper = d_2(phi, psi, ball, growth)
+    c = delta_coeffs(phi, psi, ball)
+    lower = _sup_bracket(c, ball)
+    upper = _l2_bracket(c, ball)
     return MetricBracket(lower.lo, upper.hi, ball.radius, upper.tail_bound,
                          {"d_inf": lower, "d_2": upper})
 
@@ -109,7 +113,7 @@ class HeuristicResult:
 
 def _stack_commutators(support, ball) -> list:
     mats = [commutator_matrix(AlgebraElement.lam(g), ball).matrix for g in support]
-    if len(ball) <= 600:
+    if len(ball) <= _DENSE_CUTOFF:
         return [m.toarray() for m in mats]
     return [m.tocsr() for m in mats]
 
@@ -241,11 +245,8 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
 
     ball_big = enumerate_ball(group, drift_factor * R)
     nz = [i for i in range(m) if abs(best_alpha[i]) > 1e-14]
-    big_mats = [commutator_matrix(AlgebraElement.lam(support[i]), ball_big).matrix
-                for i in nz]
-    if len(ball_big) <= 600:
-        big_mats = [mat.toarray() for mat in big_mats]
-    T_big = _combine(big_mats, best_alpha[nz])
+    T_big = _combine(_stack_commutators([support[i] for i in nz], ball_big),
+                     best_alpha[nz])
     sigma_big, _, _, _, _ = _top_singular(T_big, norm_tol, norm_max_iter)
     est_big = abs(best_n) / sigma_big if sigma_big > 0 else 0.0
     drift = max(0.0, best_f - est_big)

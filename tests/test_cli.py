@@ -41,10 +41,37 @@ class TestExitCodes:
         out = capsys.readouterr().out
         assert "# passed=false" in out
 
-    def test_config_error_is_two(self, tmp_path, capsys):
-        config = write_json(tmp_path / "bad.json",
-                            {"group": {"family": "nope"}, "radius": 3})
-        assert main(["ball", "--config", config]) == 2
+    @pytest.mark.parametrize("experiment,payload", [
+        pytest.param("ball", {"group": {"family": "nope"}, "radius": 3},
+                     id="unknown-family"),
+        pytest.param("ball", {"group": Z_GROUP, "radius": True}, id="radius-bool"),
+        pytest.param("sandwich", {"group": Z_GROUP, "radius": 5, "trunc": 4,
+                                  "states": [{"kind": "trace"}, {"kind": "one"}]},
+                     id="sandwich-trunc-below-twice-support"),
+        pytest.param("sandwich", {"group": Z_GROUP, "radius": 5, "trunc": "x",
+                                  "states": [{"kind": "trace"}, {"kind": "one"}]},
+                     id="sandwich-trunc-not-int"),
+        pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
+                              "state_b": {"kind": "one"}, "radius": 5, "trunc": 4,
+                              "support_radius": 3},
+                     id="dist-trunc-below-twice-support"),
+        pytest.param("converge", {"group": Z_GROUP, "radius": 5, "epsilon": 0.5,
+                                  "limit_state": {"kind": "trace"},
+                                  "sequence": {"kind": "character_inverse_n",
+                                               "n_max": 0}},
+                     id="converge-n-max-zero"),
+        pytest.param("converge", {"group": Z_GROUP, "radius": 5, "epsilon": "x",
+                                  "limit_state": {"kind": "trace"},
+                                  "sequence": {"kind": "character_inverse_n",
+                                               "n_max": 3}},
+                     id="converge-epsilon-not-number"),
+        pytest.param("summable", {"group": Z_GROUP, "radius": 5,
+                                  "require_exceeds": "x"},
+                     id="summable-threshold-not-number"),
+    ])
+    def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
+        config = write_json(tmp_path / "bad.json", payload)
+        assert main([experiment, "--config", config]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_is_two(self, capsys):

@@ -9,7 +9,7 @@ from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState,
                             TableState, TraceState)
-from qmetric.wordlength import enumerate_ball, growth_fit
+from qmetric.wordlength import enumerate_ball
 
 
 @pytest.fixture
@@ -93,13 +93,6 @@ class TestD2:
         assert bracket.hi == math.inf
         assert bracket.tail_bound is None
         assert bracket.lo > 2.0
-
-    def test_growth_report_supplies_bound(self, z_group, char_minus_one):
-        ball = enumerate_ball(z_group, 20)
-        report = growth_fit(ball)
-        via_report = d_2(TraceState(z_group), char_minus_one, ball, report)
-        direct = d_2(TraceState(z_group), char_minus_one, ball)
-        assert via_report.hi == direct.hi
 
 
 class TestConnesBracket:
