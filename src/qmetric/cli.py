@@ -30,7 +30,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--state-a", help="first state spec file")
             p.add_argument("--state-b", help="second state spec file")
             p.add_argument("--radius", type=int, help="metric ball radius")
-            p.add_argument("--trunc", type=int, help="commutator truncation radius")
+            p.add_argument("--trunc", type=int,
+                           help="commutator truncation radius (heuristic modes)")
             p.add_argument("--mode", choices=("bracket", "heuristic", "both"),
                            default="both")
     return parser
@@ -49,15 +50,18 @@ def _load_config(args) -> dict:
             raise ConfigError("config must be a JSON object")
         return config
     if args.experiment == "dist":
-        missing = [flag for flag, value in
-                   [("--group", args.group), ("--state-a", args.state_a),
-                    ("--state-b", args.state_b), ("--radius", args.radius),
-                    ("--trunc", args.trunc)] if value is None]
+        flags = [("--group", args.group), ("--state-a", args.state_a),
+                 ("--state-b", args.state_b), ("--radius", args.radius)]
+        if args.mode != "bracket":
+            flags.append(("--trunc", args.trunc))
+        missing = [flag for flag, value in flags if value is None]
         if missing:
             raise ConfigError(f"dist without --config requires {', '.join(missing)}")
-        return {"group": args.group, "state_a": args.state_a,
-                "state_b": args.state_b, "radius": args.radius,
-                "trunc": args.trunc, "mode": args.mode}
+        config = {"group": args.group, "state_a": args.state_a,
+                  "state_b": args.state_b, "radius": args.radius, "mode": args.mode}
+        if args.trunc is not None:
+            config["trunc"] = args.trunc
+        return config
     raise ConfigError(f"{args.experiment} requires --config")
 
 

@@ -244,10 +244,12 @@ def run_dist(config: dict) -> Report:
     phi = state_from_json(group, _load_spec(_require(config, "state_a"), "state_a"))
     psi = state_from_json(group, _load_spec(_require(config, "state_b"), "state_b"))
     radius = _get_positive_int(config)
-    trunc, support_radius = _get_truncation(config)
     mode = config.get("mode", "both")
     if mode not in ("bracket", "heuristic", "both"):
         raise ConfigError("mode: must be one of bracket, heuristic, both")
+    trunc = support_radius = None  # heuristic radii; the bracket needs neither
+    if mode != "bracket" or {"trunc", "support_radius"} & config.keys():
+        trunc, support_radius = _get_truncation(config)
     row = _dist_row(group, phi, psi, radius, trunc, mode, support_radius)
     return Report("dist",
                   ["d_inf_lo", "d_inf_hi", "d2_lo", "d2_hi", "d_lo", "d_hi",

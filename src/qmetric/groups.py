@@ -109,13 +109,20 @@ class Group:
 
     family: str = ""
 
-    def __init__(self, identity: GroupElement, generators: Iterable[GroupElement]):
+    def __init__(self, identity: GroupElement, default_generators: Iterable[GroupElement],
+                 generators: Optional[Iterable[GroupElement]] = None):
         self.identity = identity
-        self.generators = tuple(generators)
+        default = tuple(default_generators)
+        self.generators = default if generators is None else tuple(generators)
+        self._default_generators = set(self.generators) == set(default)
+        self._validate_generators()
 
     @property
     def shell_bound(self) -> Optional[int]:
-        """Analytic bound on shell sizes for the default generators, if one exists."""
+        """Analytic bound on shell sizes; only the default generating set has one."""
+        return self._default_shell_bound() if self._default_generators else None
+
+    def _default_shell_bound(self) -> Optional[int]:
         return None
 
     def check(self, a: GroupElement) -> None:
@@ -144,21 +151,15 @@ class FreeAbelian(Group):
         if rank < 1:
             raise GroupError("rank must be >= 1")
         self.rank = rank
-        identity = GroupElement((0,) * rank)
-        if generators is None:
-            gens = []
-            for i in range(rank):
-                for s in (1, -1):
-                    v = [0] * rank
-                    v[i] = s
-                    gens.append(GroupElement(tuple(v)))
-        else:
-            gens = list(generators)
-        super().__init__(identity, gens)
-        self._validate_generators()
+        default = []
+        for i in range(rank):
+            for s in (1, -1):
+                v = [0] * rank
+                v[i] = s
+                default.append(GroupElement(tuple(v)))
+        super().__init__(GroupElement((0,) * rank), default, generators)
 
-    @property
-    def shell_bound(self) -> Optional[int]:
+    def _default_shell_bound(self) -> Optional[int]:
         return 2 if self.rank == 1 else None
 
     def check(self, a: GroupElement) -> None:
@@ -183,17 +184,11 @@ class ProductZFinite(Group):
     def __init__(self, finite: FiniteGroupTable,
                  generators: Optional[Iterable[GroupElement]] = None):
         self.finite = finite
-        identity = GroupElement((0,), finite.identity_index)
-        if generators is None:
-            gens = [GroupElement((1,), f) for f in range(finite.order)]
-            gens += [GroupElement((-1,), finite.inverse[f]) for f in range(finite.order)]
-        else:
-            gens = list(generators)
-        super().__init__(identity, gens)
-        self._validate_generators()
+        default = [GroupElement((1,), f) for f in range(finite.order)]
+        default += [GroupElement((-1,), finite.inverse[f]) for f in range(finite.order)]
+        super().__init__(GroupElement((0,), finite.identity_index), default, generators)
 
-    @property
-    def shell_bound(self) -> Optional[int]:
+    def _default_shell_bound(self) -> Optional[int]:
         return 2 * self.finite.order
 
     def check(self, a: GroupElement) -> None:
@@ -216,16 +211,10 @@ class InfiniteDihedral(Group):
     family = "infinite_dihedral"
 
     def __init__(self, generators: Optional[Iterable[GroupElement]] = None):
-        identity = GroupElement((0,), 0)
-        if generators is None:
-            gens = [GroupElement((1,), 0), GroupElement((-1,), 0), GroupElement((0,), 1)]
-        else:
-            gens = list(generators)
-        super().__init__(identity, gens)
-        self._validate_generators()
+        default = [GroupElement((1,), 0), GroupElement((-1,), 0), GroupElement((0,), 1)]
+        super().__init__(GroupElement((0,), 0), default, generators)
 
-    @property
-    def shell_bound(self) -> Optional[int]:
+    def _default_shell_bound(self) -> Optional[int]:
         return 4
 
     def check(self, a: GroupElement) -> None:

@@ -94,10 +94,9 @@ class TruncatedOperator:
         return "\n".join(lines)
 
 
-def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
-    """Compression of left convolution by a: column h carries alpha_g at row gh."""
+def _translations(a: AlgebraElement, ball: Ball):
+    """Triplets (row, col, alpha_g): row indexes gh, col indexes h, both in the ball."""
     group = ball.group
-    n = len(ball)
     rows, cols, vals = [], [], []
     for g, ag in a.coeffs.items():
         group.check(g)
@@ -107,6 +106,14 @@ def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
                 rows.append(k)
                 cols.append(j)
                 vals.append(ag)
+    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
+            np.array(vals, dtype=complex))
+
+
+def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
+    """Compression of left convolution by a: column h carries alpha_g at row gh."""
+    n = len(ball)
+    rows, cols, vals = _translations(a, ball)
     matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
     return TruncatedOperator(ball, matrix, "convolution")
 
@@ -115,24 +122,15 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     """Compression of the commutator with the length multiplier.
 
     Entry at (gh, h) is alpha_g * (L(gh) - L(h)); pairs whose product leaves
-    the ball are dropped (compression semantics).
+    the ball are dropped (compression semantics), and entries with
+    L(gh) = L(h) are not stored.
     """
-    group = ball.group
     n = len(ball)
-    lengths = ball.lengths
-    rows, cols, vals = [], [], []
-    for g, ag in a.coeffs.items():
-        group.check(g)
-        for j, h in enumerate(ball.elements):
-            k = ball.index_of.get(group.mul(g, h))
-            if k is None:
-                continue
-            diff = int(lengths[k]) - int(lengths[j])
-            if diff != 0:
-                rows.append(k)
-                cols.append(j)
-                vals.append(ag * diff)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+    rows, cols, vals = _translations(a, ball)
+    diff = ball.lengths[rows] - ball.lengths[cols]
+    keep = diff != 0
+    matrix = sp.csr_matrix((vals[keep] * diff[keep], (rows[keep], cols[keep])),
+                           shape=(n, n), dtype=complex)
     return TruncatedOperator(ball, matrix, "commutator")
 
 

@@ -1,21 +1,24 @@
 """State representations on the reduced group C*-algebra.
 
 Every metric in this package depends on a state only through its coefficient
-function g -> phi(lam_g), so states are represented purely by evaluators:
+function g -> phi(lam_g).  The constant positive-definite function 1 and the
+characters of free abelian groups are evaluated in closed form.  The other
+four kinds have finitely supported coefficients and are stored as the table
+of them, built once and zero elsewhere, so a coefficient is one lookup and a
+ball of them one scatter:
 
-* the trace (coefficient 1 at the identity, 0 elsewhere),
-* the constant positive-definite function 1,
-* characters of free abelian groups,
-* explicit finite tables (allowed to fail positivity; see pd_check),
-* vector states from finitely supported unit vectors,
-* trace-bounded states with density rho = b*b / tau(b*b).
+* the trace: {e: 1},
+* explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
+* vector states <lam_g xi, xi> for finitely supported unit vectors xi: the
+  convolution conj(xi) * conj(xi)^*,
+* trace-bounded states with density rho = b*b / tau(b*b): {g^-1: rho(g)}.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -26,7 +29,7 @@ from .wordlength import Ball
 
 
 class StateRep:
-    """Base state evaluator; subclasses implement coeff(g)."""
+    """Base state evaluator; subclasses implement coeff(g) and coeff_array(ball)."""
 
     kind: str = ""
 
@@ -38,20 +41,7 @@ class StateRep:
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order."""
-        return np.array([self.coeff(g) for g in ball.elements], dtype=complex)
-
-
-class TraceState(StateRep):
-    kind = "trace"
-
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        return 1.0 + 0.0j if g == self.group.identity else 0.0 + 0.0j
-
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        out = np.zeros(len(ball), dtype=complex)
-        out[ball.index(self.group.identity)] = 1.0
-        return out
+        raise NotImplementedError
 
 
 class OneState(StateRep):
@@ -91,78 +81,90 @@ class CharacterState(StateRep):
         return np.exp(1j * (ball.z_matrix() @ self.theta))
 
 
-class TableState(StateRep):
-    """Explicit coefficient table with declared extension 0 outside its domain.
+class FiniteState(StateRep):
+    """State whose coefficients are a finite table, extended by 0 elsewhere.
 
-    With extend_zero=False a lookup outside the table raises instead.  Tables
-    are permitted to violate positivity; pd_check is the validator.
+    With extend_zero False a coefficient outside the table raises instead.
     """
 
-    kind = "table"
+    extend_zero = True
 
-    def __init__(self, group: Group, entries: Mapping[GroupElement, complex],
-                 extend_zero: bool = True):
+    def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
-        self.entries = {g: complex(v) for g, v in entries.items()}
-        ident = self.entries.get(group.identity)
-        if ident is not None and ident != 1:
-            raise StateError("table value at the identity must be 1 (states are unital)")
-        self.extend_zero = extend_zero
+        self.table = table
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
-        if g == self.group.identity:
-            return 1.0 + 0.0j
-        value = self.entries.get(g)
+        value = self.table.get(g)
         if value is None:
             if self.extend_zero:
                 return 0.0 + 0.0j
             raise StateError(f"element {g} is outside the state table")
         return value
 
+    def coeff_array(self, ball: Ball) -> np.ndarray:
+        if not self.extend_zero:
+            for g in ball.elements:
+                self.coeff(g)  # raises at the first element outside the table
+        out = np.zeros(len(ball), dtype=complex)
+        for g, value in self.table.items():
+            k = ball.index_of.get(g)
+            if k is not None:
+                out[k] = value
+        return out
 
-class VectorState(StateRep):
+
+class TraceState(FiniteState):
+    kind = "trace"
+
+    def __init__(self, group: Group):
+        super().__init__(group, {group.identity: 1.0 + 0.0j})
+
+
+class TableState(FiniteState):
+    """Explicit coefficient table; it may violate positivity (see pd_check)."""
+
+    kind = "table"
+
+    def __init__(self, group: Group, entries: Mapping[GroupElement, complex],
+                 extend_zero: bool = True):
+        self.entries = {g: complex(v) for g, v in entries.items()}
+        ident = self.entries.get(group.identity)
+        if ident is not None and ident != 1:
+            raise StateError("table value at the identity must be 1 (states are unital)")
+        super().__init__(group, {**self.entries, group.identity: 1.0 + 0.0j})
+        self.extend_zero = extend_zero
+
+
+class VectorState(FiniteState):
     """Vector state from a finitely supported unit vector xi on the group."""
 
     kind = "vector"
 
     def __init__(self, group: Group, xi: Mapping[GroupElement, complex]):
-        super().__init__(group)
         self.xi = {g: complex(v) for g, v in xi.items() if complex(v) != 0}
         for g in self.xi:
             group.check(g)
         norm_sq = sum(abs(v) ** 2 for v in self.xi.values())
         if abs(norm_sq - 1.0) > 1e-12:
             raise StateError(f"vector state must be normalized; |xi|^2 = {norm_sq}")
-
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        g_inv = self.group.inv(g)
-        acc = 0.0 + 0.0j
-        for h, xh in self.xi.items():
-            val = self.xi.get(self.group.mul(g_inv, h))
-            if val is not None:
-                acc += val * xh.conjugate()
-        return acc
+        xi_bar = AlgebraElement({g: v.conjugate() for g, v in self.xi.items()})
+        super().__init__(group, conv_mul(group, xi_bar, star(group, xi_bar)).coeffs)
 
 
-class DensityState(StateRep):
+class DensityState(FiniteState):
     """Trace-bounded state with density rho = b*b / tau(b*b) for finitely supported b."""
 
     kind = "density"
 
     def __init__(self, group: Group, b: AlgebraElement):
-        super().__init__(group)
         bb = conv_mul(group, star(group, b), b)
         total = trace_coeff(group, bb)
         if abs(total) == 0:
             raise StateError("density generator b must be nonzero")
         self.b = b
         self.rho = bb.scaled(1.0 / total.real)
-
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        return self.rho.coeffs.get(self.group.inv(g), 0.0 + 0.0j)
+        super().__init__(group, {group.inv(g): v for g, v in self.rho.coeffs.items()})
 
 
 # ---------------------------------------------------------------------------

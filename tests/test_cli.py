@@ -149,6 +149,25 @@ class TestDistFlags:
                            "radius": 20, "trunc": 8, "mode": "bracket"})
         assert out == report.to_csv()
 
+    def test_bracket_mode_needs_no_trunc(self, tmp_path, capsys):
+        group = write_json(tmp_path / "g.json", Z_GROUP)
+        sa = write_json(tmp_path / "a.json", {"kind": "trace"})
+        sb = write_json(tmp_path / "b.json", {"kind": "one"})
+        assert main(["dist", "--group", group, "--state-a", sa, "--state-b", sb,
+                     "--radius", "20", "--mode", "bracket"]) == 0
+        out = capsys.readouterr().out
+        config = {"group": group, "state_a": sa, "state_b": sb, "radius": 20,
+                  "mode": "bracket"}
+        assert out == run_dist(config).to_csv()
+        assert "# support_radius=\n" in out
+        assert out.splitlines()[-1].endswith(",20,")
+        # the bracket columns do not depend on trunc
+        with_trunc = run_dist({**config, "trunc": 8}).rows[0]
+        assert run_dist(config).rows[0][:-1] == with_trunc[:-1]
+        for bad in ({"mode": "heuristic"}, {"support_radius": 2}):
+            assert main(["dist", "--config", write_json(tmp_path / "h.json", {
+                **config, **bad})]) == 2
+
     def test_missing_flags_reported(self, capsys):
         assert main(["dist", "--radius", "10"]) == 2
         err = capsys.readouterr().err

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from qmetric.groups import GroupElement
+from qmetric.experiments import run_ball, run_growth, run_summable
+from qmetric.groups import FreeAbelian, GroupElement
 from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
 from qmetric.opalgebra import AlgebraElement
@@ -93,6 +94,32 @@ class TestD2:
         assert bracket.hi == math.inf
         assert bracket.tail_bound is None
         assert bracket.lo > 2.0
+
+
+class TestCustomGenerators:
+    """Shell bounds are analytic facts about the default generating sets only."""
+
+    GENS = [GroupElement((m,)) for m in (1, -1, 2, -2, 3, -3)]
+
+    def test_no_bound_and_no_certified_tail(self, z_group):
+        group = FreeAbelian(1, self.GENS)
+        ball = enumerate_ball(group, 10)
+        # every shell has 6 elements, more than the bound 2 of the default set
+        assert ball.shell_sizes[1:].tolist() == [6] * 10
+        assert group.shell_bound is None
+        bracket = d_2(TraceState(group), CharacterState(group, [-1.0]), ball)
+        assert bracket.hi == math.inf and bracket.tail_bound is None
+        config = {"group": {"family": "free_abelian", "rank": 1,
+                            "generators": [[m] for m in (1, -1, 2, -2, 3, -3)]},
+                  "radius": 10}
+        assert all(row[-1] is None for row in run_ball(config).rows)
+        assert all(row[-1] is None for row in run_summable(config).rows)
+        assert run_summable(config).meta["tail_bound"] is None
+        growth = run_growth(config).meta
+        assert growth["shell_bound"] is None and growth["shell_bound_provenance"] is None
+
+    def test_reordered_default_set_keeps_bound(self):
+        assert FreeAbelian(1, [GroupElement((-1,)), GroupElement((1,))]).shell_bound == 2
 
 
 class TestConnesBracket:

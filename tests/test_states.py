@@ -1,8 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from qmetric.errors import ConfigError, ResourceError, StateError
-from qmetric.groups import FreeAbelian, GroupElement
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
+                            InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
                             TraceState, VectorState, kappa_bounds, pd_check,
@@ -29,13 +32,6 @@ class TestBasicStates:
         for m in range(-5, 6):
             assert phi.coeff(GroupElement((m,))) == pytest.approx(np.exp(1j * 0.3 * m))
 
-    def test_character_array_matches_pointwise(self, z2_group):
-        phi = CharacterState(z2_group, [np.exp(1j * 0.7), np.exp(-1j * 1.1)])
-        ball = enumerate_ball(z2_group, 4)
-        arr = phi.coeff_array(ball)
-        for i, g in enumerate(ball.elements):
-            assert arr[i] == pytest.approx(phi.coeff(g), abs=1e-12)
-
     def test_character_requires_free_abelian(self, dihedral):
         with pytest.raises(StateError):
             CharacterState(dihedral, [1.0])
@@ -45,6 +41,64 @@ class TestBasicStates:
             CharacterState(z_group, [1.5])
         with pytest.raises(StateError):
             CharacterState(z_group, [1.0, 1.0])
+
+
+def _vector_direct(group, xi, g):
+    """<lam_g xi, xi> = sum_h xi(g^-1 h) conj(xi(h))."""
+    g_inv = group.inv(g)
+    return sum(xi.get(group.mul(g_inv, h), 0.0) * np.conj(xh) for h, xh in xi.items())
+
+
+def _density_direct(group, b, g):
+    """rho(g^-1) with rho = b*b / tau(b*b), from (b*b)(k) = sum_{x^-1 y = k} conj(b_x) b_y."""
+    k = group.inv(g)
+    bb = sum(np.conj(bx) * by for x, bx in b.items() for y, by in b.items()
+             if group.mul(group.inv(x), y) == k)
+    return bb / sum(abs(bx) ** 2 for bx in b.values())
+
+
+_GROUPS = {"z2": (lambda: FreeAbelian(2), 4),
+           "zxs3": (lambda: ProductZFinite(FiniteGroupTable.symmetric(3)), 2),
+           "dihedral": (InfiniteDihedral, 4)}
+_KINDS = ["trace", "one", "character", "table", "vector", "density"]
+
+
+def _state_and_formula(kind, group):
+    """A state of the given kind, and its coefficients from a direct formula (or None)."""
+    s = group.generators[0]
+    t = group.mul(s, group.generators[-1])
+    if kind == "trace":
+        return TraceState(group), None
+    if kind == "one":
+        return OneState(group), None
+    if kind == "character":
+        return CharacterState(group, [np.exp(1j * 0.7), np.exp(-1j * 1.1)]), None
+    if kind == "table":
+        return TableState(group, {s: 0.5, group.inv(s): 0.5, t: 0.25j}), None
+    if kind == "vector":
+        xi = {group.identity: 0.6, s: 0.48j, t: 0.64}
+        return VectorState(group, xi), lambda g: _vector_direct(group, xi, g)
+    b = {group.identity: 1.0, s: 0.5j, t: -0.25}
+    return (DensityState(group, AlgebraElement(b)),
+            lambda g: _density_direct(group, b, g))
+
+
+@pytest.mark.parametrize("group_name,kind", [
+    (group_name, kind) for group_name in _GROUPS for kind in _KINDS
+    if kind != "character" or group_name == "z2"])
+def test_array_matches_pointwise(group_name, kind):
+    make, radius = _GROUPS[group_name]
+    group = make()
+    phi, formula = _state_and_formula(kind, group)
+    ball = enumerate_ball(group, radius)
+    arr = phi.coeff_array(ball)
+    for i, g in enumerate(ball.elements):
+        if kind == "character":  # vectorised phases may differ in the last bit
+            assert arr[i] == pytest.approx(phi.coeff(g), abs=1e-12)
+        else:
+            assert arr[i] == phi.coeff(g)
+        if formula is not None:
+            assert arr[i] == pytest.approx(formula(g), abs=1e-12)
 
 
 class TestTableState:
@@ -59,6 +113,15 @@ class TestTableState:
         phi = TableState(z_group, {GroupElement((1,)): 0.5}, extend_zero=False)
         with pytest.raises(StateError, match="outside"):
             phi.coeff(GroupElement((2,)))
+
+    def test_strict_mode_raises_through_coeff_array(self, z_group):
+        phi = TableState(z_group, {GroupElement((1,)): 0.5, GroupElement((-1,)): 0.5},
+                         extend_zero=False)
+        assert np.array_equal(phi.coeff_array(enumerate_ball(z_group, 1)),
+                              [1.0, 0.5, 0.5])
+        # ball(2) lists (-2,) before (2,); the error names the first one
+        with pytest.raises(StateError, match=re.escape(f"element {GroupElement((-2,))} ")):
+            phi.coeff_array(enumerate_ball(z_group, 2))
 
     def test_identity_must_be_one(self, z_group):
         with pytest.raises(StateError, match="unital"):
