@@ -8,15 +8,27 @@ Three families are supported:
 * ``infinite_dihedral`` -- Z semidirect Z_2 with the sign-flip action.
 
 Elements are canonical named tuples, so structural equality coincides with
-group equality and elements can be used as dictionary keys.
+group equality and elements can be used as dictionary keys.  The public
+``mul`` and ``inv`` check their arguments and then call the family's raw
+``_mul``/``_inv``; code that multiplies elements already known to belong to
+the group (BFS over validated generators) calls the raw ones.
+
+The same elements also have a row form for vectorised work: an int64 row
+(z_1, ..., z_d) for Z^d and (z, f) for Z x F and the dihedral group.
+``to_rows``/``from_rows`` convert between the two forms, each family's
+``mul_rows``/``inv_rows`` multiply and invert broadcastable (..., k) arrays of
+rows, and ``RowIndex`` looks rows up exactly in a fixed set of rows.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
+
+import numpy as np
 
 from .errors import ConfigError, GroupError
 
@@ -104,6 +116,11 @@ def builtin_finite_table(name: str) -> FiniteGroupTable:
 # group handles
 # ---------------------------------------------------------------------------
 
+# Keeps every coordinate of a ball, and of a product of two ball elements,
+# far inside the int64 rows that the vectorised products work on.
+_MAX_GENERATOR_COORD = 2 ** 31
+
+
 class Group:
     """Immutable group handle exposing identity, generators, mul and inv."""
 
@@ -112,6 +129,7 @@ class Group:
     def __init__(self, identity: GroupElement, default_generators: Iterable[GroupElement],
                  generators: Optional[Iterable[GroupElement]] = None):
         self.identity = identity
+        self.row_width = len(identity.z) + (identity.f is not None)
         default = tuple(default_generators)
         self.generators = default if generators is None else tuple(generators)
         self._default_generators = set(self.generators) == set(default)
@@ -129,10 +147,42 @@ class Group:
         raise NotImplementedError
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        self.check(a)
+        self.check(b)
+        return self._mul(a, b)
 
     def inv(self, a: GroupElement) -> GroupElement:
+        self.check(a)
+        return self._inv(a)
+
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         raise NotImplementedError
+
+    def _inv(self, a: GroupElement) -> GroupElement:
+        raise NotImplementedError
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Products of broadcastable int64 row arrays of shape (..., row_width)."""
+        raise NotImplementedError
+
+    def inv_rows(self, a: np.ndarray) -> np.ndarray:
+        """Inverses of an int64 row array of shape (..., row_width)."""
+        raise NotImplementedError
+
+    def to_rows(self, elements: Iterable[GroupElement]) -> np.ndarray:
+        """Elements (assumed to belong to the group) as an (n, row_width) int64 array."""
+        if self.identity.f is None:
+            flat = [g.z for g in elements]
+        else:
+            flat = [g.z + (g.f,) for g in elements]
+        return np.array(flat, dtype=np.int64).reshape(len(flat), self.row_width)
+
+    def from_rows(self, rows: np.ndarray) -> list[GroupElement]:
+        """Inverse of to_rows: canonical elements with Python int coordinates."""
+        flat = np.asarray(rows).reshape(-1, self.row_width).tolist()
+        if self.identity.f is None:
+            return [GroupElement(tuple(r)) for r in flat]
+        return [GroupElement(tuple(r[:-1]), r[-1]) for r in flat]
 
     def _validate_generators(self) -> None:
         if not self.generators:
@@ -140,6 +190,8 @@ class Group:
         gens = set(self.generators)
         for g in self.generators:
             self.check(g)
+            if any(abs(x) > _MAX_GENERATOR_COORD for x in g.z):
+                raise GroupError(f"generator {g} has a coordinate beyond +-2^31")
             if self.inv(g) not in gens:
                 raise GroupError(f"generating set is not symmetric: missing inverse of {g}")
 
@@ -166,14 +218,17 @@ class FreeAbelian(Group):
         if a.f is not None or len(a.z) != self.rank:
             raise GroupError(f"element {a} does not belong to free_abelian(rank={self.rank})")
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check(a)
-        self.check(b)
-        return GroupElement(tuple(x + y for x, y in zip(a.z, b.z)))
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
+        return GroupElement(tuple(map(operator.add, a.z, b.z)))
 
-    def inv(self, a: GroupElement) -> GroupElement:
-        self.check(a)
-        return GroupElement(tuple(-x for x in a.z))
+    def _inv(self, a: GroupElement) -> GroupElement:
+        return GroupElement(tuple(map(operator.neg, a.z)))
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return a + b
+
+    def inv_rows(self, a: np.ndarray) -> np.ndarray:
+        return -a
 
 
 class ProductZFinite(Group):
@@ -184,6 +239,8 @@ class ProductZFinite(Group):
     def __init__(self, finite: FiniteGroupTable,
                  generators: Optional[Iterable[GroupElement]] = None):
         self.finite = finite
+        self._table = np.array(finite.table, dtype=np.int64)
+        self._inverse = np.array(finite.inverse, dtype=np.int64)
         default = [GroupElement((1,), f) for f in range(finite.order)]
         default += [GroupElement((-1,), finite.inverse[f]) for f in range(finite.order)]
         super().__init__(GroupElement((0,), finite.identity_index), default, generators)
@@ -195,14 +252,17 @@ class ProductZFinite(Group):
         if a.f is None or len(a.z) != 1 or not 0 <= a.f < self.finite.order:
             raise GroupError(f"element {a} does not belong to Z x F (|F|={self.finite.order})")
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check(a)
-        self.check(b)
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         return GroupElement((a.z[0] + b.z[0],), self.finite.table[a.f][b.f])
 
-    def inv(self, a: GroupElement) -> GroupElement:
-        self.check(a)
+    def _inv(self, a: GroupElement) -> GroupElement:
         return GroupElement((-a.z[0],), self.finite.inverse[a.f])
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.stack([a[..., 0] + b[..., 0], self._table[a[..., 1], b[..., 1]]], axis=-1)
+
+    def inv_rows(self, a: np.ndarray) -> np.ndarray:
+        return np.stack([-a[..., 0], self._inverse[a[..., 1]]], axis=-1)
 
 
 class InfiniteDihedral(Group):
@@ -221,15 +281,48 @@ class InfiniteDihedral(Group):
         if a.f not in (0, 1) or len(a.z) != 1:
             raise GroupError(f"element {a} does not belong to the infinite dihedral group")
 
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check(a)
-        self.check(b)
+    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
         m = a.z[0] + (b.z[0] if a.f == 0 else -b.z[0])
         return GroupElement((m,), a.f ^ b.f)
 
-    def inv(self, a: GroupElement) -> GroupElement:
-        self.check(a)
+    def _inv(self, a: GroupElement) -> GroupElement:
         return GroupElement((-a.z[0],), 0) if a.f == 0 else a
+
+    def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        m = a[..., 0] + np.where(a[..., 1] == 0, b[..., 0], -b[..., 0])
+        return np.stack([m, a[..., 1] ^ b[..., 1]], axis=-1)
+
+    def inv_rows(self, a: np.ndarray) -> np.ndarray:
+        return np.stack([np.where(a[..., 1] == 0, -a[..., 0], a[..., 0]), a[..., 1]], axis=-1)
+
+
+# ---------------------------------------------------------------------------
+# exact row lookup
+# ---------------------------------------------------------------------------
+
+def _row_keys(rows: np.ndarray) -> np.ndarray:
+    """Each int64 row as one fixed-width byte string, so equal rows give equal keys."""
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
+
+
+class RowIndex:
+    """Positions of rows in a fixed non-empty (n, k) int64 array, by a sorted-key search.
+
+    Rows are compared as byte strings, so the lookup is exact for every int64
+    coordinate (no mixed-radix packing that could overflow).
+    """
+
+    def __init__(self, rows: np.ndarray):
+        keys = _row_keys(rows)
+        self._order = np.argsort(keys, kind="stable")
+        self._sorted = keys[self._order]
+
+    def find(self, rows: np.ndarray) -> np.ndarray:
+        """Index of each row of a (..., k) array in the fixed rows, -1 where absent."""
+        keys = _row_keys(rows)
+        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
+        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
 
 
 # ---------------------------------------------------------------------------

@@ -95,19 +95,18 @@ class TruncatedOperator:
 
 
 def _translations(a: AlgebraElement, ball: Ball):
-    """Triplets (row, col, alpha_g): row indexes gh, col indexes h, both in the ball."""
+    """Triplets (row, col, alpha_g): row indexes gh, col indexes h, both in the ball.
+
+    Ordered by g (in the order of a's support), then by h.
+    """
     group = ball.group
-    rows, cols, vals = [], [], []
-    for g, ag in a.coeffs.items():
+    for g in a.coeffs:
         group.check(g)
-        for j, h in enumerate(ball.elements):
-            k = ball.index_of.get(group.mul(g, h))
-            if k is not None:
-                rows.append(k)
-                cols.append(j)
-                vals.append(ag)
-    return (np.array(rows, dtype=np.int64), np.array(cols, dtype=np.int64),
-            np.array(vals, dtype=complex))
+    support = group.to_rows(a.coeffs)
+    k = ball.find_rows(group.mul_rows(support[:, None, :], ball.rows()))
+    g_index, cols = np.nonzero(k >= 0)
+    alphas = np.array(list(a.coeffs.values()), dtype=complex)
+    return k[g_index, cols], cols, alphas[g_index]
 
 
 def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:

@@ -1,11 +1,15 @@
 """State representations on the reduced group C*-algebra.
 
 Every metric in this package depends on a state only through its coefficient
-function g -> phi(lam_g).  The constant positive-definite function 1 and the
-characters of free abelian groups are evaluated in closed form.  The other
-four kinds have finitely supported coefficients and are stored as the table
-of them, built once and zero elsewhere, so a coefficient is one lookup and a
-ball of them one scatter:
+function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
+``coeff_rows`` is the one vectorised evaluator, on an int64 array of element
+rows (see ``groups``), and serves both ``coeff_array`` (the rows of a ball)
+and the ``pd_check`` Gram matrix (the rows g_i^-1 g_j, one i at a time).  The
+constant positive-definite function 1 and the characters of free abelian
+groups are evaluated in closed form.  The other four kinds have finitely
+supported coefficients and are stored as the table of them, built once and
+zero elsewhere, so a coefficient is one lookup (a dict for ``coeff``, a
+sorted-key search for ``coeff_rows``):
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -23,13 +27,13 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ResourceError, StateError
-from .groups import FreeAbelian, Group, GroupElement, decode_element
+from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
 
 class StateRep:
-    """Base state evaluator; subclasses implement coeff(g) and coeff_array(ball)."""
+    """Base state evaluator; subclasses implement coeff(g) and coeff_rows(rows)."""
 
     kind: str = ""
 
@@ -39,9 +43,13 @@ class StateRep:
     def coeff(self, g: GroupElement) -> complex:
         raise NotImplementedError
 
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients at a (..., row_width) array of element rows, shape (...)."""
+        raise NotImplementedError
+
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order."""
-        raise NotImplementedError
+        return self.coeff_rows(ball.rows())
 
 
 class OneState(StateRep):
@@ -53,8 +61,8 @@ class OneState(StateRep):
         self.group.check(g)
         return 1.0 + 0.0j
 
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        return np.ones(len(ball), dtype=complex)
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        return np.ones(rows.shape[:-1], dtype=complex)
 
 
 class CharacterState(StateRep):
@@ -77,8 +85,11 @@ class CharacterState(StateRep):
         self.group.check(g)
         return complex(np.exp(1j * float(np.dot(self.theta, g.z))))
 
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        return np.exp(1j * (ball.z_matrix() @ self.theta))
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        return np.exp(1j * (rows @ self.theta))
+
+
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class FiniteState(StateRep):
@@ -92,6 +103,11 @@ class FiniteState(StateRep):
     def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
         self.table = table
+        # no int64 row equals a key with a coordinate beyond int64, so such
+        # keys (reachable only through coeff) are left out of the row lookup
+        keys = [g for g in table if all(_INT64_MIN <= x <= _INT64_MAX for x in g.z)]
+        self._index = RowIndex(group.to_rows(keys))
+        self._values = np.array([table[g] for g in keys], dtype=complex)
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -102,16 +118,14 @@ class FiniteState(StateRep):
             raise StateError(f"element {g} is outside the state table")
         return value
 
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        if not self.extend_zero:
-            for g in ball.elements:
-                self.coeff(g)  # raises at the first element outside the table
-        out = np.zeros(len(ball), dtype=complex)
-        for g, value in self.table.items():
-            k = ball.index_of.get(g)
-            if k is not None:
-                out[k] = value
-        return out
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        pos = self._index.find(rows)
+        missing = pos < 0
+        if not self.extend_zero and missing.any():
+            first = int(np.flatnonzero(missing)[0])
+            g = self.group.from_rows(rows.reshape(-1, rows.shape[-1])[first])[0]
+            raise StateError(f"element {g} is outside the state table")
+        return np.where(missing, 0.0 + 0.0j, self._values[pos])
 
 
 class TraceState(FiniteState):
@@ -181,6 +195,17 @@ class PdCheckResult:
 _PD_MAX_BALL = 2000
 
 
+def _gram(state: StateRep, ball: Ball) -> np.ndarray:
+    """G[i, j] = coeff(g_i^-1 g_j), filled one row at a time from the ball's rows."""
+    group = ball.group
+    rows = ball.rows()
+    inverses = group.inv_rows(rows)
+    gram = np.empty((len(ball), len(ball)), dtype=complex)
+    for i in range(len(ball)):
+        gram[i] = state.coeff_rows(group.mul_rows(inverses[i], rows))
+    return gram
+
+
 def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
     """Positivity certificate: smallest eigenvalue of the Gram matrix over the ball.
 
@@ -192,12 +217,7 @@ def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
         raise ResourceError(
             f"Gram matrix would be {n} x {n}; the dense eigensolve is capped at "
             f"{_PD_MAX_BALL}")
-    group = ball.group
-    gram = np.empty((n, n), dtype=complex)
-    for i, gi in enumerate(ball.elements):
-        gi_inv = group.inv(gi)
-        for j, gj in enumerate(ball.elements):
-            gram[i, j] = state.coeff(group.mul(gi_inv, gj))
+    gram = _gram(state, ball)
     gram = (gram + gram.conj().T) / 2.0
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
@@ -274,7 +294,11 @@ def state_from_json(group: Group, data) -> StateRep:
             return DensityState(group, algebra_element_from_json(group, data.get("b"), "b"))
         if kind == "table":
             entries = _decode_weighted(group, data.get("entries"), "entries")
-            return TableState(group, entries, bool(data.get("extend_zero", True)))
+            extend_zero = data.get("extend_zero", True)
+            if not isinstance(extend_zero, bool):
+                raise ConfigError(f"table: 'extend_zero' must be true or false, "
+                                  f"got {extend_zero!r}")
+            return TableState(group, entries, extend_zero)
     except StateError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown state kind {kind!r}")

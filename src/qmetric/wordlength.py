@@ -3,7 +3,12 @@
 The BFS distance from the identity in the Cayley graph of a symmetric
 generating set is the word length L.  Balls {g : L(g) <= r} are enumerated
 shell by shell with a deterministic ordering, and carry exact lengths for
-every element.
+every element.  The search multiplies with the family's raw ``_mul``: the
+generators were checked when the group was built, so every product of ball
+elements belongs to the group.  It stays a Python loop over canonical
+elements; a ball also has its elements as one cached int64 row array
+(``rows()``) with an exact row lookup (``find_rows``) for vectorised
+callers.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import BallRadiusError, ResourceError
-from .groups import Group, GroupElement, element_sort_key
+from .groups import Group, GroupElement, RowIndex, element_sort_key
 
 DEFAULT_MAX_BALL = 200_000
 
@@ -43,7 +48,8 @@ class Ball:
     elements: tuple[GroupElement, ...]
     lengths: np.ndarray
     index_of: dict[GroupElement, int]
-    _z_matrix: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
+    _row_index: Optional[RowIndex] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -63,11 +69,21 @@ class Ball:
     def shell_sizes(self) -> np.ndarray:
         return np.bincount(self.lengths, minlength=self.radius + 1)
 
+    def rows(self) -> np.ndarray:
+        """Elements as an (n, row_width) int64 array of rows, in ball order; cached."""
+        if self._rows is None:
+            self._rows = self.group.to_rows(self.elements)
+        return self._rows
+
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
+        if self._row_index is None:
+            self._row_index = RowIndex(self.rows())
+        return self._row_index.find(rows)
+
     def z_matrix(self) -> np.ndarray:
-        """Integer parts stacked as an (n, rank) array; cached."""
-        if self._z_matrix is None:
-            self._z_matrix = np.array([el.z for el in self.elements], dtype=np.int64)
-        return self._z_matrix
+        """Integer parts stacked as an (n, rank) array; a view of rows()."""
+        return self.rows()[:, :len(self.group.identity.z)]
 
 
 def enumerate_ball(group: Group, radius: int,
@@ -82,11 +98,12 @@ def enumerate_ball(group: Group, radius: int,
     lengths: list[int] = [0]
     seen = {group.identity}
     frontier = [group.identity]
+    mul = group._mul
     for k in range(1, radius + 1):
         nxt = set()
         for g in frontier:
             for s in group.generators:
-                h = group.mul(g, s)
+                h = mul(g, s)
                 if h not in seen:
                     nxt.add(h)
         shell = sorted(nxt, key=element_sort_key)

@@ -68,6 +68,12 @@ class TestExitCodes:
         pytest.param("summable", {"group": Z_GROUP, "radius": 5,
                                   "require_exceeds": "x"},
                      id="summable-threshold-not-number"),
+        pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
+                              "state_b": {"kind": "table", "extend_zero": "false",
+                                          "entries": [{"element": [1], "re": 0.5},
+                                                      {"element": [-1], "re": 0.5}]},
+                              "radius": 5},
+                     id="table-extend-zero-string"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", payload)

@@ -117,6 +117,16 @@ class TestInv:
     def test_product(self, z_x_z2):
         assert z_x_z2.inv(GroupElement((1,), 1)) == GroupElement((-1,), 1)
 
+    def test_foreign_element_rejected(self, z2_group, z_x_z2, dihedral):
+        with pytest.raises(GroupError):
+            z_x_z2.mul(z_x_z2.identity, GroupElement((1,), 2))
+        with pytest.raises(GroupError):
+            z2_group.inv(GroupElement((1,)))
+        with pytest.raises(GroupError):
+            z_x_z2.inv(GroupElement((1,), 2))
+        with pytest.raises(GroupError):
+            dihedral.inv(GroupElement((1,)))
+
     @pytest.mark.parametrize("family", ["z2", "zxz2", "dihedral"])
     def test_involution(self, family, z2_group, z_x_z2, dihedral):
         group = {"z2": z2_group, "zxz2": z_x_z2, "dihedral": dihedral}[family]
@@ -177,6 +187,15 @@ class TestConstruction:
     def test_generator_override_must_be_symmetric(self):
         with pytest.raises(GroupError, match="symmetric"):
             FreeAbelian(1, [GroupElement((1,))])
+
+    def test_generator_coordinates_are_bounded(self):
+        # ball rows are int64: a generator of 2^62 would wrap at radius 2
+        with pytest.raises(GroupError, match="2\\^31"):
+            FreeAbelian(1, [GroupElement((2 ** 62,)), GroupElement((-2 ** 62,))])
+        with pytest.raises(ConfigError, match="2\\^31"):
+            group_from_json({"family": "infinite_dihedral",
+                             "generators": [[2 ** 31 + 1, 0], [-2 ** 31 - 1, 0], [0, 1]]})
+        FreeAbelian(1, [GroupElement((2 ** 31,)), GroupElement((-2 ** 31,))])
 
     def test_generator_override(self):
         gens = [GroupElement((2,)), GroupElement((-2,))]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qmetric.errors import GroupError
 from qmetric.groups import GroupElement
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix,
                                commutator_norm_upper_l1, conv_mul,
@@ -108,6 +109,13 @@ class TestTruncatedOperators:
                                        rng.standard_normal()) for g in support})
         got = commutator_matrix(a, ball).matrix.toarray()
         assert np.allclose(got, dense_commutator_oracle(a, ball))
+
+    def test_foreign_element_rejected(self, z_group, dihedral):
+        ball = enumerate_ball(z_group, 3)
+        foreign = AlgebraElement({GroupElement((1,)): 1.0, GroupElement((0,), 1): 0.5})
+        for build in (op_matrix, commutator_matrix):
+            with pytest.raises(GroupError):
+                build(foreign, ball)
 
     def test_commutator_with_identity_is_zero(self, z_group):
         ball = enumerate_ball(z_group, 5)

@@ -2,13 +2,15 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric.errors import ConfigError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
-                            TraceState, VectorState, kappa_bounds, pd_check,
+                            TraceState, VectorState, _gram, kappa_bounds, pd_check,
                             state_from_json)
 from qmetric.wordlength import enumerate_ball
 
@@ -101,6 +103,81 @@ def test_array_matches_pointwise(group_name, kind):
             assert arr[i] == pytest.approx(formula(g), abs=1e-12)
 
 
+_CASES = [(group_name, kind) for group_name in _GROUPS for kind in _KINDS
+          if kind != "character" or group_name == "z2"]
+
+
+@st.composite
+def _rows_case(draw):
+    """A group and state kind, and elements both inside and far outside its test ball."""
+    group_name, kind = draw(st.sampled_from(_CASES))
+    group = _GROUPS[group_name][0]()
+    z = st.integers(-40, 40)
+    if isinstance(group, FreeAbelian):
+        element = st.tuples(*[z] * group.rank).map(GroupElement)
+    else:
+        order = group.finite.order if isinstance(group, ProductZFinite) else 2
+        element = st.builds(lambda m, f: GroupElement((m,), f), z, st.integers(0, order - 1))
+    ball = enumerate_ball(group, 2)
+    near = st.sampled_from(ball.elements)
+    return group, kind, draw(st.lists(st.one_of(near, element), min_size=1, max_size=40))
+
+
+@settings(deadline=None)
+@given(_rows_case())
+def test_coeff_rows_matches_coeff(case):
+    group, kind, elements = case
+    phi, _ = _state_and_formula(kind, group)
+    got = phi.coeff_rows(group.to_rows(elements))
+    assert got.shape == (len(elements),) and got.dtype == complex
+    for value, g in zip(got, elements):
+        if kind == "character":  # rows @ theta and the scalar dot may round differently
+            assert value == pytest.approx(phi.coeff(g), abs=1e-12)
+        else:
+            assert value == phi.coeff(g)
+
+
+def test_table_entry_at_large_coordinates_is_found_exactly():
+    group = FreeAbelian(3)
+    far = GroupElement((10 ** 12, -10 ** 12, 10 ** 12))
+    phi = TableState(group, {far: 0.5, group.inv(far): 0.5})
+    rows = group.to_rows([far, group.inv(far), GroupElement((10 ** 12, -10 ** 12, 10 ** 12 - 1)),
+                          GroupElement((10 ** 12, 10 ** 12, 10 ** 12)), group.identity])
+    assert phi.coeff_rows(rows).tolist() == [0.5, 0.5, 0, 0, 1]
+
+
+def test_table_key_beyond_int64_is_only_reached_pointwise():
+    group = FreeAbelian(1)
+    far = GroupElement((2 ** 70,))
+    phi = TableState(group, {far: 0.5, group.inv(far): 0.5})
+    assert phi.coeff(far) == 0.5
+    assert phi.coeff_array(enumerate_ball(group, 2)).tolist() == [1, 0, 0, 0, 0]
+
+
+def _gram_double_loop(state, ball):
+    """G[i, j] = coeff(g_i^-1 g_j), one checked product per entry."""
+    group = ball.group
+    return np.array([[state.coeff(group.mul(group.inv(gi), gj)) for gj in ball.elements]
+                     for gi in ball.elements], dtype=complex)
+
+
+@pytest.mark.parametrize("group_name,kind", _CASES)
+def test_gram_matches_double_loop(group_name, kind):
+    make, radius = _GROUPS[group_name]
+    group = make()
+    phi, _ = _state_and_formula(kind, group)
+    ball = enumerate_ball(group, min(radius, 3))
+    expected = _gram_double_loop(phi, ball)
+    gram = _gram(phi, ball)
+    if kind == "character":  # vectorised phases may differ in the last bit
+        assert np.allclose(gram, expected, rtol=0, atol=1e-15)
+        return
+    assert np.array_equal(gram, expected)
+    eigs = np.linalg.eigvalsh((expected + expected.conj().T) / 2.0)
+    result = pd_check(phi, ball)
+    assert (result.min_eigenvalue, result.max_eigenvalue) == (eigs[0], eigs[-1])
+
+
 class TestTableState:
     def test_lookup_and_zero_extension(self, z_group):
         g = GroupElement((1,))
@@ -122,6 +199,13 @@ class TestTableState:
         # ball(2) lists (-2,) before (2,); the error names the first one
         with pytest.raises(StateError, match=re.escape(f"element {GroupElement((-2,))} ")):
             phi.coeff_array(enumerate_ball(z_group, 2))
+
+    def test_strict_mode_raises_through_pd_check(self, z_group):
+        phi = TableState(z_group, {GroupElement((1,)): 0.5, GroupElement((-1,)): 0.5},
+                         extend_zero=False)
+        # ball(1) = (0, -1, 1); row g_1 = -1 reaches 1 + 1 = 2 first
+        with pytest.raises(StateError, match=re.escape(f"element {GroupElement((2,))} ")):
+            pd_check(phi, enumerate_ball(z_group, 1))
 
     def test_identity_must_be_one(self, z_group):
         with pytest.raises(StateError, match="unital"):
@@ -258,3 +342,17 @@ class TestJson:
                                       "support": [{"element": [0], "re": 0.5}]})
         with pytest.raises(ConfigError):
             state_from_json(z_group, "{bad json")
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_extend_zero_must_be_boolean(self, z_group, value):
+        spec = {"kind": "table", "extend_zero": value,
+                "entries": [{"element": [1], "re": 0.5}, {"element": [-1], "re": 0.5}]}
+        with pytest.raises(ConfigError, match="extend_zero"):
+            state_from_json(z_group, spec)
+
+    def test_extend_zero_false_builds_a_strict_table(self, z_group):
+        phi = state_from_json(z_group, {"kind": "table", "extend_zero": False, "entries": [
+            {"element": [1], "re": 0.5}, {"element": [-1], "re": 0.5}]})
+        assert phi.extend_zero is False
+        with pytest.raises(StateError, match="outside"):
+            phi.coeff(GroupElement((5,)))
