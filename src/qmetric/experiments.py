@@ -157,6 +157,8 @@ def _get_states(config: dict, group: Group) -> list[tuple[str, StateRep]]:
         else:
             label = f"state{k}"
             spec = _load_spec(item, f"states[{k}]")
+        if any(label == seen for seen, _ in out):
+            raise ConfigError(f"states[{k}]: duplicate label {label!r}")
         out.append((label, state_from_json(group, spec)))
     return out
 

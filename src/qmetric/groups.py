@@ -10,14 +10,14 @@ Three families are supported:
 Elements are canonical named tuples, so structural equality coincides with
 group equality and elements can be used as dictionary keys.  The public
 ``mul`` and ``inv`` check their arguments and then call the family's raw
-``_mul``/``_inv``; code that multiplies elements already known to belong to
-the group (BFS over validated generators) calls the raw ones.
+``_mul``/``_inv``.
 
-The same elements also have a row form for vectorised work: an int64 row
-(z_1, ..., z_d) for Z^d and (z, f) for Z x F and the dihedral group.
-``to_rows``/``from_rows`` convert between the two forms, each family's
-``mul_rows``/``inv_rows`` multiply and invert broadcastable (..., k) arrays of
-rows, and ``RowIndex`` looks rows up exactly in a fixed set of rows.
+The same elements also have a row form, the one that balls, states and
+operators compute with: an int64 row (z_1, ..., z_d) for Z^d and (z, f) for
+Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
+two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
+broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
+in a fixed set of rows.
 """
 
 from __future__ import annotations
@@ -40,8 +40,16 @@ class GroupElement(NamedTuple):
     f: Optional[int] = None
 
 
-def element_sort_key(el: GroupElement):
-    return (el.z, -1 if el.f is None else el.f)
+_INT64 = np.iinfo(np.int64)
+
+
+def fits_rows(g: GroupElement) -> bool:
+    """Whether every coordinate of g fits an int64 row.
+
+    An element that does not lies in no ball: ball coordinates stay within
+    +-2^31 times the radius.
+    """
+    return all(_INT64.min <= x <= _INT64.max for x in g.z)
 
 
 # ---------------------------------------------------------------------------
@@ -190,6 +198,8 @@ class Group:
         gens = set(self.generators)
         for g in self.generators:
             self.check(g)
+            if g == self.identity:
+                raise GroupError("generating set contains the identity")
             if any(abs(x) > _MAX_GENERATOR_COORD for x in g.z):
                 raise GroupError(f"generator {g} has a coordinate beyond +-2^31")
             if self.inv(g) not in gens:

@@ -37,9 +37,9 @@ class MetricBracket:
 
 
 def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
-    """Coefficient differences c_g = phi(lam_g) - psi(lam_g); c_e is pinned to 0."""
+    """Coefficient differences c_g = phi(lam_g) - psi(lam_g); c_e (row 0) is pinned to 0."""
     c = phi.coeff_array(ball) - psi.coeff_array(ball)
-    c[ball.index(ball.group.identity)] = 0.0
+    c[0] = 0.0
     return c
 
 
@@ -52,7 +52,7 @@ def _sup_bracket(c: np.ndarray, ball: Ball) -> MetricBracket:
     lo = float(ratios[best])
     tail = 2.0 / (ball.radius + 1)
     return MetricBracket(lo, max(lo, tail), ball.radius, tail, {
-        "argmax": ball.elements[best + 1],
+        "argmax": ball.group.from_rows(ball.rows[best + 1])[0],
         "argmax_length": int(lengths[best + 1]),
     })
 

@@ -15,7 +15,7 @@ from typing import Mapping, Union
 import numpy as np
 import scipy.sparse as sp
 
-from .groups import Group, GroupElement
+from .groups import Group, GroupElement, fits_rows
 from .wordlength import Ball
 
 Complexish = Union[int, float, complex]
@@ -97,15 +97,16 @@ class TruncatedOperator:
 def _translations(a: AlgebraElement, ball: Ball):
     """Triplets (row, col, alpha_g): row indexes gh, col indexes h, both in the ball.
 
-    Ordered by g (in the order of a's support), then by h.
+    Ordered by g (in the order of a's support), then by h.  A g without an
+    int64 row maps no ball element into the ball and is skipped.
     """
     group = ball.group
     for g in a.coeffs:
         group.check(g)
-    support = group.to_rows(a.coeffs)
-    k = ball.find_rows(group.mul_rows(support[:, None, :], ball.rows()))
+    support = [g for g in a.coeffs if fits_rows(g)]
+    k = ball.find_rows(group.mul_rows(group.to_rows(support)[:, None, :], ball.rows))
     g_index, cols = np.nonzero(k >= 0)
-    alphas = np.array(list(a.coeffs.values()), dtype=complex)
+    alphas = np.array([a.coeffs[g] for g in support], dtype=complex)
     return k[g_index, cols], cols, alphas[g_index]
 
 

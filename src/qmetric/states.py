@@ -27,7 +27,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ResourceError, StateError
-from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element
+from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element, fits_rows
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
@@ -49,7 +49,7 @@ class StateRep:
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order."""
-        return self.coeff_rows(ball.rows())
+        return self.coeff_rows(ball.rows)
 
 
 class OneState(StateRep):
@@ -89,9 +89,6 @@ class CharacterState(StateRep):
         return np.exp(1j * (rows @ self.theta))
 
 
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
 class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
@@ -105,7 +102,7 @@ class FiniteState(StateRep):
         self.table = table
         # no int64 row equals a key with a coordinate beyond int64, so such
         # keys (reachable only through coeff) are left out of the row lookup
-        keys = [g for g in table if all(_INT64_MIN <= x <= _INT64_MAX for x in g.z)]
+        keys = [g for g in table if fits_rows(g)]
         self._index = RowIndex(group.to_rows(keys))
         self._values = np.array([table[g] for g in keys], dtype=complex)
 
@@ -198,7 +195,7 @@ _PD_MAX_BALL = 2000
 def _gram(state: StateRep, ball: Ball) -> np.ndarray:
     """G[i, j] = coeff(g_i^-1 g_j), filled one row at a time from the ball's rows."""
     group = ball.group
-    rows = ball.rows()
+    rows = ball.rows
     inverses = group.inv_rows(rows)
     gram = np.empty((len(ball), len(ball)), dtype=complex)
     for i in range(len(ball)):

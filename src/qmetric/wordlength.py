@@ -1,28 +1,30 @@
-"""Word-length balls via breadth-first search on the Cayley graph.
+"""Word-length balls, searched shell by shell on int64 rows.
 
-The BFS distance from the identity in the Cayley graph of a symmetric
-generating set is the word length L.  Balls {g : L(g) <= r} are enumerated
-shell by shell with a deterministic ordering, and carry exact lengths for
-every element.  The search multiplies with the family's raw ``_mul``: the
-generators were checked when the group was built, so every product of ball
-elements belongs to the group.  It stays a Python loop over canonical
-elements; a ball also has its elements as one cached int64 row array
-(``rows()``) with an exact row lookup (``find_rows``) for vectorised
-callers.
+The distance from the identity in the Cayley graph of a symmetric generating
+set is the word length L.  A ball {g : L(g) <= r} holds the int64 rows of its
+elements (see ``groups``), sorted by (length, row) so that the identity is
+row 0, and the exact length of each.  The search multiplies whole shells
+with the family's ``mul_rows``: the generators were checked when the group
+was built, so every product of ball rows belongs to the group.  Rows are
+looked up exactly with ``find_rows``; ``elements`` is a view built from the
+rows on first use.
 """
 
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
 
 from .errors import BallRadiusError, ResourceError
-from .groups import Group, GroupElement, RowIndex, element_sort_key
+from .groups import Group, GroupElement, RowIndex, fits_rows
 
 DEFAULT_MAX_BALL = 200_000
+# most products per search step; the step length m grows while a step stays below it
+_STEP_ROWS = 4096
 
 
 def max_ball_elements() -> int:
@@ -39,24 +41,38 @@ def max_ball_elements() -> int:
     return value
 
 
-@dataclass
+@dataclass(eq=False)
 class Ball:
-    """All elements of word length <= radius, sorted by (length, element order)."""
+    """All elements of word length <= radius as (n, row_width) int64 rows.
+
+    Rows are sorted by (length, row), so row 0 is the identity.
+    """
 
     group: Group
     radius: int
-    elements: tuple[GroupElement, ...]
+    rows: np.ndarray
     lengths: np.ndarray
-    index_of: dict[GroupElement, int]
-    _rows: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _row_index: Optional[RowIndex] = field(default=None, repr=False, compare=False)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.rows)
+
+    @cached_property
+    def elements(self) -> tuple[GroupElement, ...]:
+        """The rows as canonical elements, in ball order."""
+        return tuple(self.group.from_rows(self.rows))
+
+    @cached_property
+    def _row_index(self) -> RowIndex:
+        return RowIndex(self.rows)
+
+    def find_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
+        return self._row_index.find(rows)
 
     def index(self, g: GroupElement) -> int:
-        idx = self.index_of.get(g)
-        if idx is None:
+        self.group.check(g)
+        idx = int(self.find_rows(self.group.to_rows([g]))[0]) if fits_rows(g) else -1
+        if idx < 0:
             raise BallRadiusError(
                 f"element {g} lies outside the enumerated ball; "
                 f"requires radius >= {self.radius + 1}")
@@ -69,56 +85,62 @@ class Ball:
     def shell_sizes(self) -> np.ndarray:
         return np.bincount(self.lengths, minlength=self.radius + 1)
 
-    def rows(self) -> np.ndarray:
-        """Elements as an (n, row_width) int64 array of rows, in ball order; cached."""
-        if self._rows is None:
-            self._rows = self.group.to_rows(self.elements)
-        return self._rows
-
-    def find_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
-        if self._row_index is None:
-            self._row_index = RowIndex(self.rows())
-        return self._row_index.find(rows)
-
-    def z_matrix(self) -> np.ndarray:
-        """Integer parts stacked as an (n, rank) array; a view of rows()."""
-        return self.rows()[:, :len(self.group.identity.z)]
-
 
 def enumerate_ball(group: Group, radius: int,
                    max_elements: Optional[int] = None) -> Ball:
-    """BFS enumeration of the ball of the given radius around the identity."""
+    """The ball of the given radius around the identity.
+
+    With the shells up to S_k found, one step multiplies S_k by the words w
+    of the ball B(m) (by the generators when k = 0) and finds the shells
+    k+1..k+m.  A geodesic to an element of length k + j passes through S_k,
+    so for j <= m some product attains the bound k + L(w) = k + j; and as
+    |L(fw) - L(f)| <= L(w), no product lies outside the shells k-m..k+m.  So
+    the products that are rows of the shells k-m..k are dropped, and every
+    other row keeps its smallest bound, which is its length.  m = 1 is
+    breadth-first search; m grows, never past k or radius - k, while a step
+    has at most _STEP_ROWS products, so thin shells take many radii a step.
+    """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = max_elements if max_elements is not None else max_ball_elements()
     if cap < 1:
         raise ResourceError("ball size cap must be >= 1")
-    elements: list[GroupElement] = [group.identity]
-    lengths: list[int] = [0]
-    seen = {group.identity}
-    frontier = [group.identity]
-    mul = group._mul
-    for k in range(1, radius + 1):
-        nxt = set()
-        for g in frontier:
-            for s in group.generators:
-                h = mul(g, s)
-                if h not in seen:
-                    nxt.add(h)
-        shell = sorted(nxt, key=element_sort_key)
-        if len(elements) + len(shell) > cap:
-            raise ResourceError(
-                f"ball would exceed the cap of {cap} elements at radius {k}")
-        seen.update(shell)
-        elements.extend(shell)
-        lengths.extend([k] * len(shell))
-        frontier = shell
-        if not shell:
-            break
-    index_of = {g: i for i, g in enumerate(elements)}
-    return Ball(group, radius, tuple(elements),
-                np.array(lengths, dtype=np.int64), index_of)
+    words = group.to_rows(group.generators)  # the words of step k = 0
+    word_lengths = np.ones(len(words), dtype=np.int64)
+    rows = group.to_rows([group.identity])
+    lengths = np.zeros(1, dtype=np.int64)
+    starts = [0, 1]  # shell j is rows[starts[j]:starts[j + 1]]
+    k = 0
+    while k < radius and starts[k + 1] > starts[k]:
+        shell = rows[starts[k]:]
+        m = 1
+        while m < min(k, radius - k) and len(shell) * (starts[m + 2] - 1) <= _STEP_ROWS:
+            m += 1
+        if k > 0:
+            words, word_lengths = rows[1:starts[m + 1]], lengths[1:starts[m + 1]]
+        known = starts[max(k - m, 0)]
+        pool = np.concatenate([
+            rows[known:],
+            group.mul_rows(shell[:, None, :], words).reshape(-1, group.row_width)])
+        bound = np.concatenate([lengths[known:], np.tile(k + word_lengths, len(shell))])
+        # each row once, at its smallest bound; the known rows come first
+        order = np.lexsort((bound, *pool.T[::-1]))
+        pool, bound = pool[order], bound[order]
+        first = np.ones(len(pool), dtype=bool)
+        first[1:] = np.any(pool[1:] != pool[:-1], axis=1)
+        new = first & (bound > k)
+        pool, bound = pool[new], bound[new]
+        order = np.lexsort((*pool.T[::-1], bound))
+        sizes = np.bincount(bound - (k + 1), minlength=m)
+        over = np.flatnonzero(len(rows) + np.cumsum(sizes) > cap)
+        if over.size:
+            raise ResourceError(f"ball would exceed the cap of {cap} elements "
+                                f"at radius {k + 1 + int(over[0])}")
+        rows = np.concatenate([rows, pool[order]])
+        lengths = np.concatenate([lengths, bound[order]])
+        starts.extend((starts[-1] + np.cumsum(sizes)).tolist())
+        k += m
+    return Ball(group, radius, rows, lengths)
 
 
 @dataclass

@@ -13,6 +13,12 @@ def write_json(path, payload):
     return str(path)
 
 
+DENSITY_01 = {"kind": "density", "b": [{"element": [0], "re": 1.0},
+                                       {"element": [1], "re": 1.0}]}
+DENSITY_02 = {"kind": "density", "b": [{"element": [0], "re": 3.0},
+                                       {"element": [2], "re": 1.0}]}
+
+
 @pytest.fixture
 def ball_config(tmp_path):
     return write_json(tmp_path / "ball.json",
@@ -74,6 +80,16 @@ class TestExitCodes:
                                                       {"element": [-1], "re": 0.5}]},
                               "radius": 5},
                      id="table-extend-zero-string"),
+        pytest.param("dist", {"group": {**Z_GROUP, "generators": [[0]]},
+                              "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
+                              "radius": 5, "mode": "bracket"},
+                     id="identity-generator"),
+        pytest.param("kappa", {"group": Z_GROUP, "radius": 5, "states": [
+            {"label": "a", "state": DENSITY_01}, {"label": "a", "state": DENSITY_02}]},
+                     id="kappa-duplicate-label"),
+        pytest.param("sandwich", {"group": Z_GROUP, "radius": 5, "states": [
+            {"label": "state1", "state": {"kind": "trace"}}, {"kind": "one"}]},
+                     id="sandwich-duplicate-label"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         config = write_json(tmp_path / "bad.json", payload)
@@ -231,6 +247,18 @@ class TestRunners:
         assert main(["kappa", "--config", config]) == 0
         out = capsys.readouterr().out
         assert "state,rho," in out
+
+    def test_kappa_density_beyond_int64(self, tmp_path, capsys):
+        # rho = e + (lam_N + lam_-N) / 2 with N = 10^20: only e acts on the ball
+        far = {"kind": "density", "b": [{"element": [0], "re": 1.0},
+                                        {"element": [10 ** 20], "re": 1.0}]}
+        config = write_json(tmp_path / "k.json", {
+            "group": Z_GROUP, "radius": 10,
+            "states": [{"label": "far", "state": far}, {"label": "near", "state": DENSITY_01}]})
+        assert main(["kappa", "--config", config, "--format", "json"]) == 0
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert rows[0][:4] == ["state", "far", 1.0, 4.0]
+        assert rows[2][:2] == ["pair", "far|near"]
 
     def test_kappa_rejects_non_density(self, tmp_path):
         config = write_json(tmp_path / "k.json", {

@@ -4,10 +4,13 @@ Each case runs one CLI experiment on a small config and compares its CSV
 report with the reference file of the same name in ``tests/golden/``.  The
 cases cover ``ball``, ``summable``, ``converge`` and ``dist --mode bracket`` on
 Z, Z^2, Z x S3 and the infinite dihedral group, with trace, one, character,
-table, vector and density states.  ``growth`` (a LAPACK least-squares fit) and
-the heuristic (BLAS power iteration) are left out, and characters stay on Z
-(one product per coefficient), so the references do not depend on the BLAS
-build.
+table, vector and density states.  The ``custom_*`` cases run ``ball`` and
+``dist --mode bracket`` with non-default generating sets: Z^2 with +-e1, +-e2,
++-(e1 + e2), the dihedral group generated by the reflections (0, 1) and
+(1, 1), and Z x S3 generated by +-(1, e) and two transpositions.  ``growth``
+(a LAPACK least-squares fit) and the heuristic (BLAS power iteration) are
+left out, and characters stay on Z (one product per coefficient), so the
+references do not depend on the BLAS build.
 
 Regenerate the references only when an output change is intended:
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -26,6 +29,9 @@ Z = {"family": "free_abelian", "rank": 1}
 Z2 = {"family": "free_abelian", "rank": 2}
 ZXS3 = {"family": "product_z_finite", "finite": {"name": "s3"}}
 DIHEDRAL = {"family": "infinite_dihedral"}
+Z2_HEX = {**Z2, "generators": [[1, 0], [-1, 0], [0, 1], [0, -1], [1, 1], [-1, -1]]}
+DIHEDRAL_REFLECTIONS = {**DIHEDRAL, "generators": [[0, 1], [1, 1]]}
+ZXS3_TRANSPOSITIONS = {**ZXS3, "generators": [[1, 0], [-1, 0], [0, 1], [0, 2]]}
 
 
 def _items(pairs):
@@ -106,6 +112,20 @@ CASES = {
     "dist_dihedral_table_density": ("dist", _dist(
         DIHEDRAL, _table([([1, 0], 0.5, 0.0), ([-1, 0], 0.5, 0.0)]),
         _density([([0, 0], 1.0, 0.0), ([1, 1], 1.0, 0.0)]), 12)),
+    "custom_ball_z2_hex": ("ball", {"group": Z2_HEX, "radius": 5}),
+    "custom_ball_dihedral_reflections": ("ball", {"group": DIHEDRAL_REFLECTIONS,
+                                                  "radius": 9}),
+    "custom_ball_zxs3_transpositions": ("ball", {"group": ZXS3_TRANSPOSITIONS,
+                                                 "radius": 6}),
+    "custom_dist_z2_hex_trace_density": ("dist", _dist(
+        Z2_HEX, TRACE, _density([([0, 0], 1.0, 0.0), ([1, 1], 0.5, 0.5),
+                                 ([2, -1], 0.0, 0.5)]), 6)),
+    "custom_dist_dihedral_reflections_one_vector": ("dist", _dist(
+        DIHEDRAL_REFLECTIONS, ONE, _vector([([0, 1], 0.6, 0.0), ([3, 0], 0.0, 0.8)]),
+        10)),
+    "custom_dist_zxs3_transpositions_table_density": ("dist", _dist(
+        ZXS3_TRANSPOSITIONS, _table([([1, 3], 0.5, 0.0), ([-1, 4], 0.5, 0.0)]),
+        _density([([0, 0], 1.0, 0.0), ([0, 3], 0.5, 0.0), ([2, 1], 0.0, 0.5)]), 5)),
 }
 
 

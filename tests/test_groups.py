@@ -188,6 +188,14 @@ class TestConstruction:
         with pytest.raises(GroupError, match="symmetric"):
             FreeAbelian(1, [GroupElement((1,))])
 
+    def test_identity_generator_rejected(self, z_x_z2):
+        with pytest.raises(GroupError, match="identity"):
+            FreeAbelian(1, [GroupElement((0,)), GroupElement((1,)), GroupElement((-1,))])
+        with pytest.raises(GroupError, match="identity"):
+            ProductZFinite(z_x_z2.finite, [*z_x_z2.generators, z_x_z2.identity])
+        with pytest.raises(ConfigError, match="identity"):
+            group_from_json({"family": "infinite_dihedral", "generators": [[0, 0], [0, 1]]})
+
     def test_generator_coordinates_are_bounded(self):
         # ball rows are int64: a generator of 2^62 would wrap at radius 2
         with pytest.raises(GroupError, match="2\\^31"):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from qmetric.errors import GroupError
+from qmetric.errors import BallRadiusError, GroupError
 from qmetric.groups import GroupElement
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix,
                                commutator_norm_upper_l1, conv_mul,
@@ -17,9 +17,10 @@ def dense_op_oracle(a, ball):
     M = np.zeros((n, n), dtype=complex)
     for j, h in enumerate(ball.elements):
         for g, ag in a.coeffs.items():
-            k = ball.index_of.get(group.mul(g, h))
-            if k is not None:
-                M[k, j] += ag
+            try:
+                M[ball.index(group.mul(g, h)), j] += ag
+            except BallRadiusError:
+                pass
     return M
 
 
@@ -116,6 +117,18 @@ class TestTruncatedOperators:
         for build in (op_matrix, commutator_matrix):
             with pytest.raises(GroupError):
                 build(foreign, ball)
+
+    def test_support_beyond_int64_is_skipped(self, z_group, dihedral):
+        # lam_g for such a g maps no ball element into the ball
+        for group, far in ((z_group, GroupElement((10 ** 20,))),
+                           (dihedral, GroupElement((-2 ** 63 - 1,), 1))):
+            ball = enumerate_ball(group, 4)
+            near = {group.generators[0]: 0.5 + 0.5j}
+            a = AlgebraElement({**near, far: 2.0})
+            for build in (op_matrix, commutator_matrix):
+                got = build(a, ball).matrix
+                assert (got != build(AlgebraElement(near), ball).matrix).nnz == 0
+            assert op_matrix(AlgebraElement.lam(far), ball).matrix.nnz == 0
 
     def test_commutator_with_identity_is_zero(self, z_group):
         ball = enumerate_ball(z_group, 5)

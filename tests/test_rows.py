@@ -70,13 +70,13 @@ def test_row_index_matches_a_dict(data):
 def test_ball_rows_and_lookup(name):
     group = GROUPS[name]
     ball = enumerate_ball(group, 3)
-    rows = ball.rows()
-    assert rows is ball.rows()
-    assert group.from_rows(rows) == list(ball.elements)
+    rows = ball.rows
+    assert rows.dtype == np.int64 and rows.shape == (len(ball), group.row_width)
+    assert group.to_rows(ball.elements).tolist() == rows.tolist()
     assert ball.find_rows(rows).tolist() == list(range(len(ball)))
-    assert np.array_equal(ball.z_matrix(), [g.z for g in ball.elements])
     outside = group.mul_rows(rows, rows[-1])
-    expected = [ball.index_of.get(g, -1) for g in group.from_rows(outside)]
+    position = {g: i for i, g in enumerate(ball.elements)}
+    expected = [position.get(g, -1) for g in group.from_rows(outside)]
     assert ball.find_rows(outside).tolist() == expected
 
 

@@ -2,11 +2,16 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from qmetric.errors import BallRadiusError, ResourceError
-from qmetric.groups import FreeAbelian, GroupElement
-from qmetric.wordlength import (Ball, enumerate_ball, growth_fit,
-                                max_ball_elements, square_sum_evidence)
+from qmetric.errors import BallRadiusError, GroupError, ResourceError
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
+                            InfiniteDihedral, ProductZFinite)
+from qmetric.metrics import connes_bracket
+from qmetric.opalgebra import AlgebraElement, commutator_matrix
+from qmetric.states import DensityState, TraceState, pd_check
+from qmetric.wordlength import enumerate_ball, growth_fit, max_ball_elements, square_sum_evidence
 
 
 def brute_force_lengths(group, radius):
@@ -71,9 +76,14 @@ class TestEnumerateBall:
         assert a.elements == b.elements
         assert a.lengths.tolist() == b.lengths.tolist()
 
-    def test_sorted_by_length_then_element(self, z2_group):
-        ball = enumerate_ball(z2_group, 4)
-        assert ball.lengths.tolist() == sorted(ball.lengths.tolist())
+    def test_sorted_by_length_then_element(self, z2_group, z_x_z2, dihedral):
+        for group in (z2_group, z_x_z2, dihedral):
+            ball = enumerate_ball(group, 4)
+            assert ball.lengths.tolist() == sorted(ball.lengths.tolist())
+            # rows within a shell in lexicographic order, the order of the elements
+            keys = list(zip(ball.lengths.tolist(), ball.rows.tolist()))
+            assert keys == sorted(keys)
+            assert len(set(map(str, keys))) == len(ball)
 
     def test_radius_zero(self, z_group):
         ball = enumerate_ball(z_group, 0)
@@ -85,6 +95,61 @@ class TestEnumerateBall:
         group = FreeAbelian(1, [GroupElement((2,)), GroupElement((-2,))])
         ball = enumerate_ball(group, 3)
         assert set(el.z[0] for el in ball.elements) == {-6, -4, -2, 0, 2, 4, 6}
+
+    def test_elements_view_is_built_on_demand(self, z_x_z2):
+        ball = enumerate_ball(z_x_z2, 6)
+        state = DensityState(z_x_z2, AlgebraElement({GroupElement((0,), 0): 1.0,
+                                                     GroupElement((1,), 1): 0.5}))
+        connes_bracket(TraceState(z_x_z2), state, ball)
+        pd_check(state, ball)
+        commutator_matrix(AlgebraElement.lam(GroupElement((2,), 1)), ball)
+        assert "elements" not in vars(ball)
+        assert ball.elements == tuple(z_x_z2.from_rows(ball.rows))
+
+
+S3 = FiniteGroupTable.symmetric(3)
+FAMILIES = {  # a group with its default generators, and a constructor for other sets
+    "z": (FreeAbelian(1), lambda gens: FreeAbelian(1, gens)),
+    "z2": (FreeAbelian(2), lambda gens: FreeAbelian(2, gens)),
+    "zxs3": (ProductZFinite(S3), lambda gens: ProductZFinite(S3, gens)),
+    "dihedral": (InfiniteDihedral(), lambda gens: InfiniteDihedral(gens)),
+}
+
+
+def small_elements(group, finite_only=False):
+    """Strategy for elements with coordinates in -3..3 (0 with finite_only)."""
+    if isinstance(group, FreeAbelian):
+        return st.tuples(*[st.integers(-3, 3)] * group.rank).map(GroupElement)
+    order = group.finite.order if isinstance(group, ProductZFinite) else 2
+    z = st.just(0) if finite_only else st.integers(-3, 3)
+    return st.builds(lambda m, f: GroupElement((m,), f), z, st.integers(0, order - 1))
+
+
+@st.composite
+def symmetric_generating_sets(draw):
+    """A group with a random symmetric set of non-identity generators.
+
+    On Z x S3 half of the sets have z = 0, so they generate a subgroup of S3
+    and the ball stops growing.
+    """
+    name = draw(st.sampled_from(sorted(FAMILIES)))
+    group, build = FAMILIES[name]
+    finite_only = name == "zxs3" and draw(st.booleans())
+    chosen = draw(st.lists(small_elements(group, finite_only).filter(
+        lambda g: g != group.identity), min_size=1, max_size=4))
+    return build(list(dict.fromkeys(chosen + [group.inv(g) for g in chosen])))
+
+
+class TestSearchAgainstBreadthFirst:
+    @settings(deadline=None, max_examples=60)
+    @given(symmetric_generating_sets(), st.integers(0, 9))
+    def test_matches_brute_force_lengths(self, group, radius):
+        ball = enumerate_ball(group, radius)
+        oracle = brute_force_lengths(group, radius)
+        assert dict(zip(ball.elements, ball.lengths.tolist())) == oracle
+        assert len(ball) == len(oracle)
+        keys = list(zip(ball.lengths.tolist(), ball.rows.tolist()))
+        assert keys == sorted(keys)
 
 
 class TestLengthAxioms:
@@ -116,17 +181,37 @@ class TestBallAccess:
         for i, el in enumerate(ball.elements):
             assert ball.index(el) == i
 
-    def test_z_matrix(self, z2_group):
+    def test_rows_hold_the_l1_lengths(self, z2_group):
         ball = enumerate_ball(z2_group, 2)
-        zm = ball.z_matrix()
-        assert zm.shape == (13, 2)
-        assert np.abs(zm).sum(axis=1).tolist() == ball.lengths.tolist()
+        assert ball.rows.dtype == np.int64 and ball.rows.shape == (13, 2)
+        assert np.abs(ball.rows).sum(axis=1).tolist() == ball.lengths.tolist()
+
+    def test_coordinates_beyond_int64_lie_outside(self, z_group, z_x_z2):
+        for group, far in ((z_group, GroupElement((10 ** 20,))),
+                           (z_x_z2, GroupElement((-10 ** 20,), 1))):
+            ball = enumerate_ball(group, 3)
+            with pytest.raises(BallRadiusError, match="radius >= 4"):
+                ball.index(far)
+            with pytest.raises(BallRadiusError, match="radius >= 4"):
+                ball.length(far)
+
+    def test_foreign_element_rejected(self, z_group):
+        ball = enumerate_ball(z_group, 3)
+        with pytest.raises(GroupError):
+            ball.index(GroupElement((0,), 1))
 
 
 class TestResourceCap:
     def test_cap_enforced(self, z2_group):
-        with pytest.raises(ResourceError, match="cap"):
+        # ball sizes 1, 5, 13, 25, 41, 61: radius 5 is the first above 50
+        with pytest.raises(ResourceError, match="cap of 50 elements at radius 5$"):
             enumerate_ball(z2_group, 10, max_elements=50)
+
+    def test_cap_radius_inside_a_long_step(self, z_group):
+        # Z's thin shells are found many radii per step; sizes are 2k + 1
+        with pytest.raises(ResourceError, match="at radius 500$"):
+            enumerate_ball(z_group, 2000, max_elements=1000)
+        assert len(enumerate_ball(z_group, 499, max_elements=1000)) == 999
 
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("QMETRIC_MAX_BALL", "77")
