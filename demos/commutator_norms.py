@@ -23,7 +23,17 @@ for m in (1, 2, 5):
         est = norm_lower(commutator_matrix(AlgebraElement.lam(g), ball),
                          tol=1e-12)
         print(f"  L(g)={m}, radius {radius:3d}: sigma = {est.value:.12f} "
-              f"({est.iterations} iterations)")
+              f"(LAPACK, residual {est.residual:.1e})")
+
+print("\nbeyond 600 ball elements: thick-restart Lanczos on M^H M, lam_(1,2) on Z^2")
+z2 = FreeAbelian(2)
+g = GroupElement((1, 2))
+for radius in (20, 30):
+    ball = enumerate_ball(z2, radius)
+    est = norm_lower(commutator_matrix(AlgebraElement.lam(g), ball), tol=1e-12)
+    print(f"  radius {radius}, {len(ball)} elements: sigma = {est.value:.12f} "
+          f"({est.iterations} operator applications, residual {est.residual:.1e}, "
+          f"converged={est.converged})")
 
 print("\na = lam_1 + lam_2 on Z: certified bracket around the true norm")
 a = AlgebraElement({GroupElement((1,)): 1.0, GroupElement((2,)): 1.0})

@@ -159,6 +159,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     m = len(support)
     mats = _stack_commutators(support, ball_R)
 
+    # each ascent solve starts from the previous top vector (see _top_singular)
     warm = {"v": None}
     ascent_tol = max(norm_tol, 1e-7)
 
@@ -238,7 +239,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
             best_alpha = alpha
             best_n = n_val
 
-    # re-evaluate the winner from the deterministic cold start at the strict
+    # re-evaluate the winner cold (LAPACK on the dense path) at the strict
     # tolerance so the reported sigma is not an ascent artifact
     warm["v"] = None
     best_f, _, _, _, best_n, _, _ = evaluate(best_alpha, tol=norm_tol)

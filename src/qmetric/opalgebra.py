@@ -5,6 +5,12 @@ compression to the span of a finite ball is a sparse matrix whose largest
 singular value lower-bounds the operator norm of a.  The commutator with
 the diagonal length multiplier has entries alpha_g * (L(gh) - L(h)) and is
 compressed the same way.
+
+The largest singular value is found from the Gram matrix M^H M: LAPACK up
+to _DENSE_CUTOFF ball elements, a thick-restart Lanczos iteration in numpy
+above it or from a caller's warm start (see _top_singular).  Both return
+|M v| for a unit vector v, so the value is a certified lower bound however
+the solver stopped.
 """
 
 from __future__ import annotations
@@ -140,78 +146,146 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
 
 @dataclass
 class NormEstimate:
-    """Largest-singular-value estimate; always a lower bound for the true norm."""
+    """Largest-singular-value estimate; always a lower bound for the true norm.
+
+    ``iterations`` counts applications of M^H M to a vector (0 when LAPACK
+    diagonalises M^H M) and ``residual`` is the final Ritz residual
+    ||M^H M v - value^2 v|| of the returned unit vector v: some eigenvalue of
+    M^H M lies within it of value^2.
+    """
 
     value: float
     converged: bool
     iterations: int
+    residual: float
 
     def __float__(self) -> float:
         return self.value
 
 
 _DENSE_CUTOFF = 600
+_LANCZOS_BASIS = 24   # Lanczos vectors held before a restart
+_LANCZOS_KEEP = 10    # Ritz vectors kept at each thick restart
+_LANCZOS_SEED = 0     # seed of the random start vector
+# below this many columns LAPACK costs no more than Lanczos from a warm start
+# (0.5 against 1.4 ms at 41 columns, 2.0 against 1.8 ms at 81; 3.3 against
+# 1.8 ms at 101 and 14 against 2.7 ms at 181, one BLAS thread)
+_WARM_MIN = 100
 
 
 def _top_singular(matrix, tol: float, max_iter: int, start=None):
-    """Power iteration on M*M, by default from the deterministic all-ones vector.
+    """Top singular triple of a dense or sparse matrix M from its Gram matrix M^H M.
 
-    Returns (sigma, u, v, converged, iterations) where u, v approximate the
-    top singular pair and sigma = |M v| is a certified lower bound of the
-    largest singular value.  A warm-start vector may be supplied by callers
-    that evaluate a slowly varying family of operators.
+    Up to _DENSE_CUTOFF columns, LAPACK diagonalises M^H M.  Above it, a
+    thick-restart Lanczos iteration on M^H M (Wu and Simon, SIAM J. Matrix
+    Anal. Appl. 22, 2000) runs from a seeded random start, with the whole
+    basis reorthogonalised twice at every step.  It stops when the Ritz
+    residual beta_m |s_m| of the largest Ritz value theta is at most
+    tol * theta, when the Krylov space closes (beta <= tol * max diag(T),
+    where every Ritz residual is at most beta), or after max_iter
+    applications of M^H M.
+
+    A nonzero start vector sends every size from _WARM_MIN columns up to
+    Lanczos from that vector: callers that evaluate a slowly varying family
+    of operators (the ratio ascent of metrics.connes_heuristic) pass the
+    previous top vector, from which one basis of Lanczos (24 applications
+    of M^H M) usually replaces a full LAPACK solve.
+
+    Returns (sigma, u, v, converged, iterations) where v is a unit vector,
+    sigma = |M v| is a certified lower bound of the largest singular value,
+    u = M v / sigma and iterations counts applications of M^H M (0 for LAPACK).
     """
     n = matrix.shape[1]
     nnz = matrix.nnz if sp.issparse(matrix) else int(np.count_nonzero(matrix))
     if n == 0 or nnz == 0:
         z = np.zeros(n, dtype=complex)
         return 0.0, z, z, True, 0
-    if sp.issparse(matrix) and n <= _DENSE_CUTOFF:
-        matrix = matrix.toarray()
-    if sp.issparse(matrix):
-        M = matrix.tocsr()
-        Mh = M.conj().T.tocsr()
+    if start is not None and not np.any(start):
+        start = None
+    if n <= _DENSE_CUTOFF:
+        matrix = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+    if n <= _DENSE_CUTOFF and (start is None or n < _WARM_MIN):
+        _, vectors = np.linalg.eigh(matrix.conj().T @ matrix)
+        v, converged, iterations = vectors[:, -1], True, 0
     else:
-        M = matrix
-        Mh = np.ascontiguousarray(matrix.conj().T)
-    if start is not None and np.linalg.norm(start) > 0:
-        x = np.asarray(start, dtype=complex)
-        x = x / np.linalg.norm(x)
-    else:
-        x = np.full(n, 1.0 / np.sqrt(n), dtype=complex)
-    lam = 0.0
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        z = Mh @ (M @ x)
-        new = float(np.vdot(x, z).real)
-        norm_z = float(np.sqrt(np.vdot(z, z).real))
-        if norm_z == 0.0:
-            return 0.0, x, x, True, iterations
-        x = z / norm_z
-        if abs(new - lam) <= tol * max(abs(new), 1e-300):
-            lam = new
-            converged = True
-            break
-        lam = new
-    v = x
-    Mv = M @ v
-    sigma = float(np.sqrt(np.vdot(Mv, Mv).real))
-    u = Mv / sigma if sigma > 0 else np.zeros(n, dtype=complex)
+        v, converged, iterations = _lanczos_top(matrix, tol, max_iter, start)
+    v = v / np.linalg.norm(v)
+    Mv = matrix @ v
+    sigma = float(np.linalg.norm(Mv))
+    u = Mv / sigma if sigma > 0 else np.zeros(matrix.shape[0], dtype=complex)
     return sigma, u, v, converged, iterations
+
+
+def _lanczos_top(M, tol: float, max_iter: int, start=None):
+    """Top eigenvector of M^H M by thick-restart Lanczos: (v, converged, applications).
+
+    The iteration starts from `start`, or from a seeded random vector.
+    """
+    n = M.shape[1]
+    Mt = M.T  # a view: M^H y is conj(M^T conj(y)), so no conjugate copy of M is stored
+    m, k = _LANCZOS_BASIS, _LANCZOS_KEEP
+    V = np.empty((m + 1, n), dtype=complex)
+    T = np.zeros((m + 1, m + 1))
+    if start is None:
+        x = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, n))
+        V[0] = x[0] + 1j * x[1]
+    else:
+        V[0] = start
+    V[0] /= np.linalg.norm(V[0])
+    j0 = applications = 0
+    while True:
+        for j in range(j0, m):
+            w = np.conj(Mt @ np.conj(M @ V[j]))
+            applications += 1
+            basis = V[:j + 1]
+            for _ in range(2):
+                # basis^H w without a conjugated copy of the basis
+                step = np.conj(basis @ np.conj(w))
+                w -= step @ basis
+                T[j, j] += step[j].real
+            beta = float(np.linalg.norm(w))
+            size = j + 1
+            # the Krylov space has closed: every Ritz residual is at most beta
+            closed = beta <= tol * np.max(np.diag(T)[:size])
+            if closed or applications >= max_iter:
+                break
+            T[j + 1, j] = T[j, j + 1] = beta
+            V[j + 1] = w / beta
+        theta, S = np.linalg.eigh(T[:size, :size])
+        converged = closed or beta * abs(S[-1, -1]) <= tol * theta[-1]
+        if converged or applications >= max_iter:
+            return S[:, -1] @ V[:size], bool(converged), applications
+        # thick restart: keep the top k Ritz pairs and the residual direction
+        V[:k] = S[:, -k:].T @ V[:m]
+        V[k] = V[m]
+        T[:] = 0.0
+        T[np.arange(k), np.arange(k)] = theta[-k:]
+        T[k, :k] = T[:k, k] = beta * S[-1, -k:]
+        j0 = k
 
 
 def norm_lower(T: TruncatedOperator, tol: float = 1e-9,
                max_iter: int = 10_000) -> NormEstimate:
     """Largest singular value of the compression, from below.
 
-    Non-convergence within max_iter returns the best iterate flagged as
-    unconverged; the value is still a valid lower bound.
+    Balls of up to _DENSE_CUTOFF elements are solved by LAPACK and always
+    converge; larger ones by thick-restart Lanczos (see _top_singular), where
+    converged means the Ritz residual met tol relative to the top Ritz value
+    within max_iter applications of M^H M.  Either way the value is |M v| for
+    a unit vector v, so it is a valid lower bound even when unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    sigma, _, _, converged, iterations = _top_singular(T.matrix, tol, max_iter)
-    return NormEstimate(sigma, converged, iterations)
+    if max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
+    entries = T.matrix.data if sp.issparse(T.matrix) else T.matrix
+    if not np.all(np.isfinite(entries)):
+        raise ValueError("operator has non-finite entries")
+    sigma, u, v, converged, iterations = _top_singular(T.matrix, tol, max_iter)
+    # (sigma^2, v) is a Ritz pair of M^H M: its residual is sigma |M^H u - sigma v|,
+    # with M^H u = conj(M^T conj(u)) so that no conjugate copy of M is made
+    residual = sigma * float(np.linalg.norm(np.conj(T.matrix.T @ np.conj(u)) - sigma * v))
+    return NormEstimate(sigma, converged, iterations, residual)
 
 
 def commutator_norm_upper_l1(a: AlgebraElement, ball: Ball) -> float:

@@ -21,6 +21,7 @@ sorted-key search for ``coeff_rows``):
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -173,6 +174,8 @@ class DensityState(FiniteState):
         total = trace_coeff(group, bb)
         if abs(total) == 0:
             raise StateError("density generator b must be nonzero")
+        if not np.isfinite(total):
+            raise StateError("density generator b must have a finite tau(b*b)")
         self.b = b
         self.rho = bb.scaled(1.0 / total.real)
         super().__init__(group, {group.inv(g): v for g, v in self.rho.coeffs.items()})
@@ -242,10 +245,24 @@ def kappa_bounds(state: StateRep, ball: Ball) -> KappaBound:
 # JSON encoding
 # ---------------------------------------------------------------------------
 
+def _decode_real(value, where: str) -> float:
+    """A finite JSON number; booleans, strings, NaN and overflowing values are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    if not math.isfinite(x):
+        raise ConfigError(f"{where}: expected a finite number, got {value!r}")
+    return x
+
+
 def _decode_complex(obj, where: str) -> complex:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ConfigError(f"{where}: expected an object with 're' and 'im'")
-    return complex(float(obj["re"]), float(obj.get("im", 0.0)))
+    return complex(_decode_real(obj["re"], f"{where}.re"),
+                   _decode_real(obj.get("im", 0.0), f"{where}.im"))
 
 
 def _decode_weighted(group: Group, items, where: str) -> dict[GroupElement, complex]:
@@ -257,6 +274,8 @@ def _decode_weighted(group: Group, items, where: str) -> dict[GroupElement, comp
             raise ConfigError(f"{where}[{k}]: expected an object with 'element'")
         el = decode_element(group, item["element"])
         out[el] = out.get(el, 0.0) + _decode_complex(item, f"{where}[{k}]")
+        if not np.isfinite(out[el]):
+            raise ConfigError(f"{where}[{k}]: the coefficients of {el} overflow")
     return out
 
 

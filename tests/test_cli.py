@@ -35,6 +35,12 @@ def dist_config(tmp_path):
     })
 
 
+def _table_dist(entry):
+    return {"group": Z_GROUP, "state_a": {"kind": "trace"},
+            "state_b": {"kind": "table", "entries": [entry]},
+            "radius": 5, "mode": "bracket"}
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, ball_config, tmp_path):
         assert main(["ball", "--config", ball_config,
@@ -90,10 +96,23 @@ class TestExitCodes:
         pytest.param("sandwich", {"group": Z_GROUP, "radius": 5, "states": [
             {"label": "state1", "state": {"kind": "trace"}}, {"kind": "one"}]},
                      id="sandwich-duplicate-label"),
+        pytest.param("dist", _table_dist({"element": [1], "re": "nan"}),
+                     id="table-re-nan-string"),
+        pytest.param("dist", _table_dist({"element": [1], "re": float("nan")}),
+                     id="table-re-nan-literal"),
+        pytest.param("dist", json.dumps(_table_dist({"element": [1], "re": 0.5}))
+                     .replace("0.5", "1e400"), id="table-re-overflow"),
+        pytest.param("dist", _table_dist({"element": [1], "re": "abc"}),
+                     id="table-re-string"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
-        config = write_json(tmp_path / "bad.json", payload)
-        assert main([experiment, "--config", config]) == 2
+        # a str payload is written verbatim, for JSON that json.dumps cannot produce
+        path = tmp_path / "bad.json"
+        if isinstance(payload, str):
+            path.write_text(payload)
+        else:
+            write_json(path, payload)
+        assert main([experiment, "--config", str(path)]) == 2
         assert "config error" in capsys.readouterr().err
 
     def test_missing_config_file_is_two(self, capsys):

@@ -8,7 +8,7 @@ table, vector and density states.  The ``custom_*`` cases run ``ball`` and
 ``dist --mode bracket`` with non-default generating sets: Z^2 with +-e1, +-e2,
 +-(e1 + e2), the dihedral group generated by the reflections (0, 1) and
 (1, 1), and Z x S3 generated by +-(1, e) and two transpositions.  ``growth``
-(a LAPACK least-squares fit) and the heuristic (BLAS power iteration) are
+(a LAPACK least-squares fit) and the heuristic (LAPACK and Lanczos) are
 left out, and characters stay on Z (one product per coefficient), so the
 references do not depend on the BLAS build.
 

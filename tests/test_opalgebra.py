@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qmetric
 from qmetric.errors import BallRadiusError, GroupError
-from qmetric.groups import GroupElement
-from qmetric.opalgebra import (AlgebraElement, commutator_matrix,
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
+                            InfiniteDihedral, ProductZFinite)
+from qmetric.opalgebra import (_DENSE_CUTOFF, _LANCZOS_BASIS, _WARM_MIN, AlgebraElement,
+                               TruncatedOperator, _top_singular, commutator_matrix,
                                commutator_norm_upper_l1, conv_mul,
                                lemma2_lower, norm_lower, op_matrix, star,
                                trace_coeff)
@@ -186,6 +194,150 @@ class TestNorms:
         T = op_matrix(AlgebraElement.lam(GroupElement((1,))), ball)
         with pytest.raises(ValueError):
             norm_lower(T, tol=0.0)
+
+    @pytest.mark.parametrize("max_iter", [0, -1])
+    def test_bad_max_iter(self, z_group, max_iter):
+        ball = enumerate_ball(z_group, 2)
+        T = op_matrix(AlgebraElement.lam(GroupElement((1,))), ball)
+        with pytest.raises(ValueError):
+            norm_lower(T, max_iter=max_iter)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_non_finite_entries(self, z_group, bad, dense):
+        ball = enumerate_ball(z_group, 2)
+        T = op_matrix(AlgebraElement.lam(GroupElement((1,))), ball)
+        T.matrix.data[0] = bad
+        if dense:
+            T = TruncatedOperator(ball, T.matrix.toarray(), T.kind)
+        with pytest.raises(ValueError):
+            norm_lower(T)
+
+    def test_dense_path_reports_its_residual(self, z_x_z2):
+        ball = enumerate_ball(z_x_z2, 6)
+        a = AlgebraElement({GroupElement((1,), 1): 1.0, GroupElement((-2,), 0): 0.5j})
+        est = norm_lower(commutator_matrix(a, ball), tol=1e-12)
+        assert len(ball) <= _DENSE_CUTOFF
+        assert est.converged and est.iterations == 0
+        assert 0.0 <= est.residual <= 1e-12 * est.value ** 2
+
+
+def _random_element(rng, ball, max_support=8):
+    size = int(rng.integers(1, max_support + 1))
+    idx = rng.choice(np.arange(1, len(ball)), size=size, replace=False)
+    return AlgebraElement({ball.elements[int(i)]: rng.uniform(0.05, 1.0)
+                           * np.exp(2j * np.pi * rng.uniform()) for i in idx})
+
+
+Z_X_S3 = ProductZFinite(FiniteGroupTable.symmetric(3))
+
+# groups and radii whose balls have 601-1500 elements: the Lanczos path
+LANCZOS_BALLS = [(FreeAbelian(2), 17), (FreeAbelian(2), 26), (Z_X_S3, 50),
+                 (Z_X_S3, 120), (InfiniteDihedral(), 151), (InfiniteDihedral(), 370)]
+
+
+class TestSpectralSolver:
+    """The solver above the dense cutoff against LAPACK and closed forms."""
+
+    @pytest.mark.parametrize("group,radius", LANCZOS_BALLS,
+                             ids=[f"{type(g).__name__}-r{r}" for g, r in LANCZOS_BALLS])
+    def test_lanczos_matches_lapack_svd(self, group, radius):
+        ball = enumerate_ball(group, radius)
+        assert _DENSE_CUTOFF < len(ball) <= 1500
+        rng = np.random.default_rng(radius)
+        a = _random_element(rng, enumerate_ball(group, 4))
+        T = commutator_matrix(a, ball)
+        est = norm_lower(T, tol=1e-12)
+        exact = float(np.linalg.norm(T.matrix.toarray(), 2))
+        assert est.converged
+        assert est.iterations > 0
+        assert abs(est.value - exact) <= 1e-12 * exact
+        # converged: the Ritz residual bound met 1e-12 theta; the recomputed
+        # residual may exceed it by rounding only
+        assert est.residual <= 2e-12 * exact ** 2
+
+    def test_single_unitary_closes_the_krylov_space(self):
+        # M^H M of one lam_g is diagonal with a few distinct values: the
+        # Lanczos recurrence breaks down and its Ritz values are then exact
+        ball = enumerate_ball(Z_X_S3, 200)
+        for g in (GroupElement((3,), 2), GroupElement((0,), 4), GroupElement((-7,), 0)):
+            length = ball.length(g)
+            est = norm_lower(commutator_matrix(AlgebraElement.lam(g), ball), tol=1e-12)
+            assert est.converged
+            assert est.iterations < _LANCZOS_BASIS
+            assert abs(est.value - length) <= 1e-12 * length
+
+    def test_iteration_cap_is_flagged_and_stays_below(self, z2_group):
+        ball = enumerate_ball(z2_group, 20)
+        rng = np.random.default_rng(11)
+        T = commutator_matrix(_random_element(rng, enumerate_ball(z2_group, 4)), ball)
+        exact = float(np.linalg.norm(T.matrix.toarray(), 2))
+        est = norm_lower(T, tol=1e-12, max_iter=2)
+        assert len(ball) > _DENSE_CUTOFF
+        assert not est.converged and est.iterations == 2
+        assert est.value <= exact * (1 + 1e-12)
+
+    def test_dense_and_sparse_input_agree(self, dihedral):
+        ball = enumerate_ball(dihedral, 200)
+        rng = np.random.default_rng(13)
+        T = commutator_matrix(_random_element(rng, enumerate_ball(dihedral, 4)), ball)
+        dense = TruncatedOperator(ball, T.matrix.toarray(), T.kind)
+        sparse_est, dense_est = norm_lower(T, tol=1e-12), norm_lower(dense, tol=1e-12)
+        assert len(ball) > _DENSE_CUTOFF
+        assert sparse_est.converged and dense_est.converged
+        assert abs(sparse_est.value - dense_est.value) <= 1e-12 * dense_est.value
+
+    def test_repeated_calls_are_bit_identical(self, z2_group):
+        ball = enumerate_ball(z2_group, 20)
+        rng = np.random.default_rng(17)
+        T = commutator_matrix(_random_element(rng, enumerate_ball(z2_group, 4)), ball)
+        first, second = norm_lower(T, tol=1e-12), norm_lower(T, tol=1e-12)
+        assert first.value == second.value
+        assert first.iterations == second.iterations
+
+    def test_warm_start_reaches_the_lapack_value(self, z_group, z2_group):
+        # the heuristic's ascent passes the previous top vector as the start
+        rng = np.random.default_rng(19)
+        ball = enumerate_ball(z2_group, 12)
+        a = _random_element(rng, enumerate_ball(z2_group, 2))
+        b = a + _random_element(rng, enumerate_ball(z2_group, 2)).scaled(1e-2)
+        _, _, v0, _, _ = _top_singular(commutator_matrix(a, ball).matrix.toarray(), 1e-12, 10_000)
+        M = commutator_matrix(b, ball).matrix.toarray()
+        exact = float(np.linalg.norm(M, 2))
+        sigma, _, _, converged, iterations = _top_singular(M, 1e-12, 10_000, start=v0)
+        assert _WARM_MIN <= len(ball) <= _DENSE_CUTOFF
+        assert converged and iterations > 0
+        assert abs(sigma - exact) <= 1e-12 * exact
+        # below _WARM_MIN columns, and for a zero start, LAPACK solves it
+        c = _random_element(rng, enumerate_ball(z_group, 2), max_support=4)
+        small = commutator_matrix(c, enumerate_ball(z_group, 20)).matrix.toarray()
+        assert small.shape[1] < _WARM_MIN
+        assert _top_singular(small, 1e-12, 10_000, start=np.ones(small.shape[1]))[4] == 0
+        assert _top_singular(M, 1e-12, 10_000, start=np.zeros(M.shape[1]))[4] == 0
+
+    def test_solver_path_imports_no_scipy_solver(self):
+        # scipy.sparse.linalg and scipy.optimize would add 9 and 26 MB of
+        # resident memory to every run that computes a norm
+        script = """
+import sys
+from qmetric import (AlgebraElement, DensityState, FreeAbelian, GroupElement,
+                     commutator_matrix, enumerate_ball, kappa_bounds, norm_lower)
+from qmetric.opalgebra import _DENSE_CUTOFF
+group = FreeAbelian(2)
+ball = enumerate_ball(group, 20)
+assert len(ball) > _DENSE_CUTOFF
+a = AlgebraElement({GroupElement((1, 0)): 1.0, GroupElement((2, -1)): 0.5j})
+assert norm_lower(commutator_matrix(a, ball)).iterations > 0
+kappa_bounds(DensityState(group, a), ball)
+print(sorted(name for name in sys.modules
+             if name.startswith(("scipy.sparse.linalg", "scipy.optimize"))))
+"""
+        src = str(Path(qmetric.__file__).resolve().parent.parent)
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True)
+        assert out.stdout.strip() == "[]"
 
 
 class TestCertifiedBounds:
