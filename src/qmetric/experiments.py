@@ -22,7 +22,7 @@ from .errors import ConfigError
 from .groups import Group, decode_element, group_from_json
 from .metrics import connes_bracket, connes_heuristic, d_2
 from .opalgebra import AlgebraElement
-from .states import (CharacterState, DensityState, StateRep, kappa_bounds,
+from .states import (CharacterState, DensityState, StateRep, _decode_real, kappa_bounds,
                      state_from_json)
 from .wordlength import Ball, enumerate_ball, growth_fit, square_sum_evidence
 
@@ -123,10 +123,7 @@ def _get_positive_int(config: dict, key: str = "radius",
 
 
 def _get_number(config: dict, key: str) -> float:
-    try:
-        return float(_require(config, key))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{key}: must be a number") from exc
+    return _decode_real(_require(config, key), key)
 
 
 def _get_truncation(config: dict, trunc_default: Optional[int] = None,

@@ -376,16 +376,15 @@ def word_eval(group: Group, word: Sequence[int]) -> GroupElement:
 
 def decode_element(group: Group, data) -> GroupElement:
     """Family-specific element encoding: [m1,...,mn] or [m, f_index]."""
-    try:
-        ints = [int(x) for x in data]
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"element {data!r} is not a list of integers") from exc
+    if not isinstance(data, (list, tuple)) or any(
+            isinstance(x, bool) or not isinstance(x, int) for x in data):
+        raise ConfigError(f"element {data!r} is not a list of integers")
     if isinstance(group, FreeAbelian):
-        el = GroupElement(tuple(ints))
+        el = GroupElement(tuple(data))
     else:
-        if len(ints) != 2:
+        if len(data) != 2:
             raise ConfigError(f"element {data!r}: expected [m, f_index]")
-        el = GroupElement((ints[0],), ints[1])
+        el = GroupElement((data[0],), data[1])
     try:
         group.check(el)
     except GroupError as exc:
@@ -411,7 +410,7 @@ def group_from_json(data) -> Group:
     family = data.get("family")
     if family == "free_abelian":
         rank = data.get("rank", 1)
-        if not isinstance(rank, int) or rank < 1:
+        if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ConfigError("free_abelian: rank must be a positive integer")
         group = FreeAbelian(rank)
     elif family == "product_z_finite":

@@ -8,7 +8,8 @@ Two metrics are computed exactly on a ball with rigorous tails:
 They enclose the Connes metric d (sup of |phi(a) - psi(a)| over a with
 commutator norm <= 1): d_inf <= d <= d_2.  The bracket is the only certified
 output; connes_heuristic additionally ascends the ratio
-|sum alpha_g c_g| / sigma(alpha) for a point estimate of d.
+|sum alpha_g c_g| / sigma(alpha) for a point estimate of d, with every
+truncated commutator built from one triplet list and mirrored restarts skipped.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
+import scipy.sparse as sp
 
 from .groups import Group
-from .opalgebra import _DENSE_CUTOFF, AlgebraElement, _top_singular, commutator_matrix
+from .opalgebra import AlgebraElement, _top_singular, commutator_matrix, commutator_triplets
 from .states import StateRep
 from .wordlength import Ball, enumerate_ball
 
@@ -111,38 +113,30 @@ class HeuristicResult:
     diagnostics: dict = field(default_factory=dict)
 
 
-def _stack_commutators(support, ball) -> list:
-    mats = [commutator_matrix(AlgebraElement.lam(g), ball).matrix for g in support]
-    if len(ball) <= _DENSE_CUTOFF:
-        return [m.toarray() for m in mats]
-    return [m.tocsr() for m in mats]
-
-
-def _combine(mats, alpha):
-    acc = None
-    for a, m in zip(alpha, mats):
-        if a == 0:
-            continue
-        term = a * m
-        acc = term if acc is None else acc + term
-    if acc is None:
-        acc = 0.0 * mats[0]
-    return acc
+# at most 4 singleton starts of at most 500 steps, each stopped by a relative
+# gain below 1e-8; sigma to 1e-7 while ascending, to 1e-9 for reported values
+_RESTARTS, _MAX_STEPS, _FTOL = 4, 500, 1e-8
+_ASCENT_TOL, _NORM_TOL, _NORM_MAX_ITER = 1e-7, 1e-9, 10_000
 
 
 def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
-                     r: int, R: int, *,
-                     restarts: int = 4, max_iter: int = 500,
-                     ftol: float = 1e-8, norm_tol: float = 1e-9,
-                     norm_max_iter: int = 10_000,
-                     drift_factor: int = 2) -> HeuristicResult:
+                     r: int, R: int) -> HeuristicResult:
     """Ascend |sum alpha_g c_g| / sigma(alpha) over coefficients on ball(r) \\ {e}.
 
-    sigma(alpha) is the truncated commutator norm on ball(R), a lower bound of
-    the true constraint, so the estimate is not certified; the sigma drift on
-    re-evaluation at radius drift_factor * R is reported as a stability check.
+    sigma(alpha) is the norm of T(alpha), the commutator [D, sum alpha_g lam_g]
+    compressed to ball(R).  It is a lower bound of the true constraint, so the
+    estimate is not certified; the sigma drift on re-evaluation at radius 2R
+    is reported as a stability check.  T(alpha) comes from one list of
+    commutator triplets, and the subgradients u^H [D, lam_g] v are one sum
+    over it.
+
     Restarts begin at the singletons with the largest |c_g| / L(g), so the
-    first iterate already attains the d_inf lower bound on the ball.
+    first iterate already attains the d_inf lower bound on the ball.  When c
+    is hermitian (c_{g^-1} = conj(c_g)), a start whose inverse is already a
+    start is dropped, because its ascent mirrors the other one: with
+    alpha'_{g^-1} = conj(alpha_g), T(alpha') = -T(alpha)^* (the balls are
+    inverse-closed) and <alpha', c> = conj(<alpha, c>), so every ratio, step
+    and subgradient of one ascent is mirrored in the other.
     """
     if r < 1:
         raise ValueError("support radius r must be >= 1")
@@ -156,44 +150,42 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     if support == () or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
         return HeuristicResult(0.0, 0.0, {"reason": "states agree on the support ball",
                                           "restarts": 0})
-    m = len(support)
-    mats = _stack_commutators(support, ball_R)
-
+    m, n = len(support), len(ball_R)
+    rows, cols, index, diff = commutator_triplets(support, ball_R)
     # each ascent solve starts from the previous top vector (see _top_singular)
-    warm = {"v": None}
-    ascent_tol = max(norm_tol, 1e-7)
+    v_last = None
 
-    def evaluate(alpha, tol=None):
-        T = _combine(mats, alpha)
-        sigma, u, v, converged, iters = _top_singular(
-            T, ascent_tol if tol is None else tol, norm_max_iter, start=warm["v"])
-        warm["v"] = v
+    def evaluate(alpha, tol=_ASCENT_TOL):
+        nonlocal v_last
+        T = sp.coo_matrix((alpha[index] * diff, (rows, cols)), shape=(n, n))
+        sigma, u, v_last, converged, _ = _top_singular(T, tol, _NORM_MAX_ITER, start=v_last)
         n_val = complex(np.dot(alpha, c))
-        f = abs(n_val) / sigma if sigma > 0 else 0.0
-        return f, sigma, u, v, n_val, converged, iters
+        return abs(n_val) / sigma if sigma > 0 else 0.0, sigma, u, v_last, n_val, converged
 
     order = np.argsort(-np.abs(c) / lengths, kind="stable")
-    starts = [int(i) for i in order if abs(c[i]) > 1e-14][:max(1, restarts)]
+    starts = [int(i) for i in order if abs(c[i]) > 1e-14][:_RESTARTS]
+    inverse = ball_r.find_rows(group.inv_rows(ball_r.rows[1:])) - 1
+    if np.max(np.abs(c[inverse] - np.conj(c))) <= 1e-12:
+        starts = [s for k, s in enumerate(starts) if inverse[s] not in starts[:k]]
 
     best_f = -1.0
     best_alpha = None
-    best_n = 0.0 + 0.0j
     restart_log = []
     for start in starts:
-        warm["v"] = None
+        v_last = None
         alpha = np.zeros(m, dtype=complex)
         alpha[start] = 1.0
-        f_val, sigma, u, v, n_val, conv, _ = evaluate(alpha)
-        iters_done = 0
+        f_val, sigma, u, v, n_val, conv = evaluate(alpha)
         converged = False
         t_prev = 1.0
-        for iters_done in range(1, max_iter + 1):
+        for iters_done in range(1, _MAX_STEPS + 1):
             if abs(n_val) < 1e-300 or sigma <= 0:
                 break
             phase = n_val / abs(n_val)
             grad_num = phase * np.conj(c)
-            s_vec = np.array([np.vdot(u, mat @ v) for mat in mats])
-            grad_sigma = np.conj(s_vec)
+            terms = np.conj(u[rows]) * diff * v[cols]
+            grad_sigma = (np.bincount(index, terms.real, m)
+                          - 1j * np.bincount(index, terms.imag, m))
             grad = (grad_num - f_val * grad_sigma) / sigma
             gnorm = float(np.linalg.norm(grad))
             if gnorm < 1e-15:
@@ -215,7 +207,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
                 for _ in range(halvings):
                     cand = alpha + t * step
                     cand /= np.linalg.norm(cand)
-                    f2, s2, u2, v2, n2, conv2, _ = evaluate(cand)
+                    f2, s2, u2, v2, n2, conv2 = evaluate(cand)
                     if f2 > f_val * (1.0 + 1e-14):
                         accepted = (cand, f2, s2, u2, v2, n2, conv2)
                         break
@@ -228,7 +220,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
             t_prev = t
             rel = (accepted[1] - f_val) / max(f_val, 1e-300)
             alpha, f_val, sigma, u, v, n_val, conv = accepted
-            if rel < ftol:
+            if rel < _FTOL:
                 converged = True
                 break
         restart_log.append({"start_index": start, "iterations": iters_done,
@@ -237,28 +229,25 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
         if f_val > best_f:
             best_f = f_val
             best_alpha = alpha
-            best_n = n_val
 
     # re-evaluate the winner cold (LAPACK on the dense path) at the strict
     # tolerance so the reported sigma is not an ascent artifact
-    warm["v"] = None
-    best_f, _, _, _, best_n, _, _ = evaluate(best_alpha, tol=norm_tol)
+    v_last = None
+    best_f, _, _, _, best_n, _ = evaluate(best_alpha, tol=_NORM_TOL)
 
-    ball_big = enumerate_ball(group, drift_factor * R)
     nz = [i for i in range(m) if abs(best_alpha[i]) > 1e-14]
-    T_big = _combine(_stack_commutators([support[i] for i in nz], ball_big),
-                     best_alpha[nz])
-    sigma_big, _, _, _, _ = _top_singular(T_big, norm_tol, norm_max_iter)
+    coeffs = [(support[i], complex(best_alpha[i])) for i in nz]
+    T_big = commutator_matrix(AlgebraElement(dict(coeffs)), enumerate_ball(group, 2 * R))
+    sigma_big, _, _, _, _ = _top_singular(T_big.matrix, _NORM_TOL, _NORM_MAX_ITER)
     est_big = abs(best_n) / sigma_big if sigma_big > 0 else 0.0
     drift = max(0.0, best_f - est_big)
 
-    coeffs = [(support[i], complex(best_alpha[i])) for i in nz]
     return HeuristicResult(best_f, drift, {
         "restarts": len(starts),
         "restart_log": restart_log,
         "estimate_at_drift_radius": est_big,
         "support_radius": r,
         "truncation_radius": R,
-        "drift_radius": drift_factor * R,
+        "drift_radius": 2 * R,
         "coefficients": coeffs,
     })

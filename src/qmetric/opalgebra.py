@@ -100,27 +100,42 @@ class TruncatedOperator:
         return "\n".join(lines)
 
 
-def _translations(a: AlgebraElement, ball: Ball):
-    """Triplets (row, col, alpha_g): row indexes gh, col indexes h, both in the ball.
+def _translations(support, ball: Ball):
+    """Triplets (row, col, index): row indexes gh, col indexes h, both in the ball.
 
-    Ordered by g (in the order of a's support), then by h.  A g without an
+    index is g's place in support.  Ordered by g, then by h.  A g without an
     int64 row maps no ball element into the ball and is skipped.
     """
     group = ball.group
-    for g in a.coeffs:
+    for g in support:
         group.check(g)
-    support = [g for g in a.coeffs if fits_rows(g)]
-    k = ball.find_rows(group.mul_rows(group.to_rows(support)[:, None, :], ball.rows))
+    places = np.array([i for i, g in enumerate(support) if fits_rows(g)], dtype=np.intp)
+    rows = group.to_rows([support[i] for i in places])
+    k = ball.find_rows(group.mul_rows(rows[:, None, :], ball.rows))
     g_index, cols = np.nonzero(k >= 0)
-    alphas = np.array([a.coeffs[g] for g in support], dtype=complex)
-    return k[g_index, cols], cols, alphas[g_index]
+    return k[g_index, cols], cols, places[g_index]
+
+
+def commutator_triplets(support, ball: Ball):
+    """Nonzero entries (row, col, index, diff) of the commutators [D, lam_g] on the ball.
+
+    diff is L(gh) - L(h) and the rest is as in _translations, so the
+    compression of [D, sum alpha_g lam_g] carries alpha[index] * diff at
+    (row, col): for a fixed h the products gh are distinct, so no two
+    triplets share a position.
+    """
+    rows, cols, index = _translations(support, ball)
+    diff = ball.lengths[rows] - ball.lengths[cols]
+    keep = diff != 0
+    return rows[keep], cols[keep], index[keep], diff[keep]
 
 
 def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     """Compression of left convolution by a: column h carries alpha_g at row gh."""
     n = len(ball)
-    rows, cols, vals = _translations(a, ball)
-    matrix = sp.csr_matrix((vals, (rows, cols)), shape=(n, n), dtype=complex)
+    rows, cols, index = _translations(a.support, ball)
+    alphas = np.array(list(a.coeffs.values()), dtype=complex)
+    matrix = sp.csr_matrix((alphas[index], (rows, cols)), shape=(n, n), dtype=complex)
     return TruncatedOperator(ball, matrix, "convolution")
 
 
@@ -132,11 +147,10 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     L(gh) = L(h) are not stored.
     """
     n = len(ball)
-    rows, cols, vals = _translations(a, ball)
-    diff = ball.lengths[rows] - ball.lengths[cols]
-    keep = diff != 0
-    matrix = sp.csr_matrix((vals[keep] * diff[keep], (rows[keep], cols[keep])),
-                           shape=(n, n), dtype=complex)
+    rows, cols, index, diff = commutator_triplets(a.support, ball)
+    alphas = np.array(list(a.coeffs.values()), dtype=complex)
+    matrix = sp.csr_matrix((alphas[index] * diff, (rows, cols)), shape=(n, n),
+                           dtype=complex)
     return TruncatedOperator(ball, matrix, "commutator")
 
 

@@ -104,6 +104,28 @@ class TestExitCodes:
                      .replace("0.5", "1e400"), id="table-re-overflow"),
         pytest.param("dist", _table_dist({"element": [1], "re": "abc"}),
                      id="table-re-string"),
+        pytest.param("summable", {"group": Z_GROUP, "radius": 5, "require_exceeds": "nan"},
+                     id="summable-threshold-nan-string"),
+        pytest.param("summable", {"group": Z_GROUP, "radius": 5, "require_exceeds": True},
+                     id="summable-threshold-bool"),
+        pytest.param("summable", {"group": Z_GROUP, "radius": 5, "require_exceeds": "1.5"},
+                     id="summable-threshold-numeric-string"),
+        pytest.param("converge", {"group": Z_GROUP, "radius": 5, "epsilon": True,
+                                  "limit_state": {"kind": "trace"},
+                                  "sequence": {"kind": "character_inverse_n",
+                                               "n_max": 3}},
+                     id="converge-epsilon-bool"),
+        pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
+                              "state_b": {"kind": "density",
+                                          "b": [{"element": [0.9], "re": 1}]},
+                              "radius": 5, "mode": "bracket"},
+                     id="density-element-float"),
+        pytest.param("dist", _table_dist({"element": ["2"], "re": 0.5}),
+                     id="table-element-string"),
+        pytest.param("dist", _table_dist({"element": [True], "re": 0.5}),
+                     id="table-element-bool"),
+        pytest.param("ball", {"group": {"family": "free_abelian", "rank": True},
+                              "radius": 3}, id="rank-bool"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         # a str payload is written verbatim, for JSON that json.dumps cannot produce

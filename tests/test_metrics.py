@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from qmetric.experiments import run_ball, run_growth, run_summable
-from qmetric.groups import FreeAbelian, GroupElement
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, InfiniteDihedral,
+                            ProductZFinite)
 from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
-from qmetric.opalgebra import AlgebraElement
+from qmetric.opalgebra import AlgebraElement, commutator_matrix
 from qmetric.states import (CharacterState, DensityState, OneState,
                             TableState, TraceState)
 from qmetric.wordlength import enumerate_ball
@@ -175,6 +176,45 @@ class TestHeuristic:
         # norm tolerance, so it may differ slightly from the ascent ratios
         assert max(entry["ratio"] for entry in log) \
             == pytest.approx(result.estimate, rel=1e-4)
+
+    @pytest.mark.parametrize("group", [ProductZFinite(FiniteGroupTable.symmetric(3)),
+                                       InfiniteDihedral()], ids=["zxs3", "dihedral"])
+    def test_mirrored_coefficients_keep_the_ratio(self, group):
+        # alpha'_{g^-1} = conj(alpha_g) gives T(alpha') = -T(alpha)^* and, for
+        # hermitian c, <alpha', c> = conj(<alpha, c>)
+        ball_r, ball_R = enumerate_ball(group, 2), enumerate_ball(group, 6)
+        support = ball_r.elements[1:]
+        inverse = [support.index(group.inv(g)) for g in support]
+        rng = np.random.default_rng(8)
+        rho = DensityState(group, AlgebraElement(
+            {g: complex(*rng.standard_normal(2)) for g in ball_r.elements[:4]}))
+        c = delta_coeffs(TraceState(group), rho, ball_r)[1:]
+
+        def sigma(alpha):
+            T = commutator_matrix(AlgebraElement(dict(zip(support, alpha))), ball_R)
+            return np.linalg.norm(T.matrix.toarray(), 2)
+
+        for _ in range(4):
+            alpha = rng.standard_normal(len(support)) + 1j * rng.standard_normal(len(support))
+            mirror = np.empty_like(alpha)
+            mirror[inverse] = np.conj(alpha)
+            assert sigma(mirror) == pytest.approx(sigma(alpha), rel=1e-12, abs=1e-12)
+            assert abs(mirror @ c) == pytest.approx(abs(alpha @ c), rel=1e-12, abs=1e-12)
+
+    def test_hermitian_pair_skips_mirrored_starts(self, z_group):
+        result = connes_heuristic(TraceState(z_group), OneState(z_group), z_group, 2, 8)
+        support = enumerate_ball(z_group, 2).elements[1:]
+        starts = [support[e["start_index"]] for e in result.diagnostics["restart_log"]]
+        assert len(starts) == result.diagnostics["restarts"] == 2
+        assert not any(z_group.inv(g) in starts for g in starts)
+
+    def test_non_hermitian_table_keeps_mirrored_starts(self, z_group):
+        one, minus_one = GroupElement((1,)), GroupElement((-1,))
+        table = TableState(z_group, {one: 0.5, minus_one: 0.25j})
+        result = connes_heuristic(TraceState(z_group), table, z_group, 2, 8)
+        support = enumerate_ball(z_group, 2).elements[1:]
+        starts = {support[e["start_index"]] for e in result.diagnostics["restart_log"]}
+        assert starts == {one, minus_one}
 
     def test_drift_reported_nonnegative(self, dihedral):
         result = connes_heuristic(TraceState(dihedral), OneState(dihedral),

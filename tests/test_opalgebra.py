@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 import qmetric
 from qmetric.errors import BallRadiusError, GroupError
@@ -12,6 +13,7 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import (_DENSE_CUTOFF, _LANCZOS_BASIS, _WARM_MIN, AlgebraElement,
                                TruncatedOperator, _top_singular, commutator_matrix,
+                               commutator_triplets,
                                commutator_norm_upper_l1, conv_mul,
                                lemma2_lower, norm_lower, op_matrix, star,
                                trace_coeff)
@@ -118,6 +120,22 @@ class TestTruncatedOperators:
                                        rng.standard_normal()) for g in support})
         got = commutator_matrix(a, ball).matrix.toarray()
         assert np.allclose(got, dense_commutator_oracle(a, ball))
+
+    @pytest.mark.parametrize("family", ["z2", "zxz2", "dihedral"])
+    def test_triplets_reproduce_each_commutator(self, family, z2_group, z_x_z2, dihedral):
+        group = {"z2": z2_group, "zxz2": z_x_z2, "dihedral": dihedral}[family]
+        ball = enumerate_ball(group, 6)
+        # an element beyond int64 rows sits among the support and gets no triplets
+        far = GroupElement((2 ** 70,) + (0,) * (len(group.identity.z) - 1), group.identity.f)
+        support = [far, *enumerate_ball(group, 2).elements, far]
+        rows, cols, index, diff = commutator_triplets(support, ball)
+        n = len(ball)
+        for i, g in enumerate(support):
+            mine = index == i
+            got = sp.csr_matrix((diff[mine].astype(complex), (rows[mine], cols[mine])),
+                                shape=(n, n))
+            want = commutator_matrix(AlgebraElement.lam(g), ball).matrix
+            assert (got != want).nnz == 0
 
     def test_foreign_element_rejected(self, z_group, dihedral):
         ball = enumerate_ball(z_group, 3)
