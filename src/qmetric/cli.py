@@ -7,6 +7,7 @@ Exit codes: 0 all assertions pass, 1 assertion failure, 2 config error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Optional, Sequence
@@ -15,7 +16,9 @@ from .errors import ConfigError, QmetricError, ResourceError
 from .experiments import RUNNERS, Report
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="qmetric",
         description="State-space metric experiments on reduced group C*-algebras.")

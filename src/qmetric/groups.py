@@ -18,12 +18,19 @@ Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
 two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
 broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
 in a fixed set of rows.
+
+For its default generators each family knows its word length in closed
+form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
+f != e on Z x F; L(m, s) = |m| + s on the dihedral group.
+``default_ball_sizes`` gives the exact ball sizes and ``default_ball`` the
+rows and lengths of a ball, unsorted.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
+import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -67,11 +74,21 @@ class FiniteGroupTable:
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroupTable":
-        """Validate a raw table: identity, inverses, and (for order <= 24) associativity."""
+        """Validate a raw table: identity, inverses, and (for order <= 24) associativity.
+
+        The table is a list (or tuple) of lists of integers; booleans, floats
+        and strings are refused rather than cast.
+        """
+        if not isinstance(rows, (list, tuple)) or not all(
+                isinstance(row, (list, tuple)) for row in rows):
+            raise GroupError("Cayley table must be a list of lists of integers")
         order = len(rows)
         if order < 1:
             raise GroupError("Cayley table is empty")
-        table = tuple(tuple(int(x) for x in row) for row in rows)
+        for i, row in enumerate(rows):
+            if any(isinstance(x, bool) or not isinstance(x, int) for x in row):
+                raise GroupError(f"row {i} of the Cayley table is not a list of integers")
+        table = tuple(tuple(row) for row in rows)
         for i, row in enumerate(table):
             if len(row) != order or any(not 0 <= x < order for x in row):
                 raise GroupError(f"row {i} of the Cayley table is not a map into the group")
@@ -151,6 +168,23 @@ class Group:
     def _default_shell_bound(self) -> Optional[int]:
         return None
 
+    def default_ball_sizes(self, radius):
+        """|B(radius)| for the default generators, from its closed form.
+
+        An int radius gives the exact Python int; an int64 array of radii
+        gives an int64 array, exact while every size fits int64.
+        """
+        raise NotImplementedError
+
+    def default_shell_sizes(self, radius: int) -> np.ndarray:
+        """Exact shell sizes S_0..S_radius of the default generators, as int64."""
+        return np.diff(self.default_ball_sizes(np.arange(radius + 1, dtype=np.int64)),
+                       prepend=0)
+
+    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        """Rows and word lengths of the default ball of the given radius, unsorted."""
+        raise NotImplementedError
+
     def check(self, a: GroupElement) -> None:
         raise NotImplementedError
 
@@ -224,6 +258,29 @@ class FreeAbelian(Group):
     def _default_shell_bound(self) -> Optional[int]:
         return 2 if self.rank == 1 else None
 
+    def default_ball_sizes(self, radius):
+        # sum_i 2^i C(d, i) C(r, i): the points with i nonzero coordinates;
+        # i stops at r, so on arrays every term is at most the largest size
+        total = binom = 1 + 0 * radius  # an array when radius is one
+        for i in range(1, min(self.rank, int(np.max(radius))) + 1):
+            binom = binom * (radius - (i - 1)) // i  # C(r, i), 0 for r < i
+            total = total + 2 ** i * math.comb(self.rank, i) * binom
+        return total
+
+    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        # one coordinate at a time: each prefix row with l1 norm u is followed
+        # by every x with |x| <= radius - u
+        rows = np.zeros((1, 0), dtype=np.int64)
+        used = np.zeros(1, dtype=np.int64)
+        for _ in range(self.rank):
+            budget = radius - used
+            counts = 2 * budget + 1
+            offsets = np.repeat(np.cumsum(counts) - counts + budget, counts)
+            x = np.arange(offsets.size, dtype=np.int64) - offsets
+            rows = np.column_stack([np.repeat(rows, counts, axis=0), x])
+            used = np.repeat(used, counts) + np.abs(x)
+        return rows, used
+
     def check(self, a: GroupElement) -> None:
         if a.f is not None or len(a.z) != self.rank:
             raise GroupError(f"element {a} does not belong to free_abelian(rank={self.rank})")
@@ -258,6 +315,20 @@ class ProductZFinite(Group):
     def _default_shell_bound(self) -> Optional[int]:
         return 2 * self.finite.order
 
+    def default_ball_sizes(self, radius):
+        # every (m, f) with |m| <= r, less the (0, f != e) before radius 2
+        order = self.finite.order
+        return order * (2 * radius + 1) - (order - 1) * (radius < 2)
+
+    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        order = self.finite.order
+        m = np.repeat(np.arange(-radius, radius + 1, dtype=np.int64), order)
+        f = np.tile(np.arange(order, dtype=np.int64), 2 * radius + 1)
+        lengths = np.abs(m)
+        lengths[(m == 0) & (f != self.finite.identity_index)] = 2
+        keep = lengths <= radius
+        return np.stack([m[keep], f[keep]], axis=-1), lengths[keep]
+
     def check(self, a: GroupElement) -> None:
         if a.f is None or len(a.z) != 1 or not 0 <= a.f < self.finite.order:
             raise GroupError(f"element {a} does not belong to Z x F (|F|={self.finite.order})")
@@ -286,6 +357,16 @@ class InfiniteDihedral(Group):
 
     def _default_shell_bound(self) -> Optional[int]:
         return 4
+
+    def default_ball_sizes(self, radius):
+        # (m, 0) with |m| <= r and (m, 1) with |m| <= r - 1
+        return 4 * radius + (radius == 0)
+
+    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+        m = np.concatenate([np.arange(-radius, radius + 1, dtype=np.int64),
+                            np.arange(1 - radius, radius, dtype=np.int64)])
+        s = (np.arange(m.size) > 2 * radius).astype(np.int64)
+        return np.stack([m, s], axis=-1), np.abs(m) + s
 
     def check(self, a: GroupElement) -> None:
         if a.f not in (0, 1) or len(a.z) != 1:

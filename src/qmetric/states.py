@@ -4,12 +4,12 @@ Every metric in this package depends on a state only through its coefficient
 function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
 ``coeff_rows`` is the one vectorised evaluator, on an int64 array of element
 rows (see ``groups``), and serves both ``coeff_array`` (the rows of a ball)
-and the ``pd_check`` Gram matrix (the rows g_i^-1 g_j, one i at a time).  The
-constant positive-definite function 1 and the characters of free abelian
-groups are evaluated in closed form.  The other four kinds have finitely
-supported coefficients and are stored as the table of them, built once and
-zero elsewhere, so a coefficient is one lookup (a dict for ``coeff``, a
-sorted-key search for ``coeff_rows``):
+and the ``pd_check`` Gram matrix (the rows g_i^-1 g_j, a block of i at a
+time).  The constant positive-definite function 1 and the characters of free
+abelian groups are evaluated in closed form.  The other four kinds have
+finitely supported coefficients and are stored as the table of them, built
+once and zero elsewhere, so a coefficient is one lookup (a dict for
+``coeff``, a sorted-key search for ``coeff_rows``):
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -193,16 +193,20 @@ class PdCheckResult:
 
 
 _PD_MAX_BALL = 2000
+# most products g_i^-1 g_j per block of Gram rows
+_GRAM_PRODUCTS = 1 << 14
 
 
 def _gram(state: StateRep, ball: Ball) -> np.ndarray:
-    """G[i, j] = coeff(g_i^-1 g_j), filled one row at a time from the ball's rows."""
+    """G[i, j] = coeff(g_i^-1 g_j), filled a block of rows at a time from the ball's rows."""
     group = ball.group
     rows = ball.rows
-    inverses = group.inv_rows(rows)
-    gram = np.empty((len(ball), len(ball)), dtype=complex)
-    for i in range(len(ball)):
-        gram[i] = state.coeff_rows(group.mul_rows(inverses[i], rows))
+    inverses = group.inv_rows(rows)[:, None, :]
+    n = len(ball)
+    gram = np.empty((n, n), dtype=complex)
+    block = max(1, _GRAM_PRODUCTS // n)
+    for i in range(0, n, block):
+        gram[i:i + block] = state.coeff_rows(group.mul_rows(inverses[i:i + block], rows))
     return gram
 
 

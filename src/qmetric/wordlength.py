@@ -1,13 +1,19 @@
-"""Word-length balls, searched shell by shell on int64 rows.
+"""Word-length balls on int64 rows: closed forms for default generators, a search otherwise.
 
 The distance from the identity in the Cayley graph of a symmetric generating
 set is the word length L.  A ball {g : L(g) <= r} holds the int64 rows of its
 elements (see ``groups``), sorted by (length, row) so that the identity is
-row 0, and the exact length of each.  The search multiplies whole shells
-with the family's ``mul_rows``: the generators were checked when the group
-was built, so every product of ball rows belongs to the group.  Rows are
-looked up exactly with ``find_rows``; ``elements`` is a view built from the
-rows on first use.
+row 0, and the exact length of each.  Rows are looked up exactly with
+``find_rows``; ``elements`` is a view built from the rows on first use.
+
+A group whose generating set equals its family's default set, in any order,
+has its ball built from the closed form of L (``Group.default_ball``), and
+its cap checked against the exact ball sizes before any row exists.  Every
+other generating set has no known closed form, so ``_search_ball`` finds
+its shells by multiplying whole shells with the family's ``mul_rows``: the
+generators were checked when the group was built, so every product of ball
+rows belongs to the group.  The search also runs on default sets, as the
+tests' oracle for the closed forms.
 """
 
 from __future__ import annotations
@@ -86,9 +92,40 @@ class Ball:
         return np.bincount(self.lengths, minlength=self.radius + 1)
 
 
+def _cap_error(cap: int, radius: int) -> ResourceError:
+    return ResourceError(f"ball would exceed the cap of {cap} elements at radius {radius}")
+
+
 def enumerate_ball(group: Group, radius: int,
                    max_elements: Optional[int] = None) -> Ball:
-    """The ball of the given radius around the identity.
+    """The ball of the given radius around the identity, of at most the cap's elements.
+
+    The cap is max_elements, or max_ball_elements() when that is None; a ball
+    above it raises ResourceError naming the first radius whose ball is over.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    cap = max_elements if max_elements is not None else max_ball_elements()
+    if cap < 1:
+        raise ResourceError("ball size cap must be >= 1")
+    if not group._default_generators:
+        return _search_ball(group, radius, cap)
+    if group.default_ball_sizes(int(radius)) > cap:
+        lo, hi = 0, int(radius)  # the ball of radius lo fits, that of hi does not
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if group.default_ball_sizes(mid) > cap:
+                hi = mid
+            else:
+                lo = mid
+        raise _cap_error(cap, hi)
+    rows, lengths = group.default_ball(radius)
+    order = np.lexsort((*rows.T[::-1], lengths))
+    return Ball(group, radius, rows[order], lengths[order])
+
+
+def _search_ball(group: Group, radius: int, cap: int) -> Ball:
+    """The ball of the given radius, found shell by shell from the generators.
 
     With the shells up to S_k found, one step multiplies S_k by the words w
     of the ball B(m) (by the generators when k = 0) and finds the shells
@@ -100,11 +137,6 @@ def enumerate_ball(group: Group, radius: int,
     breadth-first search; m grows, never past k or radius - k, while a step
     has at most _STEP_ROWS products, so thin shells take many radii a step.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    cap = max_elements if max_elements is not None else max_ball_elements()
-    if cap < 1:
-        raise ResourceError("ball size cap must be >= 1")
     words = group.to_rows(group.generators)  # the words of step k = 0
     word_lengths = np.ones(len(words), dtype=np.int64)
     rows = group.to_rows([group.identity])
@@ -134,8 +166,7 @@ def enumerate_ball(group: Group, radius: int,
         sizes = np.bincount(bound - (k + 1), minlength=m)
         over = np.flatnonzero(len(rows) + np.cumsum(sizes) > cap)
         if over.size:
-            raise ResourceError(f"ball would exceed the cap of {cap} elements "
-                                f"at radius {k + 1 + int(over[0])}")
+            raise _cap_error(cap, k + 1 + int(over[0]))
         rows = np.concatenate([rows, pool[order]])
         lengths = np.concatenate([lengths, bound[order]])
         starts.extend((starts[-1] + np.cumsum(sizes)).tolist())

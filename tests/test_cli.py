@@ -41,6 +41,11 @@ def _table_dist(entry):
             "radius": 5, "mode": "bracket"}
 
 
+def _table_ball(table):
+    return {"group": {"family": "product_z_finite", "finite": {"table": table}},
+            "radius": 3}
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, ball_config, tmp_path):
         assert main(["ball", "--config", ball_config,
@@ -126,6 +131,13 @@ class TestExitCodes:
                      id="table-element-bool"),
         pytest.param("ball", {"group": {"family": "free_abelian", "rank": True},
                               "radius": 3}, id="rank-bool"),
+        pytest.param("ball", _table_ball([[0, 1], [1, 0.5]]), id="cayley-table-float"),
+        pytest.param("ball", _table_ball([[False, True], [True, "0"]]),
+                     id="cayley-table-bool-and-string"),
+        pytest.param("ball", _table_ball([[0, "abc"], ["abc", 0]]),
+                     id="cayley-table-string"),
+        pytest.param("ball", _table_ball(5), id="cayley-table-number"),
+        pytest.param("ball", _table_ball([0, 1]), id="cayley-table-flat"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         # a str payload is written verbatim, for JSON that json.dumps cannot produce

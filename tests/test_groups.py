@@ -46,6 +46,12 @@ class TestFiniteGroupTable:
         with pytest.raises(GroupError, match="associative"):
             FiniteGroupTable.from_table(rows)
 
+    @pytest.mark.parametrize("rows", [[[0, 1], [1, 0.5]], [[False, True], [True, "0"]],
+                                      [[0, "abc"], ["abc", 0]], 5, [0, 1]])
+    def test_non_integer_table_rejected(self, rows):
+        with pytest.raises(GroupError, match="of integers"):
+            FiniteGroupTable.from_table(rows)
+
     def test_missing_inverse_rejected(self):
         rows = [[0, 1], [1, 1]]
         with pytest.raises(GroupError):

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -333,22 +334,33 @@ class TestSpectralSolver:
         assert _top_singular(small, 1e-12, 10_000, start=np.ones(small.shape[1]))[4] == 0
         assert _top_singular(M, 1e-12, 10_000, start=np.zeros(M.shape[1]))[4] == 0
 
-    def test_solver_path_imports_no_scipy_solver(self):
-        # scipy.sparse.linalg and scipy.optimize would add 9 and 26 MB of
-        # resident memory to every run that computes a norm
-        script = """
+    def test_solver_path_imports_no_scipy_solver(self, tmp_path):
+        # scipy.sparse.linalg, scipy.optimize and scipy.linalg would add 9, 26
+        # and 7 MB of resident memory to every run that computes a norm, a
+        # ball, a positivity check or a bracket
+        config = tmp_path / "dist.json"
+        config.write_text(json.dumps({
+            "group": {"family": "product_z_finite", "finite": {"name": "s3"}},
+            "state_a": {"kind": "trace"},
+            "state_b": {"kind": "density", "b": [{"element": [0, 1], "re": 1.0},
+                                                 {"element": [1, 0], "re": 0.5}]},
+            "radius": 40, "mode": "bracket"}))
+        script = f"""
 import sys
 from qmetric import (AlgebraElement, DensityState, FreeAbelian, GroupElement,
-                     commutator_matrix, enumerate_ball, kappa_bounds, norm_lower)
+                     commutator_matrix, enumerate_ball, kappa_bounds, norm_lower, pd_check)
+from qmetric.cli import main
 from qmetric.opalgebra import _DENSE_CUTOFF
 group = FreeAbelian(2)
 ball = enumerate_ball(group, 20)
 assert len(ball) > _DENSE_CUTOFF
-a = AlgebraElement({GroupElement((1, 0)): 1.0, GroupElement((2, -1)): 0.5j})
+a = AlgebraElement({{GroupElement((1, 0)): 1.0, GroupElement((2, -1)): 0.5j}})
 assert norm_lower(commutator_matrix(a, ball)).iterations > 0
 kappa_bounds(DensityState(group, a), ball)
+assert pd_check(DensityState(group, a), enumerate_ball(group, 8)).passed
+assert main(["dist", "--config", {str(config)!r}, "--out", {str(tmp_path / "out.csv")!r}]) == 0
 print(sorted(name for name in sys.modules
-             if name.startswith(("scipy.sparse.linalg", "scipy.optimize"))))
+             if name.startswith(("scipy.sparse.linalg", "scipy.optimize", "scipy.linalg"))))
 """
         src = str(Path(qmetric.__file__).resolve().parent.parent)
         env = {**os.environ,

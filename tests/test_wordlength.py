@@ -1,17 +1,20 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetric import wordlength
 from qmetric.errors import BallRadiusError, GroupError, ResourceError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.metrics import connes_bracket
 from qmetric.opalgebra import AlgebraElement, commutator_matrix
 from qmetric.states import DensityState, TraceState, pd_check
-from qmetric.wordlength import enumerate_ball, growth_fit, max_ball_elements, square_sum_evidence
+from qmetric.wordlength import (_search_ball, enumerate_ball, growth_fit, max_ball_elements,
+                                square_sum_evidence)
 
 
 def brute_force_lengths(group, radius):
@@ -150,6 +153,96 @@ class TestSearchAgainstBreadthFirst:
         assert len(ball) == len(oracle)
         keys = list(zip(ball.lengths.tolist(), ball.rows.tolist()))
         assert keys == sorted(keys)
+
+
+DEFAULT_GROUPS = {  # every family with its default generators
+    **{f"z{d}": FreeAbelian(d) for d in (1, 2, 3, 4)},
+    "zxz2": ProductZFinite(FiniteGroupTable.cyclic(2)),
+    "zxz3": ProductZFinite(FiniteGroupTable.cyclic(3)),
+    "zxs3": ProductZFinite(S3),
+    "zx1": ProductZFinite(FiniteGroupTable.from_table([[0]])),
+    "dihedral": InfiniteDihedral(),
+}
+# the balls of the brackets benchmark
+BENCHMARK_BALLS = [("z1", 10_000), ("z2", 150), ("zxs3", 2000), ("dihedral", 5000)]
+
+
+def assert_same_ball(a, b):
+    for x, y in ((a.rows, b.rows), (a.lengths, b.lengths)):
+        assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
+        assert x.tobytes() == y.tobytes()
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
+    def test_matches_the_search(self, name):
+        group = DEFAULT_GROUPS[name]
+        for radius in range(13):
+            ball = enumerate_ball(group, radius)
+            assert_same_ball(ball, _search_ball(group, radius, max_ball_elements()))
+            assert group.default_shell_sizes(radius).tolist() == ball.shell_sizes.tolist()
+            assert group.default_ball_sizes(radius) == len(ball)
+
+    @pytest.mark.parametrize("name,radius", BENCHMARK_BALLS)
+    def test_matches_the_search_on_benchmark_balls(self, name, radius):
+        group = DEFAULT_GROUPS[name]
+        ball = enumerate_ball(group, radius)
+        assert_same_ball(ball, _search_ball(group, radius, max_ball_elements()))
+        assert np.array_equal(group.default_shell_sizes(radius), ball.shell_sizes)
+
+    def test_reordered_default_set_takes_the_closed_form(self, monkeypatch):
+        def no_search(*args):
+            raise AssertionError("searched a default generating set")
+
+        monkeypatch.setattr(wordlength, "_search_ball", no_search)
+        for group, build in FAMILIES.values():
+            reordered = build(group.generators[::-1])
+            assert reordered.generators != group.generators
+            assert_same_ball(enumerate_ball(reordered, 7), enumerate_ball(group, 7))
+
+    def test_custom_set_takes_the_search(self, monkeypatch):
+        def no_closed_form(self, radius):
+            raise AssertionError("closed form for a custom generating set")
+
+        for cls in (FreeAbelian, ProductZFinite, InfiniteDihedral):
+            monkeypatch.setattr(cls, "default_ball", no_closed_form)
+        # Z^2 with a diagonal step added; Z x S3 without the generators (+-1, f != e)
+        diagonal = FreeAbelian(2, [*FreeAbelian(2).generators,
+                                   GroupElement((1, 1)), GroupElement((-1, -1))])
+        thin = ProductZFinite(S3, [GroupElement((1,), 0), GroupElement((-1,), 0),
+                                   GroupElement((0,), 1), GroupElement((0,), 2)])
+        dihedral = InfiniteDihedral([GroupElement((0,), 1), GroupElement((1,), 1)])
+        for group in (diagonal, thin, dihedral):
+            ball = enumerate_ball(group, 5)
+            assert dict(zip(ball.elements, ball.lengths.tolist())) == \
+                brute_force_lengths(group, 5)
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
+    def test_huge_radius_hits_the_cap_before_allocating(self, name, monkeypatch):
+        monkeypatch.delenv("QMETRIC_MAX_BALL", raising=False)
+        group = DEFAULT_GROUPS[name]
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError, match="cap of 200000 elements at radius"):
+                enumerate_ball(group, 10 ** 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a ball at the cap would hold 200000 rows of int64
+        assert peak < 64 * 1024
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
+    def test_cap_messages_match_the_search(self, name):
+        group = DEFAULT_GROUPS[name]
+        for cap, radius in itertools.product((1, 2, 7, 13, 50, 99, 1000), (0, 1, 2, 3, 9, 40)):
+            messages = []
+            for build in (enumerate_ball, _search_ball):
+                try:
+                    build(group, radius, cap)
+                    messages.append(None)
+                except ResourceError as exc:
+                    messages.append(str(exc))
+            assert messages[0] == messages[1]
 
 
 class TestLengthAxioms:
