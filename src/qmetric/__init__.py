@@ -10,9 +10,8 @@ __version__ = "0.1.0"
 from .errors import (BallRadiusError, ConfigError, GroupError, QmetricError,
                      ResourceError, StateError)
 from .groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
-                     GroupSpec, InfiniteDihedral, ProductZFinite,
-                     builtin_finite_table, decode_element, encode_element,
-                     group_from_json, make_group, word_eval)
+                     InfiniteDihedral, ProductZFinite, builtin_finite_table,
+                     decode_element, encode_element, group_from_json, word_eval)
 from .metrics import (HeuristicResult, MetricBracket, connes_bracket,
                       connes_heuristic, d_2, d_inf, delta_coeffs)
 from .opalgebra import (AlgebraElement, NormEstimate, TruncatedOperator,

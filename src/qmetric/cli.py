@@ -8,12 +8,11 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import sys
 from typing import Optional, Sequence
 
 from .errors import ConfigError, QmetricError, ResourceError
-from .experiments import RUNNERS, Report
+from .experiments import RUNNERS, Report, load_json
 
 
 @functools.cache
@@ -42,13 +41,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _load_config(args) -> dict:
     if args.config is not None:
-        try:
-            with open(args.config) as fh:
-                config = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read config {args.config!r}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON in {args.config!r}: {exc}") from exc
+        config = load_json(args.config, "config")
         if not isinstance(config, dict):
             raise ConfigError("config must be a JSON object")
         return config

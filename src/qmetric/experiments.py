@@ -11,7 +11,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Optional
 
@@ -91,17 +90,23 @@ def config_hash(config: dict) -> str:
 # config helpers
 # ---------------------------------------------------------------------------
 
+def load_json(path: str, what: str):
+    """Parse the UTF-8 JSON file at path; failing to read or parse it is a ConfigError.
+
+    ValueError covers invalid JSON, bytes that are not UTF-8 and a NUL byte in
+    the path; OSError a missing file, a directory and a denied read;
+    RecursionError arrays or objects nested about a thousand deep.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, ValueError, RecursionError) as exc:
+        raise ConfigError(f"{what}: cannot load JSON file {path!r}: {exc}") from exc
+
+
 def _load_spec(value, what: str):
     """A spec field is either an inline object or a path to a JSON file."""
-    if isinstance(value, str):
-        if not os.path.exists(value):
-            raise ConfigError(f"{what}: file {value!r} does not exist")
-        with open(value) as fh:
-            try:
-                return json.load(fh)
-            except json.JSONDecodeError as exc:
-                raise ConfigError(f"{what}: invalid JSON in {value!r}: {exc}") from exc
-    return value
+    return load_json(value, what) if isinstance(value, str) else value
 
 
 def _require(config: dict, key: str):
@@ -148,15 +153,16 @@ def _get_states(config: dict, group: Group) -> list[tuple[str, StateRep]]:
         raise ConfigError("states: must be a non-empty list")
     out = []
     for k, item in enumerate(raw):
+        label, spec = f"state{k}", item
         if isinstance(item, dict) and "state" in item:
-            label = str(item.get("label", f"state{k}"))
-            spec = _load_spec(item["state"], f"states[{k}].state")
-        else:
-            label = f"state{k}"
-            spec = _load_spec(item, f"states[{k}]")
+            label, spec = item.get("label", label), item["state"]
+            # labels are CSV cells, and "|" joins the two labels of a pair
+            if not isinstance(label, str) or any(c in label for c in ",|\r\n"):
+                raise ConfigError(f"states[{k}].label: must be a string without ',', "
+                                  f"'|', CR or LF")
         if any(label == seen for seen, _ in out):
             raise ConfigError(f"states[{k}]: duplicate label {label!r}")
-        out.append((label, state_from_json(group, spec)))
+        out.append((label, state_from_json(group, _load_spec(spec, f"states[{k}]"))))
     return out
 
 

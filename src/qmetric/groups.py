@@ -28,8 +28,8 @@ rows and lengths of a ball, unsorted.
 
 from __future__ import annotations
 
+import functools
 import itertools
-import json
 import math
 import operator
 from dataclasses import dataclass
@@ -127,12 +127,12 @@ class FiniteGroupTable:
 
 
 def builtin_finite_table(name: str) -> FiniteGroupTable:
-    name = name.lower()
-    if name == "z2":
+    key = name.lower() if isinstance(name, str) else None
+    if key == "z2":
         return FiniteGroupTable.cyclic(2)
-    if name == "z3":
+    if key == "z3":
         return FiniteGroupTable.cyclic(3)
-    if name == "s3":
+    if key == "s3":
         return FiniteGroupTable.symmetric(3)
     raise ConfigError(f"unknown built-in finite group {name!r} (have: z2, z3, s3)")
 
@@ -417,28 +417,8 @@ class RowIndex:
 
 
 # ---------------------------------------------------------------------------
-# specs, construction, words
+# words
 # ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class GroupSpec:
-    family: str
-    rank: int = 1
-    finite: Optional[FiniteGroupTable] = None
-    generators: Optional[tuple[GroupElement, ...]] = None
-
-
-def make_group(spec: GroupSpec) -> Group:
-    if spec.family == "free_abelian":
-        return FreeAbelian(spec.rank, spec.generators)
-    if spec.family == "product_z_finite":
-        if spec.finite is None:
-            raise GroupError("product_z_finite requires a finite factor")
-        return ProductZFinite(spec.finite, spec.generators)
-    if spec.family == "infinite_dihedral":
-        return InfiniteDihedral(spec.generators)
-    raise GroupError(f"unknown family {spec.family!r}")
-
 
 def word_eval(group: Group, word: Sequence[int]) -> GroupElement:
     """Left-to-right product of generators; the empty word is the identity."""
@@ -480,12 +460,7 @@ def encode_element(group: Group, el: GroupElement) -> list[int]:
 
 
 def group_from_json(data) -> Group:
-    """Build a group from its JSON specification (dict or JSON text)."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON for group spec: {exc}") from exc
+    """Build a group from its parsed JSON specification (a dict, as json.load returns)."""
     if not isinstance(data, dict):
         raise ConfigError("group spec must be a JSON object")
     family = data.get("family")
@@ -493,35 +468,32 @@ def group_from_json(data) -> Group:
         rank = data.get("rank", 1)
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ConfigError("free_abelian: rank must be a positive integer")
-        group = FreeAbelian(rank)
+        build = functools.partial(FreeAbelian, rank)
     elif family == "product_z_finite":
         fin = data.get("finite")
-        if isinstance(fin, dict) and "name" in fin:
-            table = builtin_finite_table(fin["name"])
-        elif isinstance(fin, dict) and "table" in fin:
-            try:
-                table = FiniteGroupTable.from_table(fin["table"])
-            except GroupError as exc:
-                raise ConfigError(f"finite.table: {exc}") from exc
-        else:
+        if not isinstance(fin, dict) or ("name" in fin) == ("table" in fin):
             raise ConfigError("product_z_finite: 'finite' must give a 'name' or a 'table'")
-        group = ProductZFinite(table)
+        try:
+            finite = (builtin_finite_table(fin["name"]) if "name" in fin
+                      else FiniteGroupTable.from_table(fin["table"]))
+        except GroupError as exc:
+            raise ConfigError(f"finite.table: {exc}") from exc
+        order = fin.get("order", finite.order)
+        if isinstance(order, bool) or not isinstance(order, int) or order != finite.order:
+            raise ConfigError(f"finite.order: {order!r} is not the order {finite.order} "
+                              f"of the finite group")
+        build = functools.partial(ProductZFinite, finite)
     elif family == "infinite_dihedral":
-        group = InfiniteDihedral()
+        build = InfiniteDihedral
     else:
         raise ConfigError(f"unknown group family {family!r}")
+    group = build()
     if "generators" in data:
-        gens = [decode_element(group, g) for g in data["generators"]]
+        gens = data["generators"]
+        if not isinstance(gens, list):
+            raise ConfigError("generators: must be a list of elements")
         try:
-            group = type(group)(**_rebuild_kwargs(group), generators=gens)
+            group = build([decode_element(group, g) for g in gens])
         except GroupError as exc:
             raise ConfigError(str(exc)) from exc
     return group
-
-
-def _rebuild_kwargs(group: Group) -> dict:
-    if isinstance(group, FreeAbelian):
-        return {"rank": group.rank}
-    if isinstance(group, ProductZFinite):
-        return {"finite": group.finite}
-    return {}

@@ -20,7 +20,6 @@ once and zero elsewhere, so a coefficient is one lookup (a dict for
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -94,12 +93,15 @@ class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
     With extend_zero False a coefficient outside the table raises instead.
+    Every key must belong to the group (GroupError otherwise).
     """
 
     extend_zero = True
 
     def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
+        for g in table:
+            group.check(g)
         self.table = table
         # no int64 row equals a key with a coordinate beyond int64, so such
         # keys (reachable only through coeff) are left out of the row lookup
@@ -157,7 +159,8 @@ class VectorState(FiniteState):
         self.xi = {g: complex(v) for g, v in xi.items() if complex(v) != 0}
         for g in self.xi:
             group.check(g)
-        norm_sq = sum(abs(v) ** 2 for v in self.xi.values())
+        # a product, because float ** 2 raises OverflowError above about 1.3e154
+        norm_sq = sum(abs(v) * abs(v) for v in self.xi.values())
         if abs(norm_sq - 1.0) > 1e-12:
             raise StateError(f"vector state must be normalized; |xi|^2 = {norm_sq}")
         xi_bar = AlgebraElement({g: v.conjugate() for g, v in self.xi.items()})
@@ -289,12 +292,7 @@ def algebra_element_from_json(group: Group, items,
 
 
 def state_from_json(group: Group, data) -> StateRep:
-    """Build a state from its JSON specification (dict or JSON text)."""
-    if isinstance(data, str):
-        try:
-            data = json.loads(data)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"invalid JSON for state spec: {exc}") from exc
+    """Build a state from its parsed JSON specification (a dict, as json.load returns)."""
     if not isinstance(data, dict):
         raise ConfigError("state spec must be a JSON object")
     kind = data.get("kind")
@@ -304,8 +302,8 @@ def state_from_json(group: Group, data) -> StateRep:
         if kind == "one":
             return OneState(group)
         if kind == "character":
-            if "z" not in data:
-                raise ConfigError("character: missing 'z'")
+            if not isinstance(data.get("z"), list):
+                raise ConfigError("character: 'z' must be a list of {re, im} objects")
             z = [_decode_complex(item, f"z[{k}]") for k, item in enumerate(data["z"])]
             return CharacterState(group, z)
         if kind == "vector":

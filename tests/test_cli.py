@@ -1,6 +1,10 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric.cli import main
 from qmetric.experiments import config_hash, run_ball, run_converge, run_dist
@@ -138,6 +142,29 @@ class TestExitCodes:
                      id="cayley-table-string"),
         pytest.param("ball", _table_ball(5), id="cayley-table-number"),
         pytest.param("ball", _table_ball([0, 1]), id="cayley-table-flat"),
+        pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
+                              "state_b": {"kind": "character", "z": 5},
+                              "radius": 5, "mode": "bracket"}, id="character-z-number"),
+        pytest.param("ball", {"group": {**Z_GROUP, "generators": 7}, "radius": 3},
+                     id="generators-number"),
+        pytest.param("ball", {"group": {**Z_GROUP, "generators": {"a": [1]}}, "radius": 3},
+                     id="generators-object"),
+        pytest.param("ball", {"group": {"family": "product_z_finite", "finite": {"name": 5}},
+                              "radius": 3}, id="finite-name-number"),
+        pytest.param("ball", {"group": {"family": "product_z_finite", "finite": {
+            "order": 5, "table": [[0, 1], [1, 0]]}}, "radius": 3}, id="finite-order-wrong"),
+        pytest.param("ball", {"group": {"family": "product_z_finite", "finite": {
+            "order": 2.0, "table": [[0, 1], [1, 0]]}}, "radius": 3}, id="finite-order-float"),
+        pytest.param("ball", {"group": {"family": "product_z_finite", "finite": {
+            "order": 3, "name": "s3"}}, "radius": 3}, id="finite-order-wrong-for-name"),
+        pytest.param("ball", {"group": {"family": "product_z_finite", "finite": {
+            "name": "z2", "table": [[0, 1], [1, 0]]}}, "radius": 3},
+                     id="finite-name-and-table"),
+        *[pytest.param("sandwich", {"group": Z_GROUP, "radius": 5, "states": [
+            {"label": label, "state": {"kind": "trace"}}, {"kind": "one"}]}, id=f"label-{name}")
+          for name, label in [("comma", "a,b"), ("pipe", "a|b"), ("lf", "c\nd"),
+                              ("cr", "c\rd"), ("list", ["x"]), ("number", 5)]],
+        pytest.param("ball", "[" * 100000 + "]" * 100000, id="json-nested-too-deep"),
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         # a str payload is written verbatim, for JSON that json.dumps cannot produce
@@ -151,6 +178,26 @@ class TestExitCodes:
 
     def test_missing_config_file_is_two(self, capsys):
         assert main(["ball", "--config", "/nonexistent/x.json"]) == 2
+
+    def test_directory_is_two(self, tmp_path, capsys):
+        trace = write_json(tmp_path / "trace.json", {"kind": "trace"})
+        config = write_json(tmp_path / "c.json", {"group": str(tmp_path), "radius": 3})
+        assert main(["ball", "--config", str(tmp_path)]) == 2
+        assert main(["ball", "--config", config]) == 2
+        assert main(["dist", "--group", str(tmp_path), "--state-a", trace,
+                     "--state-b", trace, "--radius", "3", "--mode", "bracket"]) == 2
+        assert capsys.readouterr().err.count("config error") == 3
+
+    def test_not_utf8_is_two(self, tmp_path, capsys):
+        latin1 = tmp_path / "latin1.json"
+        latin1.write_bytes(json.dumps({"group": Z_GROUP, "radius": 3, "note": "\u00e9"},
+                                      ensure_ascii=False).encode("latin-1"))
+        group = tmp_path / "group.json"
+        group.write_bytes(b'{"family": "free_abelian", "note": "\xe9"}')
+        config = write_json(tmp_path / "c.json", {"group": str(group), "radius": 3})
+        assert main(["ball", "--config", str(latin1)]) == 2
+        assert main(["ball", "--config", config]) == 2
+        assert capsys.readouterr().err.count("config error") == 2
 
     def test_missing_required_field_is_two(self, tmp_path):
         config = write_json(tmp_path / "c.json", {"group": Z_GROUP})
@@ -319,3 +366,74 @@ class TestRunners:
             "states": [{"kind": "trace"}],
         })
         assert main(["kappa", "--config", config]) == 2
+
+
+# Small valid configs on Z and Z x Z2 that between them set every documented
+# field of the group, state and experiment specs.
+Z_X_Z2_TABLE = {"family": "product_z_finite",
+                "finite": {"order": 2, "table": [[0, 1], [1, 0]]}}
+Z_X_Z2_NAME = {"family": "product_z_finite", "finite": {"name": "z2", "order": 2}}
+FUZZ_BASES = [
+    ("ball", {"group": {**Z_GROUP, "generators": [[1], [-1]]}, "radius": 3}),
+    ("summable", {"group": Z_X_Z2_TABLE, "radius": 3, "require_exceeds": 1.0}),
+    ("converge", {"group": Z_GROUP, "radius": 4, "epsilon": 0.5,
+                  "limit_state": {"kind": "trace"},
+                  "sequence": {"kind": "explicit", "states": [
+                      {"kind": "character", "z": [{"re": -1.0, "im": 0.0}]},
+                      {"kind": "one"}]}}),
+    ("kappa", {"group": Z_GROUP, "radius": 4,
+               "states": [{"label": "a", "state": DENSITY_01}, DENSITY_02]}),
+    ("dist", {"group": Z_X_Z2_NAME, "radius": 4, "mode": "bracket",
+              "state_a": {"kind": "vector", "support": [
+                  {"element": [0, 0], "re": 0.6}, {"element": [1, 1], "re": 0.0, "im": 0.8}]},
+              "state_b": {"kind": "table", "extend_zero": True,
+                          "entries": [{"element": [1, 0], "re": 0.25}]}}),
+]
+
+
+def _fields(value, path=()):
+    """Every position in a parsed config: the path of keys and list indices to it."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _fields(child, path + (key,))
+
+
+FUZZ_FIELDS = [(experiment, config, path) for experiment, config in FUZZ_BASES
+               for path in _fields(config)]
+
+# no path separator, so a string read as a path names ".", ".." or a missing file
+_TEXT = st.sampled_from(["z2", "s3", "trace", "one", "re", "."]) | st.text(
+    alphabet="abz019.,|-\n\x00\u00e9", max_size=4)
+_SCALAR = (st.none() | st.booleans() | st.integers(-10, 300)
+           | st.floats(allow_nan=False, allow_infinity=False) | _TEXT)
+
+
+def _nested(inner):
+    return inner | st.lists(inner, max_size=3) | st.dictionaries(_TEXT, inner, max_size=3)
+
+
+_JSON_VALUE = _nested(_nested(_SCALAR))  # nested at most two deep
+
+
+def _replaced(config, path, value):
+    config = json.loads(json.dumps(config))
+    parent = config
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    return config
+
+
+# Integers stop at 300 because building FreeAbelian(rank) is quadratic in the rank.
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.sampled_from(FUZZ_FIELDS), _JSON_VALUE)
+def test_fuzzed_field_never_escapes_main(field, value):
+    experiment, config, path = field
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        (Path(root) / "cwd").mkdir()
+        mp.chdir(Path(root) / "cwd")
+        config_path = write_json(Path(root) / "config.json", _replaced(config, path, value))
+        argv = [experiment, "--config", config_path, "--out", str(Path(root) / "out")]
+        assert main(argv) in (0, 1, 2, 3)

@@ -3,10 +3,9 @@ import pytest
 
 from qmetric.errors import ConfigError, GroupError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
-                            GroupSpec, InfiniteDihedral, ProductZFinite,
+                            InfiniteDihedral, ProductZFinite,
                             builtin_finite_table, decode_element,
-                            encode_element, group_from_json, make_group,
-                            word_eval)
+                            encode_element, group_from_json, word_eval)
 
 from conftest import random_element
 
@@ -171,19 +170,14 @@ class TestWordEval:
 
 
 class TestConstruction:
-    def test_make_group_families(self):
-        assert make_group(GroupSpec("free_abelian", rank=3)).family == "free_abelian"
-        spec = GroupSpec("product_z_finite", finite=FiniteGroupTable.cyclic(1))
-        g = make_group(spec)
+    def test_family_constructors(self):
+        assert FreeAbelian(3).family == "free_abelian"
+        g = ProductZFinite(FiniteGroupTable.cyclic(1))
         # trivial finite factor behaves like Z
         assert g.mul(GroupElement((1,), 0), GroupElement((2,), 0)) \
             == GroupElement((3,), 0)
         assert len(g.generators) == 2
-        assert make_group(GroupSpec("infinite_dihedral")).shell_bound == 4
-
-    def test_unknown_family(self):
-        with pytest.raises(GroupError):
-            make_group(GroupSpec("free_group"))
+        assert InfiniteDihedral().shell_bound == 4
 
     def test_default_generators_symmetric(self, z2_group, z_x_z2, dihedral):
         for group in (z2_group, z_x_z2, dihedral):

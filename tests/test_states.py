@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetric.errors import ConfigError, ResourceError, StateError
+from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import AlgebraElement
@@ -211,6 +211,15 @@ class TestTableState:
         with pytest.raises(StateError, match="unital"):
             TableState(z_group, {z_group.identity: 0.9})
 
+    @pytest.mark.parametrize("group,key", [
+        (InfiniteDihedral(), GroupElement((0,), 5)),
+        (InfiniteDihedral(), GroupElement((1,))),
+        (FreeAbelian(1), GroupElement((1, 2))),
+    ], ids=["dihedral-f-out-of-range", "dihedral-no-f", "z-rank-2-key"])
+    def test_keys_of_another_group_rejected(self, group, key):
+        with pytest.raises(GroupError, match="does not belong"):
+            TableState(group, {key: 0.5})
+
 
 class TestVectorState:
     def test_delta_vector_is_trace(self, dihedral):
@@ -324,10 +333,6 @@ class TestJson:
         phi = state_from_json(z_group, {"kind": "table", "extend_zero": True,
                                         "entries": [{"element": [2], "re": 0.25}]})
         assert phi.coeff(GroupElement((2,))) == 0.25
-
-    def test_json_text_input(self, z_group):
-        phi = state_from_json(z_group, '{"kind": "trace"}')
-        assert isinstance(phi, TraceState)
 
     def test_errors_become_config_errors(self, z_group):
         with pytest.raises(ConfigError):
