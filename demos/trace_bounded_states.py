@@ -31,7 +31,8 @@ print(f"d_2(phi, trace) = [{bracket.lo:.6f}, {bracket.hi:.6f}]"
       f"  <= 2 kappa = {2 * kb.kappa_upper:.1f}")
 print(f"  lower endpoint is exactly 1/sqrt(2) = {2 ** -0.5:.6f}")
 
-print("\npositivity certificate via the Gram matrix on a small ball")
+print("\nfloating-point positivity check (Hermitian to tol, then eigvalsh) of the\n"
+      "Gram matrix on a small ball; a check of one truncation, not a proof")
 small = enumerate_ball(z, 8)
 result = pd_check(phi, small)
 print(f"  eigenvalue range [{result.min_eigenvalue:.3e}, "

@@ -62,12 +62,16 @@ def _load_config(args) -> dict:
 
 
 def _emit(report: Report, out: Optional[str], fmt: str) -> None:
+    """Write the report to stdout or to the --out path; an unwritable path is a ConfigError."""
     text = report.to_csv() if fmt == "csv" else report.to_json()
     if out is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out, "w") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise ConfigError(f"--out: cannot write {out!r}: {exc}") from exc
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:

@@ -46,12 +46,6 @@ class AlgebraElement:
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
 
-    def __add__(self, other: "AlgebraElement") -> "AlgebraElement":
-        out = dict(self.coeffs)
-        for g, a in other.coeffs.items():
-            out[g] = out.get(g, 0.0) + a
-        return AlgebraElement(out)
-
     def scaled(self, factor: Complexish) -> "AlgebraElement":
         return AlgebraElement({g: factor * a for g, a in self.coeffs.items()})
 

@@ -3,13 +3,15 @@
 Every metric in this package depends on a state only through its coefficient
 function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
 ``coeff_rows`` is the one vectorised evaluator, on an int64 array of element
-rows (see ``groups``), and serves both ``coeff_array`` (the rows of a ball)
-and the ``pd_check`` Gram matrix (the rows g_i^-1 g_j, a block of i at a
-time).  The constant positive-definite function 1 and the characters of free
-abelian groups are evaluated in closed form.  The other four kinds have
-finitely supported coefficients and are stored as the table of them, built
-once and zero elsewhere, so a coefficient is one lookup (a dict for
-``coeff``, a sorted-key search for ``coeff_rows``):
+rows (see ``groups``), and serves ``coeff_array`` (the rows of a ball).  The
+constant positive-definite function 1 and the characters of free abelian
+groups are evaluated in closed form, and their ``pd_check`` Gram matrix takes
+``coeff_rows`` at every product g_i^-1 g_j, a block of rows i at a time.  The
+other four kinds have finitely supported coefficients and are stored as the
+table of them, built once and zero elsewhere, so a coefficient is one lookup
+(a dict for ``coeff``, a row-index search for ``coeff_rows``).  Their Gram
+matrix is scattered from the table instead: G[i, j] is nonzero only where
+g_j = g_i s for a key s, so each row i needs one lookup per key.  The kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -106,7 +108,8 @@ class FiniteState(StateRep):
         # no int64 row equals a key with a coordinate beyond int64, so such
         # keys (reachable only through coeff) are left out of the row lookup
         keys = [g for g in table if fits_rows(g)]
-        self._index = RowIndex(group.to_rows(keys))
+        self._rows = group.to_rows(keys)
+        self._index = RowIndex(self._rows)
         self._values = np.array([table[g] for g in keys], dtype=complex)
 
     def coeff(self, g: GroupElement) -> complex:
@@ -185,7 +188,7 @@ class DensityState(FiniteState):
 
 
 # ---------------------------------------------------------------------------
-# certificates
+# positivity check and kappa bounds
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -196,39 +199,69 @@ class PdCheckResult:
 
 
 _PD_MAX_BALL = 2000
-# most products g_i^-1 g_j per block of Gram rows
+# most products g_i^-1 g_j per block of Gram rows (closed-form kinds)
 _GRAM_PRODUCTS = 1 << 14
 
 
-def _gram(state: StateRep, ball: Ball) -> np.ndarray:
-    """G[i, j] = coeff(g_i^-1 g_j), filled a block of rows at a time from the ball's rows."""
+def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
+    """G[i, j] = coeff(g_i^-1 g_j) over the ball, and max |G - G^H|.
+
+    A finite table is scattered: g_i^-1 g_j = s_k exactly when g_j = g_i s_k,
+    so row i holds value_k at the ball index of each right translate g_i s_k
+    and 0 elsewhere.  For a fixed i distinct keys give distinct products, so
+    no entry is written twice, and |G - G^H| is nonzero only at the written
+    entries and their transposes.  (A product that wraps past int64 has a
+    coordinate of magnitude above 2^62 and so lies in no ball.)  A strict
+    table raises for the first unwritten entry in row-major order.  The
+    closed-form kinds have no zero entries; they take coeff_rows at every
+    product g_i^-1 g_j, a block of rows at a time.
+    """
     group = ball.group
     rows = ball.rows
-    inverses = group.inv_rows(rows)[:, None, :]
     n = len(ball)
+    if isinstance(state, FiniteState):
+        cols = ball.find_rows(group.mul_rows(rows[:, None, :], state._rows[None, :, :]))
+        i, k = np.nonzero(cols >= 0)
+        j = cols[i, k]
+        gram = np.zeros((n, n), dtype=complex)
+        gram[i, j] = state._values[k]
+        if not state.extend_zero and len(i) < n * n:
+            written = np.zeros((n, n), dtype=bool)
+            written[i, j] = True
+            a, b = divmod(int(np.flatnonzero(~written)[0]), n)
+            g = group.from_rows(group.mul_rows(group.inv_rows(rows[a]), rows[b]))[0]
+            raise StateError(f"element {g} is outside the state table")
+        asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
+        return gram, float(asymmetry)
+    inverses = group.inv_rows(rows)[:, None, :]
     gram = np.empty((n, n), dtype=complex)
     block = max(1, _GRAM_PRODUCTS // n)
     for i in range(0, n, block):
         gram[i:i + block] = state.coeff_rows(group.mul_rows(inverses[i:i + block], rows))
-    return gram
+    return gram, float(np.abs(gram - gram.conj().T).max())
 
 
 def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
-    """Positivity certificate: smallest eigenvalue of the Gram matrix over the ball.
+    """Floating-point positivity check of the Gram matrix over the ball.
 
-    Builds G[i, j] = coeff(g_i^-1 g_j) and passes iff the smallest eigenvalue
-    is >= -tol relative to the largest.
+    Builds G[i, j] = coeff(g_i^-1 g_j).  It passes iff G is Hermitian to
+    tol, max |G - G^H| <= tol * max(hi, 1), and the smallest eigenvalue lo of
+    the Hermitian part (G + G^H) / 2 (numpy's eigvalsh) is >= -tol * max(hi, 1),
+    hi being the largest.  It checks one truncation in floating point; it is
+    not a proof of positive definiteness.
     """
     n = len(ball)
     if n > _PD_MAX_BALL:
         raise ResourceError(
             f"Gram matrix would be {n} x {n}; the dense eigensolve is capped at "
             f"{_PD_MAX_BALL}")
-    gram = _gram(state, ball)
-    gram = (gram + gram.conj().T) / 2.0
+    gram, asymmetry = _gram(state, ball)
+    gram += gram.conj().T
+    gram /= 2.0
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    return PdCheckResult(lo >= -tol * max(hi, 1.0), lo, hi)
+    slack = tol * max(hi, 1.0)
+    return PdCheckResult(lo >= -slack and asymmetry <= slack, lo, hi)
 
 
 @dataclass

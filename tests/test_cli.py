@@ -188,6 +188,13 @@ class TestExitCodes:
                      "--state-b", trace, "--radius", "3", "--mode", "bracket"]) == 2
         assert capsys.readouterr().err.count("config error") == 3
 
+    @pytest.mark.parametrize("where", ["missing-dir", "directory"])
+    def test_unwritable_out_is_two(self, ball_config, tmp_path, capsys, where):
+        out = tmp_path / "missing" / "x.csv" if where == "missing-dir" else tmp_path
+        assert main(["ball", "--config", ball_config, "--out", str(out)]) == 2
+        assert "config error: --out" in capsys.readouterr().err
+        assert not (tmp_path / "missing").exists()
+
     def test_not_utf8_is_two(self, tmp_path, capsys):
         latin1 = tmp_path / "latin1.json"
         latin1.write_bytes(json.dumps({"group": Z_GROUP, "radius": 3, "note": "\u00e9"},

@@ -47,12 +47,6 @@ class TestAlgebraElement:
         a = AlgebraElement({GroupElement((0,)): 0.0, GroupElement((1,)): 2.0})
         assert a.support == [GroupElement((1,))]
 
-    def test_add(self):
-        a = AlgebraElement.lam(GroupElement((1,)), 1.0)
-        b = AlgebraElement.lam(GroupElement((1,)), -1.0) \
-            + AlgebraElement.lam(GroupElement((2,)), 3.0)
-        assert (a + b) == AlgebraElement.lam(GroupElement((2,)), 3.0)
-
     def test_scaled(self):
         a = AlgebraElement.lam(GroupElement((1,)), 2.0).scaled(1j)
         assert a.coeffs[GroupElement((1,))] == 2j
@@ -319,7 +313,9 @@ class TestSpectralSolver:
         rng = np.random.default_rng(19)
         ball = enumerate_ball(z2_group, 12)
         a = _random_element(rng, enumerate_ball(z2_group, 2))
-        b = a + _random_element(rng, enumerate_ball(z2_group, 2)).scaled(1e-2)
+        step = _random_element(rng, enumerate_ball(z2_group, 2)).scaled(1e-2)
+        b = AlgebraElement({g: a.coeffs.get(g, 0.0) + step.coeffs.get(g, 0.0)
+                            for g in {**a.coeffs, **step.coeffs}})
         _, _, v0, _, _ = _top_singular(commutator_matrix(a, ball).matrix.toarray(), 1e-12, 10_000)
         M = commutator_matrix(b, ball).matrix.toarray()
         exact = float(np.linalg.norm(M, 2))

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
-                            InfiniteDihedral, ProductZFinite)
+                            InfiniteDihedral, ProductZFinite, RowIndex)
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
                             TraceState, VectorState, _gram, kappa_bounds, pd_check,
@@ -74,7 +74,8 @@ def _state_and_formula(kind, group):
     if kind == "one":
         return OneState(group), None
     if kind == "character":
-        return CharacterState(group, [np.exp(1j * 0.7), np.exp(-1j * 1.1)]), None
+        z = [np.exp(1j * 0.7), np.exp(-1j * 1.1)][:group.rank]
+        return CharacterState(group, z), None
     if kind == "table":
         return TableState(group, {s: 0.5, group.inv(s): 0.5, t: 0.25j}), None
     if kind == "vector":
@@ -168,7 +169,7 @@ def test_gram_matches_double_loop(group_name, kind):
     phi, _ = _state_and_formula(kind, group)
     ball = enumerate_ball(group, min(radius, 3))
     expected = _gram_double_loop(phi, ball)
-    gram = _gram(phi, ball)
+    gram, _ = _gram(phi, ball)
     if kind == "character":  # vectorised phases may differ in the last bit
         assert np.allclose(gram, expected, rtol=0, atol=1e-15)
         return
@@ -176,6 +177,79 @@ def test_gram_matches_double_loop(group_name, kind):
     eigs = np.linalg.eigvalsh((expected + expected.conj().T) / 2.0)
     result = pd_check(phi, ball)
     assert (result.min_eigenvalue, result.max_eigenvalue) == (eigs[0], eigs[-1])
+
+
+# balls of 60-120 elements, and a generating set without a closed form
+_SCATTER_BALLS = {
+    "z2": (lambda: FreeAbelian(2), 7),
+    "zxs3": (lambda: ProductZFinite(FiniteGroupTable.symmetric(3)), 5),
+    "dihedral": (InfiniteDihedral, 30),
+    "z-2-3": (lambda: FreeAbelian(1, [GroupElement((k,)) for k in (2, -2, 3, -3)]), 12),
+}
+
+
+@pytest.mark.parametrize("group_name,kind", [
+    (group_name, kind) for group_name in _SCATTER_BALLS for kind in _KINDS
+    if kind != "character" or group_name in ("z2", "z-2-3")])
+def test_scattered_gram_matches_double_loop(group_name, kind):
+    make, radius = _SCATTER_BALLS[group_name]
+    group = make()
+    phi, _ = _state_and_formula(kind, group)
+    ball = enumerate_ball(group, radius)
+    assert 60 <= len(ball) <= 120
+    expected = _gram_double_loop(phi, ball)
+    gram, asymmetry = _gram(phi, ball)
+    if kind == "character":  # vectorised phases of up to 20 radians differ in the last bits
+        assert np.allclose(gram, expected, rtol=0, atol=1e-12)
+        assert asymmetry <= 1e-12
+        return
+    assert np.array_equal(gram, expected)
+    assert asymmetry == np.abs(expected - expected.conj().T).max()
+
+
+@pytest.mark.parametrize("group,radius", [
+    (FreeAbelian(1), 6), (FreeAbelian(2), 4), (InfiniteDihedral(), 5)],
+    ids=["z", "z2", "dihedral"])
+def test_strict_gram_names_the_double_loops_element(group, radius):
+    # the table holds a larger ball, so the first missing product lies past row 0
+    table = enumerate_ball(group, radius + 1).elements[1:]
+    phi = TableState(group, {g: 0.5 for g in table}, extend_zero=False)
+    ball = enumerate_ball(group, radius)
+    assert np.array_equal(phi.coeff_array(ball)[1:], np.full(len(ball) - 1, 0.5))
+    with pytest.raises(StateError) as expected:
+        _gram_double_loop(phi, ball)
+    with pytest.raises(StateError) as got:
+        _gram(phi, ball)
+    assert str(got.value) == str(expected.value)
+
+
+@pytest.mark.parametrize("group", [FreeAbelian(1), InfiniteDihedral()], ids=["z", "dihedral"])
+def test_gram_of_far_table_keys_matches_double_loop(group):
+    f = group.identity.f
+    big = 2 ** 63 - 1
+    keys = [(10 ** 12,), (-10 ** 12,), (big,), (-big - 1,), (2 ** 70,), (1,), (-1,)]
+    values = [0.5, 0.5, 0.25j, -0.25j, 0.5, 0.125, 0.125]
+    phi = TableState(group, {GroupElement(z, f): v for z, v in zip(keys, values)})
+    ball = enumerate_ball(group, 5)
+    gram, _ = _gram(phi, ball)
+    assert np.array_equal(gram, _gram_double_loop(phi, ball))
+
+
+def test_gram_of_a_table_looks_up_one_row_per_key(z_group, monkeypatch):
+    phi = VectorState(z_group, {GroupElement((0,)): 0.6, GroupElement((1,)): 0.48j,
+                                GroupElement((3,)): 0.64})
+    ball = enumerate_ball(z_group, 150)
+    queried = []
+    find = RowIndex.find
+
+    def counting_find(index, rows):
+        queried.append(rows.size // rows.shape[-1])
+        return find(index, rows)
+
+    monkeypatch.setattr(RowIndex, "find", counting_find)
+    _gram(phi, ball)
+    assert len(ball) == 301
+    assert 0 < sum(queried) <= len(ball) * len(phi.table)
 
 
 class TestTableState:
@@ -288,6 +362,17 @@ class TestPdCheck:
         result = pd_check(phi, enumerate_ball(z_group, 3))
         assert not result.passed
         assert result.min_eigenvalue < -0.5
+
+    @pytest.mark.parametrize("entries", [
+        {GroupElement((1,)): 0.5j, GroupElement((-1,)): 0.5j},
+        {GroupElement((1,)): 0.9},
+    ], ids=["imaginary-pair", "one-sided"])
+    def test_non_hermitian_table_fails(self, z_group, entries):
+        # phi(g^-1) != conj(phi(g)): the Hermitian part of G is positive
+        # definite, but G itself is not Hermitian
+        result = pd_check(TableState(z_group, entries), enumerate_ball(z_group, 5))
+        assert not result.passed
+        assert result.min_eigenvalue > 0.05
 
     def test_cap(self, z2_group):
         phi = TraceState(z2_group)
