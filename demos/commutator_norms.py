@@ -35,6 +35,18 @@ for radius in (20, 30):
           f"({est.iterations} operator applications, residual {est.residual:.1e}, "
           f"converged={est.converged})")
 
+print("\na near-degenerate top pair: three terms on the dihedral ball of radius 300")
+d = InfiniteDihedral()
+a = AlgebraElement({
+    GroupElement((-1,), 1): -0.5155306326790123 - 0.7092745585811214j,
+    GroupElement((-1,), 0): 0.6176283000741665 + 0.30659595328459655j,
+    GroupElement((-4,), 0): 0.5433183617864255 - 0.6929862307320092j})
+ball = enumerate_ball(d, 300)
+est = norm_lower(commutator_matrix(a, ball), tol=1e-12)
+print(f"  {len(ball)} elements: sigma = {est.value:.12f} "
+      f"({est.iterations} operator applications, residual {est.residual:.1e}, "
+      f"converged={est.converged})")
+
 print("\na = lam_1 + lam_2 on Z: certified bracket around the true norm")
 a = AlgebraElement({GroupElement((1,)): 1.0, GroupElement((2,)): 1.0})
 ball = enumerate_ball(z, 50)
@@ -46,7 +58,6 @@ print(f"  truncated norm at r=50      = {sigma.value:.6f}")
 print(f"  upper sum |a_g| L           = {hi:.6f}")
 
 print("\nnon-abelian case: a = lam_t + lam_s on the infinite dihedral group")
-d = InfiniteDihedral()
 a = AlgebraElement({GroupElement((1,), 0): 1.0, GroupElement((0,), 1): 1.0})
 for radius in (8, 16, 32):
     ball = enumerate_ball(d, radius)

@@ -23,3 +23,11 @@ class StateError(QmetricError):
 
 class ConfigError(QmetricError):
     """Invalid experiment configuration or JSON specification."""
+
+
+def check_fields(spec: dict, allowed: frozenset, where: str) -> None:
+    """Refuse a JSON object with a field outside allowed, so a misspelt field is not ignored."""
+    unknown = sorted(str(key) for key in spec.keys() - allowed)
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}; "
+                          f"expected one of {', '.join(sorted(allowed))}")

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError
+from .errors import ConfigError, check_fields
 from .groups import Group, decode_element, group_from_json
 from .metrics import connes_bracket, connes_heuristic, d_2
 from .opalgebra import AlgebraElement
@@ -109,6 +109,28 @@ def _load_spec(value, what: str):
     return load_json(value, what) if isinstance(value, str) else value
 
 
+# the fields each experiment's config may hold; any other field is a ConfigError
+_CONFIG_FIELDS = {
+    "ball": frozenset({"group", "radius"}),
+    "growth": frozenset({"group", "radius"}),
+    "summable": frozenset({"group", "radius", "require_exceeds"}),
+    "dist": frozenset({"group", "state_a", "state_b", "radius", "mode", "trunc",
+                       "support_radius"}),
+    "sandwich": frozenset({"group", "states", "radius", "trunc", "support_radius"}),
+    "converge": frozenset({"group", "limit_state", "sequence", "radius", "epsilon"}),
+    "kappa": frozenset({"group", "states", "radius"}),
+}
+_SEQUENCE_FIELDS = {
+    "character_inverse_n": frozenset({"kind", "n_max"}),
+    "density_inverse_n": frozenset({"kind", "n_max", "base_element", "step_element"}),
+    "explicit": frozenset({"kind", "states"}),
+}
+
+
+def _check_config(config: dict, experiment: str) -> None:
+    check_fields(config, _CONFIG_FIELDS[experiment], f"{experiment} config")
+
+
 def _require(config: dict, key: str):
     if key not in config:
         raise ConfigError(f"missing required config field {key!r}")
@@ -155,6 +177,7 @@ def _get_states(config: dict, group: Group) -> list[tuple[str, StateRep]]:
     for k, item in enumerate(raw):
         label, spec = f"state{k}", item
         if isinstance(item, dict) and "state" in item:
+            check_fields(item, frozenset({"label", "state"}), f"states[{k}]")
             label, spec = item.get("label", label), item["state"]
             # labels are CSV cells, and "|" joins the two labels of a pair
             if not isinstance(label, str) or any(c in label for c in ",|\r\n"):
@@ -192,6 +215,7 @@ def _ball_rows(ball: Ball) -> list[list]:
 
 
 def run_ball(config: dict) -> Report:
+    _check_config(config, "ball")
     group = _get_group(config)
     rows = _ball_rows(enumerate_ball(group, _get_positive_int(config)))
     return Report("ball",
@@ -201,6 +225,7 @@ def run_ball(config: dict) -> Report:
 
 
 def run_growth(config: dict) -> Report:
+    _check_config(config, "growth")
     group = _get_group(config)
     radius = _get_positive_int(config)
     if radius < 3:
@@ -218,6 +243,7 @@ def run_growth(config: dict) -> Report:
 
 
 def run_summable(config: dict) -> Report:
+    _check_config(config, "summable")
     group = _get_group(config)
     ball = enumerate_ball(group, _get_positive_int(config))
     partial, tail = square_sum_evidence(ball)
@@ -245,6 +271,7 @@ def _dist_row(group: Group, phi: StateRep, psi: StateRep, radius: int,
 
 
 def run_dist(config: dict) -> Report:
+    _check_config(config, "dist")
     group = _get_group(config)
     phi = state_from_json(group, _load_spec(_require(config, "state_a"), "state_a"))
     psi = state_from_json(group, _load_spec(_require(config, "state_b"), "state_b"))
@@ -264,6 +291,7 @@ def run_dist(config: dict) -> Report:
 
 
 def run_sandwich(config: dict) -> Report:
+    _check_config(config, "sandwich")
     group = _get_group(config)
     states = _get_states(config, group)
     radius = _get_positive_int(config)
@@ -299,6 +327,9 @@ def _sequence_states(config: dict, group: Group) -> list[tuple[int, StateRep]]:
     if not isinstance(seq, dict) or "kind" not in seq:
         raise ConfigError("sequence: must be an object with a 'kind'")
     kind = seq["kind"]
+    if not isinstance(kind, str) or kind not in _SEQUENCE_FIELDS:
+        raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    check_fields(seq, _SEQUENCE_FIELDS[kind], "sequence")
     if kind == "character_inverse_n":
         n_max = _get_positive_int(seq, "n_max", 50)
         if group.family != "free_abelian":
@@ -312,16 +343,16 @@ def _sequence_states(config: dict, group: Group) -> list[tuple[int, StateRep]]:
         return [(n, DensityState(group, AlgebraElement({base_el: 1.0,
                                                         step_el: 1.0 / n})))
                 for n in range(1, n_max + 1)]
-    if kind == "explicit":
-        states = seq.get("states")
-        if not isinstance(states, list) or not states:
-            raise ConfigError("sequence.states: must be a non-empty list")
-        return [(n + 1, state_from_json(group, _load_spec(s, f"sequence.states[{n}]")))
-                for n, s in enumerate(states)]
-    raise ConfigError(f"sequence.kind: unknown kind {kind!r}")
+    # kind == "explicit"
+    states = seq.get("states")
+    if not isinstance(states, list) or not states:
+        raise ConfigError("sequence.states: must be a non-empty list")
+    return [(n + 1, state_from_json(group, _load_spec(s, f"sequence.states[{n}]")))
+            for n, s in enumerate(states)]
 
 
 def run_converge(config: dict) -> Report:
+    _check_config(config, "converge")
     group = _get_group(config)
     limit = state_from_json(group, _load_spec(_require(config, "limit_state"),
                                               "limit_state"))
@@ -347,6 +378,7 @@ def run_converge(config: dict) -> Report:
 
 
 def run_kappa(config: dict) -> Report:
+    _check_config(config, "kappa")
     group = _get_group(config)
     states = _get_states(config, group)
     radius = _get_positive_int(config)

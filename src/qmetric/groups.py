@@ -37,7 +37,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, GroupError
+from .errors import ConfigError, GroupError, check_fields
 
 
 class GroupElement(NamedTuple):
@@ -459,11 +459,21 @@ def encode_element(group: Group, el: GroupElement) -> list[int]:
     return [el.z[0], el.f]
 
 
+_GROUP_FIELDS = {
+    "free_abelian": frozenset({"family", "rank", "generators"}),
+    "product_z_finite": frozenset({"family", "finite", "generators"}),
+    "infinite_dihedral": frozenset({"family", "generators"}),
+}
+
+
 def group_from_json(data) -> Group:
     """Build a group from its parsed JSON specification (a dict, as json.load returns)."""
     if not isinstance(data, dict):
         raise ConfigError("group spec must be a JSON object")
     family = data.get("family")
+    if not isinstance(family, str) or family not in _GROUP_FIELDS:
+        raise ConfigError(f"unknown group family {family!r}")
+    check_fields(data, _GROUP_FIELDS[family], family)
     if family == "free_abelian":
         rank = data.get("rank", 1)
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
@@ -473,6 +483,7 @@ def group_from_json(data) -> Group:
         fin = data.get("finite")
         if not isinstance(fin, dict) or ("name" in fin) == ("table" in fin):
             raise ConfigError("product_z_finite: 'finite' must give a 'name' or a 'table'")
+        check_fields(fin, frozenset({"name", "table", "order"}), "finite")
         try:
             finite = (builtin_finite_table(fin["name"]) if "name" in fin
                       else FiniteGroupTable.from_table(fin["table"]))
@@ -483,10 +494,8 @@ def group_from_json(data) -> Group:
             raise ConfigError(f"finite.order: {order!r} is not the order {finite.order} "
                               f"of the finite group")
         build = functools.partial(ProductZFinite, finite)
-    elif family == "infinite_dihedral":
-        build = InfiniteDihedral
     else:
-        raise ConfigError(f"unknown group family {family!r}")
+        build = InfiniteDihedral
     group = build()
     if "generators" in data:
         gens = data["generators"]

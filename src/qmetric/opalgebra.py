@@ -172,13 +172,21 @@ class NormEstimate:
 
 
 _DENSE_CUTOFF = 600
-_LANCZOS_BASIS = 24   # Lanczos vectors held before a restart
-_LANCZOS_KEEP = 10    # Ritz vectors kept at each thick restart
+# Lanczos vectors held before a restart, and Ritz vectors kept at each thick
+# restart.  The dihedral commutators of the norms benchmark (1200 columns) have
+# their top pair of M^H M split by 1e-6 to 1e-8 relative; 24/10 restarted too
+# often to resolve it.  Over the 60 seed-1 norms operators 32/12 takes 19,067
+# applications of M^H M against 25,687 for 24/10; the hardest dihedral
+# commutator takes 2,212 against 3,958 and the hardest density 3,272 against 5,260.
+_LANCZOS_BASIS = 32
+_LANCZOS_KEEP = 12
 _LANCZOS_SEED = 0     # seed of the random start vector
 # below this many columns LAPACK costs no more than Lanczos from a warm start
-# (0.5 against 1.4 ms at 41 columns, 2.0 against 1.8 ms at 81; 3.3 against
-# 1.8 ms at 101 and 14 against 2.7 ms at 181, one BLAS thread)
-_WARM_MIN = 100
+# (LAPACK against Lanczos from the top vector of a commutator on Z whose
+# coefficients moved by 1e-2, one BLAS thread: 0.22 against 0.71 ms at 41
+# columns, 0.76 against 0.84 ms at 71, 1.57 against 1.44 ms at 81, 2.6
+# against 1.6 ms at 101 and 12 against 3.1 ms at 181)
+_WARM_MIN = 80
 
 
 def _top_singular(matrix, tol: float, max_iter: int, start=None):
@@ -186,17 +194,18 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
 
     Up to _DENSE_CUTOFF columns, LAPACK diagonalises M^H M.  Above it, a
     thick-restart Lanczos iteration on M^H M (Wu and Simon, SIAM J. Matrix
-    Anal. Appl. 22, 2000) runs from a seeded random start, with the whole
-    basis reorthogonalised twice at every step.  It stops when the Ritz
-    residual beta_m |s_m| of the largest Ritz value theta is at most
-    tol * theta, when the Krylov space closes (beta <= tol * max diag(T),
-    where every Ritz residual is at most beta), or after max_iter
+    Anal. Appl. 22, 2000) runs from a seeded random start: a three-term
+    recurrence with one full reorthogonalisation pass per step, and a second
+    pass only where the DGKS test asks for one (see _lanczos_top).  It stops
+    when the Ritz residual beta_m |s_m| of the largest Ritz value theta is
+    at most tol * theta, when the Krylov space closes (beta <= tol * max
+    diag(T), where every Ritz residual is at most beta), or after max_iter
     applications of M^H M.
 
     A nonzero start vector sends every size from _WARM_MIN columns up to
     Lanczos from that vector: callers that evaluate a slowly varying family
     of operators (the ratio ascent of metrics.connes_heuristic) pass the
-    previous top vector, from which one basis of Lanczos (24 applications
+    previous top vector, from which one basis of Lanczos (32 applications
     of M^H M) usually replaces a full LAPACK solve.
 
     Returns (sigma, u, v, converged, iterations) where v is a unit vector,
@@ -227,7 +236,14 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
 def _lanczos_top(M, tol: float, max_iter: int, start=None):
     """Top eigenvector of M^H M by thick-restart Lanczos: (v, converged, applications).
 
-    The iteration starts from `start`, or from a seeded random vector.
+    The iteration starts from `start`, or from a seeded random vector.  The
+    first step after a start or a thick restart couples to every kept Ritz
+    vector, so its w is orthogonalised against the whole basis twice.  Every
+    later step subtracts the three-term recurrence alpha_j v_j + beta_{j-1}
+    v_{j-1}, then runs one classical Gram-Schmidt pass against the basis and
+    a second one only when the first removed more than half of |w|^2 (the
+    test of Daniel, Gragg, Kaufman and Stewart, Math. Comp. 30, 1976, with
+    eta = 1/sqrt 2).
     """
     n = M.shape[1]
     Mt = M.T  # a view: M^H y is conj(M^T conj(y)), so no conjugate copy of M is stored
@@ -239,22 +255,34 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
         V[0] = x[0] + 1j * x[1]
     else:
         V[0] = start
-    V[0] /= np.linalg.norm(V[0])
+    V[0] /= np.sqrt(np.vdot(V[0], V[0]).real)
     j0 = applications = 0
+    diag_max = 0.0  # the largest diagonal entry of T[:size, :size]
     while True:
         for j in range(j0, m):
             w = np.conj(Mt @ np.conj(M @ V[j]))
             applications += 1
+            if j > j0:
+                alpha = np.vdot(V[j], w).real
+                w -= alpha * V[j]
+                w -= T[j, j - 1] * V[j - 1]
+                T[j, j] += alpha
             basis = V[:j + 1]
+            norm2 = np.vdot(w, w).real
             for _ in range(2):
+                before = norm2
                 # basis^H w without a conjugated copy of the basis
                 step = np.conj(basis @ np.conj(w))
                 w -= step @ basis
                 T[j, j] += step[j].real
-            beta = float(np.linalg.norm(w))
+                norm2 = np.vdot(w, w).real
+                if j > j0 and norm2 >= 0.5 * before:
+                    break
+            beta = float(np.sqrt(norm2))
             size = j + 1
+            diag_max = max(diag_max, T[j, j])
             # the Krylov space has closed: every Ritz residual is at most beta
-            closed = beta <= tol * np.max(np.diag(T)[:size])
+            closed = beta <= tol * diag_max
             if closed or applications >= max_iter:
                 break
             T[j + 1, j] = T[j, j + 1] = beta
@@ -270,6 +298,7 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
         T[np.arange(k), np.arange(k)] = theta[-k:]
         T[k, :k] = T[:k, k] = beta * S[-1, -k:]
         j0 = k
+        diag_max = theta[-1]
 
 
 def norm_lower(T: TruncatedOperator, tol: float = 1e-9,

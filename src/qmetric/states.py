@@ -28,7 +28,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResourceError, StateError
+from .errors import ConfigError, ResourceError, StateError, check_fields
 from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element, fits_rows
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
@@ -298,9 +298,14 @@ def _decode_real(value, where: str) -> float:
     return x
 
 
-def _decode_complex(obj, where: str) -> complex:
+_COMPLEX_FIELDS = frozenset({"re", "im"})
+_WEIGHTED_FIELDS = frozenset({"element", "re", "im"})
+
+
+def _decode_complex(obj, where: str, fields: frozenset) -> complex:
     if not isinstance(obj, dict) or "re" not in obj:
         raise ConfigError(f"{where}: expected an object with 're' and 'im'")
+    check_fields(obj, fields, where)
     return complex(_decode_real(obj["re"], f"{where}.re"),
                    _decode_real(obj.get("im", 0.0), f"{where}.im"))
 
@@ -313,7 +318,7 @@ def _decode_weighted(group: Group, items, where: str) -> dict[GroupElement, comp
         if not isinstance(item, dict) or "element" not in item:
             raise ConfigError(f"{where}[{k}]: expected an object with 'element'")
         el = decode_element(group, item["element"])
-        out[el] = out.get(el, 0.0) + _decode_complex(item, f"{where}[{k}]")
+        out[el] = out.get(el, 0.0) + _decode_complex(item, f"{where}[{k}]", _WEIGHTED_FIELDS)
         if not np.isfinite(out[el]):
             raise ConfigError(f"{where}[{k}]: the coefficients of {el} overflow")
     return out
@@ -324,11 +329,24 @@ def algebra_element_from_json(group: Group, items,
     return AlgebraElement(_decode_weighted(group, items, where))
 
 
+_STATE_FIELDS = {
+    "trace": frozenset({"kind"}),
+    "one": frozenset({"kind"}),
+    "character": frozenset({"kind", "z"}),
+    "vector": frozenset({"kind", "support"}),
+    "density": frozenset({"kind", "b"}),
+    "table": frozenset({"kind", "entries", "extend_zero"}),
+}
+
+
 def state_from_json(group: Group, data) -> StateRep:
     """Build a state from its parsed JSON specification (a dict, as json.load returns)."""
     if not isinstance(data, dict):
         raise ConfigError("state spec must be a JSON object")
     kind = data.get("kind")
+    if not isinstance(kind, str) or kind not in _STATE_FIELDS:
+        raise ConfigError(f"unknown state kind {kind!r}")
+    check_fields(data, _STATE_FIELDS[kind], kind)
     try:
         if kind == "trace":
             return TraceState(group)
@@ -337,19 +355,19 @@ def state_from_json(group: Group, data) -> StateRep:
         if kind == "character":
             if not isinstance(data.get("z"), list):
                 raise ConfigError("character: 'z' must be a list of {re, im} objects")
-            z = [_decode_complex(item, f"z[{k}]") for k, item in enumerate(data["z"])]
+            z = [_decode_complex(item, f"z[{k}]", _COMPLEX_FIELDS)
+                 for k, item in enumerate(data["z"])]
             return CharacterState(group, z)
         if kind == "vector":
             return VectorState(group, _decode_weighted(group, data.get("support"), "support"))
         if kind == "density":
             return DensityState(group, algebra_element_from_json(group, data.get("b"), "b"))
-        if kind == "table":
-            entries = _decode_weighted(group, data.get("entries"), "entries")
-            extend_zero = data.get("extend_zero", True)
-            if not isinstance(extend_zero, bool):
-                raise ConfigError(f"table: 'extend_zero' must be true or false, "
-                                  f"got {extend_zero!r}")
-            return TableState(group, entries, extend_zero)
+        # kind == "table"
+        entries = _decode_weighted(group, data.get("entries"), "entries")
+        extend_zero = data.get("extend_zero", True)
+        if not isinstance(extend_zero, bool):
+            raise ConfigError(f"table: 'extend_zero' must be true or false, "
+                              f"got {extend_zero!r}")
+        return TableState(group, entries, extend_zero)
     except StateError as exc:
         raise ConfigError(str(exc)) from exc
-    raise ConfigError(f"unknown state kind {kind!r}")

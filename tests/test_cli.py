@@ -50,6 +50,53 @@ def _table_ball(table):
             "radius": 3}
 
 
+_DIST_BASE = {"group": Z_GROUP, "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
+              "radius": 5, "mode": "bracket"}
+_SEQUENCE = {"kind": "character_inverse_n", "n_max": 3}
+_CONVERGE_BASE = {"group": Z_GROUP, "radius": 5, "epsilon": 0.5,
+                  "limit_state": {"kind": "trace"}, "sequence": _SEQUENCE}
+_S3 = {"family": "product_z_finite", "finite": {"name": "s3"}}
+
+# valid configs with one misspelt or foreign field, at every level of a config
+MISSPELT = [
+    ("ball", "ball", {"group": Z_GROUP, "radius": 3, "raduis": 4}),
+    ("growth", "growth", {"group": Z_GROUP, "radius": 3, "radii": [3, 4]}),
+    ("summable", "summable", {"group": Z_GROUP, "radius": 10, "require_exceed": 100.0}),
+    ("dist", "dist", {**_DIST_BASE, "trunc": 4, "support_raduis": 2}),
+    ("sandwich", "sandwich", {"group": Z_GROUP, "radius": 5, "trunc": 4, "suport_radius": 2,
+                              "states": [{"kind": "trace"}, {"kind": "one"}]}),
+    ("converge", "converge", {**_CONVERGE_BASE, "epsilon_": 0.1}),
+    ("kappa", "kappa", {"group": Z_GROUP, "radius": 5, "states": [DENSITY_01],
+                        "state_c": DENSITY_02}),
+    ("dihedral-rank", "ball", {"group": {"family": "infinite_dihedral", "rank": 5},
+                               "radius": 3}),
+    ("free-abelian-generator", "ball", {"group": {**Z_GROUP, "generator": [[1]]},
+                                        "radius": 3}),
+    ("product-rank", "ball", {"group": {**_S3, "rank": 2}, "radius": 3}),
+    ("finite-ordr", "ball", {"group": {**_S3, "finite": {"name": "s3", "ordr": 6}},
+                             "radius": 3}),
+    ("trace-z", "dist", {**_DIST_BASE, "state_a": {"kind": "trace", "z": []}}),
+    ("one-extend-zero", "dist", {**_DIST_BASE, "state_b": {"kind": "one",
+                                                           "extend_zero": True}}),
+    ("character-angle", "dist", {**_DIST_BASE, "state_b": {
+        "kind": "character", "z": [{"re": -1.0}], "angle": 3.14}}),
+    ("vector-entries", "dist", {**_DIST_BASE, "state_b": {
+        "kind": "vector", "support": [{"element": [0], "re": 1.0}], "entries": []}}),
+    ("density-support", "dist", {**_DIST_BASE, "state_b": {**DENSITY_01, "support": []}}),
+    ("table-extend-zeros", "dist", {**_DIST_BASE, "state_b": {
+        "kind": "table", "extend_zeros": False, "entries": [{"element": [1], "re": 0.5}]}}),
+    ("item-img", "dist", _table_dist({"element": [1], "re": 0.5, "img": 0.1})),
+    ("z-imag", "dist", {**_DIST_BASE, "state_b": {
+        "kind": "character", "z": [{"re": -1.0, "imag": 0.0}]}}),
+    ("states-item-lable", "sandwich", {
+        "group": Z_GROUP, "radius": 5, "trunc": 4, "support_radius": 2,
+        "states": [{"label": "a", "lable": "b", "state": {"kind": "trace"}}, {"kind": "one"}]}),
+    ("sequence-nmax", "converge", {**_CONVERGE_BASE, "sequence": {**_SEQUENCE, "nmax": 5}}),
+    ("sequence-explicit-n-max", "converge", {**_CONVERGE_BASE, "sequence": {
+        "kind": "explicit", "states": [{"kind": "one"}], "n_max": 1}}),
+]
+
+
 class TestExitCodes:
     def test_pass_is_zero(self, ball_config, tmp_path):
         assert main(["ball", "--config", ball_config,
@@ -165,6 +212,8 @@ class TestExitCodes:
           for name, label in [("comma", "a,b"), ("pipe", "a|b"), ("lf", "c\nd"),
                               ("cr", "c\rd"), ("list", ["x"]), ("number", 5)]],
         pytest.param("ball", "[" * 100000 + "]" * 100000, id="json-nested-too-deep"),
+        *[pytest.param(experiment, payload, id=f"misspelt-{name}")
+          for name, experiment, payload in MISSPELT],
     ])
     def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
         # a str payload is written verbatim, for JSON that json.dumps cannot produce
@@ -424,12 +473,15 @@ def _nested(inner):
 _JSON_VALUE = _nested(_nested(_SCALAR))  # nested at most two deep
 
 
+def _at(config, path):
+    for key in path:
+        config = config[key]
+    return config
+
+
 def _replaced(config, path, value):
     config = json.loads(json.dumps(config))
-    parent = config
-    for key in path[:-1]:
-        parent = parent[key]
-    parent[path[-1]] = value
+    _at(config, path[:-1])[path[-1]] = value
     return config
 
 
@@ -444,3 +496,30 @@ def test_fuzzed_field_never_escapes_main(field, value):
         config_path = write_json(Path(root) / "config.json", _replaced(config, path, value))
         argv = [experiment, "--config", config_path, "--out", str(Path(root) / "out")]
         assert main(argv) in (0, 1, 2, 3)
+
+
+def _objects(value, path=()):
+    """The path of every JSON object in a parsed config, the config itself first."""
+    if isinstance(value, dict):
+        yield path
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield from _objects(child, path + (key,))
+
+
+# each field of each object of the fuzz bases, repeated under its name less the last letter
+MISSPELT_FIELDS = [(experiment, config, path, key) for experiment, config in FUZZ_BASES
+                   for path in _objects(config) for key in _at(config, path)]
+
+
+@pytest.mark.parametrize("experiment,config,path,key", MISSPELT_FIELDS,
+                         ids=[f"{e}-{'.'.join(map(str, p))}-{k}"
+                              for e, _, p, k in MISSPELT_FIELDS])
+def test_misspelt_field_is_two(experiment, config, path, key, tmp_path, capsys):
+    config = json.loads(json.dumps(config))
+    target = _at(config, path)
+    assert key[:-1] not in target
+    target[key[:-1]] = target[key]
+    assert main([experiment, "--config", write_json(tmp_path / "c.json", config)]) == 2
+    assert f"unknown field {key[:-1]!r}" in capsys.readouterr().err

@@ -10,6 +10,7 @@ import scipy.sparse as sp
 
 import qmetric
 from qmetric.errors import BallRadiusError, GroupError
+from qmetric.states import DensityState, kappa_bounds
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import (_DENSE_CUTOFF, _LANCZOS_BASIS, _WARM_MIN, AlgebraElement,
@@ -268,6 +269,34 @@ class TestSpectralSolver:
         # converged: the Ritz residual bound met 1e-12 theta; the recomputed
         # residual may exceed it by rounding only
         assert est.residual <= 2e-12 * exact ** 2
+
+    def test_near_degenerate_dihedral_commutator(self):
+        # the top pair of M^H M is split by 1.9e-6 relative: one of the slowest
+        # commutators for a restarted Lanczos iteration
+        ball = enumerate_ball(InfiniteDihedral(), 300)
+        assert len(ball) == 1200
+        a = AlgebraElement({
+            GroupElement((-1,), 1): -0.5155306326790123 - 0.7092745585811214j,
+            GroupElement((-1,), 0): 0.6176283000741665 + 0.30659595328459655j,
+            GroupElement((-4,), 0): 0.5433183617864255 - 0.6929862307320092j})
+        T = commutator_matrix(a, ball)
+        est = norm_lower(T, tol=1e-12)
+        exact = float(np.linalg.norm(T.matrix.toarray(), 2))
+        assert est.converged
+        assert abs(est.value - exact) <= 1e-12 * exact
+        assert est.residual <= 2e-12 * exact ** 2
+
+    def test_near_degenerate_dihedral_kappa(self):
+        # the convolution operator of this density needs thousands of
+        # applications of M^H M at the default tolerance
+        ball = enumerate_ball(InfiniteDihedral(), 300)
+        b = AlgebraElement({
+            GroupElement((2,), 0): -0.01198199730249736 + 0.17961091421553885j,
+            GroupElement((0,), 1): -0.05505017341003221 - 0.03616196505164676j,
+            GroupElement((1,), 1): -0.04162229949038131 + 0.042762536529936564j})
+        state = DensityState(InfiniteDihedral(), b)
+        exact = float(np.linalg.norm(op_matrix(state.rho, ball).matrix.toarray(), 2))
+        assert abs(kappa_bounds(state, ball).kappa_lower - exact ** 2) <= 1e-9 * exact ** 2
 
     def test_single_unitary_closes_the_krylov_space(self):
         # M^H M of one lam_g is diagonal with a few distinct values: the
