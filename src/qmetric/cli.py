@@ -21,44 +21,11 @@ def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="qmetric",
         description="State-space metric experiments on reduced group C*-algebras.")
-    sub = parser.add_subparsers(dest="experiment", required=True)
-    for name in RUNNERS:
-        p = sub.add_parser(name, help=f"run the {name} experiment")
-        p.add_argument("--config", help="JSON config file")
-        p.add_argument("--out", help="output path (default: stdout)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        if name == "dist":
-            p.add_argument("--group", help="group spec file")
-            p.add_argument("--state-a", help="first state spec file")
-            p.add_argument("--state-b", help="second state spec file")
-            p.add_argument("--radius", type=int, help="metric ball radius")
-            p.add_argument("--trunc", type=int,
-                           help="commutator truncation radius (heuristic modes)")
-            p.add_argument("--mode", choices=("bracket", "heuristic", "both"),
-                           default="both")
+    parser.add_argument("experiment", choices=RUNNERS, help="the experiment to run")
+    parser.add_argument("--config", required=True, help="JSON config file")
+    parser.add_argument("--out", help="output path (default: stdout)")
+    parser.add_argument("--format", choices=("csv", "json"), default="csv")
     return parser
-
-
-def _load_config(args) -> dict:
-    if args.config is not None:
-        config = load_json(args.config, "config")
-        if not isinstance(config, dict):
-            raise ConfigError("config must be a JSON object")
-        return config
-    if args.experiment == "dist":
-        flags = [("--group", args.group), ("--state-a", args.state_a),
-                 ("--state-b", args.state_b), ("--radius", args.radius)]
-        if args.mode != "bracket":
-            flags.append(("--trunc", args.trunc))
-        missing = [flag for flag, value in flags if value is None]
-        if missing:
-            raise ConfigError(f"dist without --config requires {', '.join(missing)}")
-        config = {"group": args.group, "state_a": args.state_a,
-                  "state_b": args.state_b, "radius": args.radius, "mode": args.mode}
-        if args.trunc is not None:
-            config["trunc"] = args.trunc
-        return config
-    raise ConfigError(f"{args.experiment} requires --config")
 
 
 def _emit(report: Report, out: Optional[str], fmt: str) -> None:
@@ -75,10 +42,11 @@ def _emit(report: Report, out: Optional[str], fmt: str) -> None:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        config = _load_config(args)
+        config = load_json(args.config, "config")
+        if not isinstance(config, dict):
+            raise ConfigError("config must be a JSON object")
         report = RUNNERS[args.experiment](config)
         _emit(report, args.out, args.format)
     except ResourceError as exc:

@@ -9,6 +9,7 @@ reports.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -38,15 +39,11 @@ class Report:
     passed: bool = True
 
     def _cell(self, value) -> str:
+        value = self._plain(value)
         if value is None:
             return ""
-        if isinstance(value, (bool, np.bool_)):
+        if isinstance(value, bool):
             return "true" if value else "false"
-        if isinstance(value, (float, np.floating)):
-            value = float(value)
-            return "inf" if math.isinf(value) else repr(value)
-        if isinstance(value, np.integer):
-            return str(int(value))
         return str(value)
 
     def to_csv(self) -> str:
@@ -258,18 +255,6 @@ def run_summable(config: dict) -> Report:
                   rows, meta, passed)
 
 
-def _dist_row(group: Group, phi: StateRep, psi: StateRep, radius: int,
-              trunc: int, mode: str, support_radius: int):
-    bracket = connes_bracket(phi, psi, enumerate_ball(group, radius))
-    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
-    heuristic = drift = None
-    if mode in ("heuristic", "both"):
-        result = connes_heuristic(phi, psi, group, support_radius, trunc)
-        heuristic, drift = result.estimate, result.sigma_drift
-    return [lower.lo, lower.hi, upper.lo, upper.hi, bracket.lo, bracket.hi,
-            heuristic, drift, radius, trunc]
-
-
 def run_dist(config: dict) -> Report:
     _check_config(config, "dist")
     group = _get_group(config)
@@ -282,7 +267,14 @@ def run_dist(config: dict) -> Report:
     trunc = support_radius = None  # heuristic radii; the bracket needs neither
     if mode != "bracket" or {"trunc", "support_radius"} & config.keys():
         trunc, support_radius = _get_truncation(config)
-    row = _dist_row(group, phi, psi, radius, trunc, mode, support_radius)
+    bracket = connes_bracket(phi, psi, enumerate_ball(group, radius))
+    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+    heuristic = drift = None
+    if mode != "bracket":
+        result = connes_heuristic(phi, psi, group, support_radius, trunc)
+        heuristic, drift = result.estimate, result.sigma_drift
+    row = [lower.lo, lower.hi, upper.lo, upper.hi, bracket.lo, bracket.hi,
+           heuristic, drift, radius, trunc]
     return Report("dist",
                   ["d_inf_lo", "d_inf_hi", "d2_lo", "d2_hi", "d_lo", "d_hi",
                    "heuristic", "sigma_drift", "radius", "trunc"],
@@ -299,20 +291,18 @@ def run_sandwich(config: dict) -> Report:
     ball = enumerate_ball(group, radius)
     rows = []
     all_pass = True
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            (la, phi), (lb, psi) = states[i], states[j]
-            bracket = connes_bracket(phi, psi, ball)
-            lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
-            result = connes_heuristic(phi, psi, group, support_radius, trunc)
-            divergent = math.isinf(upper.hi)
-            ok = (lower.lo <= upper.lo + ORDER_TOL
-                  and result.estimate >= lower.lo - HEURISTIC_SLACK
-                  and (divergent or result.estimate
-                       <= upper.hi + result.sigma_drift + ORDER_TOL))
-            all_pass = all_pass and ok
-            rows.append([f"{la}|{lb}", lower.lo, result.estimate, upper.lo,
-                         upper.hi, result.sigma_drift, divergent, ok])
+    for (la, phi), (lb, psi) in itertools.combinations(states, 2):
+        bracket = connes_bracket(phi, psi, ball)
+        lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+        result = connes_heuristic(phi, psi, group, support_radius, trunc)
+        divergent = math.isinf(upper.hi)
+        ok = (lower.lo <= upper.lo + ORDER_TOL
+              and result.estimate >= lower.lo - HEURISTIC_SLACK
+              and (divergent or result.estimate
+                   <= upper.hi + result.sigma_drift + ORDER_TOL))
+        all_pass = all_pass and ok
+        rows.append([f"{la}|{lb}", lower.lo, result.estimate, upper.lo,
+                     upper.hi, result.sigma_drift, divergent, ok])
     meta = _base_meta(config, family=group.family, radius=radius, trunc=trunc,
                       support_radius=support_radius, order_tol=ORDER_TOL,
                       heuristic_slack=HEURISTIC_SLACK)
@@ -397,14 +387,12 @@ def run_kappa(config: dict) -> Report:
         rows.append(["state", label, bound.kappa_lower, bound.kappa_upper,
                      sum_sq, ok])
     labels = [label for label, _ in states]
-    for i in range(len(states)):
-        for j in range(i + 1, len(states)):
-            (la, phi), (lb, psi) = states[i], states[j]
-            hi = d_2(phi, psi, ball).hi
-            cap = 2.0 * max(kappas[la], kappas[lb])
-            ok = hi <= cap + ORDER_TOL
-            all_pass = all_pass and ok
-            rows.append(["pair", f"{la}|{lb}", hi, cap, None, ok])
+    for (la, phi), (lb, psi) in itertools.combinations(states, 2):
+        hi = d_2(phi, psi, ball).hi
+        cap = 2.0 * max(kappas[la], kappas[lb])
+        ok = hi <= cap + ORDER_TOL
+        all_pass = all_pass and ok
+        rows.append(["pair", f"{la}|{lb}", hi, cap, None, ok])
     meta = _base_meta(config, family=group.family, radius=radius,
                       order_tol=ORDER_TOL, labels=",".join(labels))
     return Report("kappa",

@@ -467,7 +467,10 @@ _GROUP_FIELDS = {
 
 
 def group_from_json(data) -> Group:
-    """Build a group from its parsed JSON specification (a dict, as json.load returns)."""
+    """Build a group from its parsed JSON specification (a dict, as json.load returns).
+
+    A free_abelian rank whose radius-1 ball is over the ball cap raises ResourceError.
+    """
     if not isinstance(data, dict):
         raise ConfigError("group spec must be a JSON object")
     family = data.get("family")
@@ -478,6 +481,14 @@ def group_from_json(data) -> Group:
         rank = data.get("rank", 1)
         if isinstance(rank, bool) or not isinstance(rank, int) or rank < 1:
             raise ConfigError("free_abelian: rank must be a positive integer")
+        # the default set, and any symmetric set that generates Z^rank, has at
+        # least 2 * rank elements, so the radius-1 ball that every experiment
+        # enumerates holds at least 2 * rank + 1; refuse it before the
+        # quadratic FreeAbelian(rank) is built
+        from .wordlength import _cap_error, max_ball_elements
+        cap = max_ball_elements()
+        if 2 * rank + 1 > cap:
+            raise _cap_error(cap, 1)
         build = functools.partial(FreeAbelian, rank)
     elif family == "product_z_finite":
         fin = data.get("finite")

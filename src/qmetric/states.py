@@ -5,8 +5,9 @@ function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
 ``coeff_rows`` is the one vectorised evaluator, on an int64 array of element
 rows (see ``groups``), and serves ``coeff_array`` (the rows of a ball).  The
 constant positive-definite function 1 and the characters of free abelian
-groups are evaluated in closed form, and their ``pd_check`` Gram matrix takes
-``coeff_rows`` at every product g_i^-1 g_j, a block of rows i at a time.  The
+groups are evaluated in closed form; both are characters, so their
+``pd_check`` Gram matrix is the rank-one outer product of the coefficients
+over the ball.  The
 other four kinds have finitely supported coefficients and are stored as the
 table of them, built once and zero elsewhere, so a coefficient is one lookup
 (a dict for ``coeff``, a row-index search for ``coeff_rows``).  Their Gram
@@ -199,8 +200,6 @@ class PdCheckResult:
 
 
 _PD_MAX_BALL = 2000
-# most products g_i^-1 g_j per block of Gram rows (closed-form kinds)
-_GRAM_PRODUCTS = 1 << 14
 
 
 def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
@@ -213,8 +212,9 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
     entries and their transposes.  (A product that wraps past int64 has a
     coordinate of magnitude above 2^62 and so lies in no ball.)  A strict
     table raises for the first unwritten entry in row-major order.  The
-    closed-form kinds have no zero entries; they take coeff_rows at every
-    product g_i^-1 g_j, a block of rows at a time.
+    closed-form kinds are characters, phi(g_i^-1 g_j) = conj(phi(g_i)) phi(g_j),
+    so G is the outer product of conj(x) and x for x the coefficients over
+    the ball; rounding still leaves G - G^H a few ulps from 0.
     """
     group = ball.group
     rows = ball.rows
@@ -233,11 +233,8 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
             raise StateError(f"element {g} is outside the state table")
         asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
         return gram, float(asymmetry)
-    inverses = group.inv_rows(rows)[:, None, :]
-    gram = np.empty((n, n), dtype=complex)
-    block = max(1, _GRAM_PRODUCTS // n)
-    for i in range(0, n, block):
-        gram[i:i + block] = state.coeff_rows(group.mul_rows(inverses[i:i + block], rows))
+    x = state.coeff_rows(rows)
+    gram = np.outer(x.conj(), x)
     return gram, float(np.abs(gram - gram.conj().T).max())
 
 

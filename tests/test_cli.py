@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetric import groups
 from qmetric.cli import main
 from qmetric.experiments import config_hash, run_ball, run_converge, run_dist
 
@@ -229,13 +230,10 @@ class TestExitCodes:
         assert main(["ball", "--config", "/nonexistent/x.json"]) == 2
 
     def test_directory_is_two(self, tmp_path, capsys):
-        trace = write_json(tmp_path / "trace.json", {"kind": "trace"})
         config = write_json(tmp_path / "c.json", {"group": str(tmp_path), "radius": 3})
         assert main(["ball", "--config", str(tmp_path)]) == 2
         assert main(["ball", "--config", config]) == 2
-        assert main(["dist", "--group", str(tmp_path), "--state-a", trace,
-                     "--state-b", trace, "--radius", "3", "--mode", "bracket"]) == 2
-        assert capsys.readouterr().err.count("config error") == 3
+        assert capsys.readouterr().err.count("config error") == 2
 
     @pytest.mark.parametrize("where", ["missing-dir", "directory"])
     def test_unwritable_out_is_two(self, ball_config, tmp_path, capsys, where):
@@ -264,6 +262,29 @@ class TestExitCodes:
         config = write_json(tmp_path / "c.json", {"group": Z_GROUP, "radius": 10})
         assert main(["ball", "--config", config]) == 3
         assert "resource cap" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("generators", [False, True], ids=["default", "custom"])
+    def test_rank_over_cap_is_three_before_building(self, tmp_path, monkeypatch, capsys,
+                                                    generators):
+        # the radius-1 ball of Z^rank holds 2 * rank + 1 elements: 11 > 10 at rank 5
+        monkeypatch.setenv("QMETRIC_MAX_BALL", "10")
+        built = []
+        init = groups.FreeAbelian.__init__
+        monkeypatch.setattr(groups.FreeAbelian, "__init__",
+                            lambda self, *args: built.append(args) or init(self, *args))
+
+        def config(rank):
+            group = {"family": "free_abelian", "rank": rank}
+            if generators:
+                group["generators"] = [[s * (i == k) for i in range(rank)]
+                                       for k in range(rank) for s in (1, -1)]
+            return write_json(tmp_path / f"r{rank}.json", {"group": group, "radius": 1})
+
+        assert main(["ball", "--config", config(5)]) == 3
+        assert "cap of 10 elements at radius 1" in capsys.readouterr().err
+        assert built == []
+        assert main(["ball", "--config", config(4)]) == 0
+        assert built and all(args[0] == 4 for args in built)
 
 
 class TestOutputs:
@@ -315,27 +336,30 @@ class TestOutputs:
         assert "inf" in row.split(",")
 
 
-class TestDistFlags:
-    def test_flag_form_matches_config_form(self, tmp_path, capsys):
-        group = write_json(tmp_path / "g.json", Z_GROUP)
-        sa = write_json(tmp_path / "a.json", {"kind": "trace"})
-        sb = write_json(tmp_path / "b.json", {"kind": "one"})
-        assert main(["dist", "--group", group, "--state-a", sa, "--state-b", sb,
-                     "--radius", "20", "--trunc", "8", "--mode", "bracket"]) == 0
-        out = capsys.readouterr().out
-        report = run_dist({"group": group, "state_a": sa, "state_b": sb,
-                           "radius": 20, "trunc": 8, "mode": "bracket"})
-        assert out == report.to_csv()
+class TestParser:
+    @pytest.mark.parametrize("flag,value", [
+        ("--group", "g.json"), ("--state-a", "a.json"), ("--state-b", "b.json"),
+        ("--radius", "50"), ("--trunc", "8"), ("--mode", "heuristic")])
+    def test_former_dist_flag_is_two(self, dist_config, capsys, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["dist", "--config", dist_config, flag, value])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+
+    def test_help_names_every_experiment(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "{ball,growth,summable,dist,sandwich,converge,kappa}" in capsys.readouterr().out
 
     def test_bracket_mode_needs_no_trunc(self, tmp_path, capsys):
         group = write_json(tmp_path / "g.json", Z_GROUP)
         sa = write_json(tmp_path / "a.json", {"kind": "trace"})
         sb = write_json(tmp_path / "b.json", {"kind": "one"})
-        assert main(["dist", "--group", group, "--state-a", sa, "--state-b", sb,
-                     "--radius", "20", "--mode", "bracket"]) == 0
-        out = capsys.readouterr().out
         config = {"group": group, "state_a": sa, "state_b": sb, "radius": 20,
                   "mode": "bracket"}
+        assert main(["dist", "--config", write_json(tmp_path / "d.json", config)]) == 0
+        out = capsys.readouterr().out
         assert out == run_dist(config).to_csv()
         assert "# support_radius=\n" in out
         assert out.splitlines()[-1].endswith(",20,")
@@ -345,11 +369,6 @@ class TestDistFlags:
         for bad in ({"mode": "heuristic"}, {"support_radius": 2}):
             assert main(["dist", "--config", write_json(tmp_path / "h.json", {
                 **config, **bad})]) == 2
-
-    def test_missing_flags_reported(self, capsys):
-        assert main(["dist", "--radius", "10"]) == 2
-        err = capsys.readouterr().err
-        assert "--group" in err and "--trunc" in err
 
 
 class TestRunners:
