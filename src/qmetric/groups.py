@@ -17,13 +17,13 @@ operators compute with: an int64 row (z_1, ..., z_d) for Z^d and (z, f) for
 Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
 two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
 broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
-in a fixed set of rows.
+in a fixed set of rows, by keys whose byte order is the rows' lexicographic order.
 
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
 f != e on Z x F; L(m, s) = |m| + s on the dihedral group.
 ``default_ball_sizes`` gives the exact ball sizes and ``default_ball`` the
-rows and lengths of a ball, unsorted.
+rows and lengths of a ball, the rows in lexicographic order.
 """
 
 from __future__ import annotations
@@ -182,7 +182,10 @@ class Group:
                        prepend=0)
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and word lengths of the default ball of the given radius, unsorted."""
+        """Rows and word lengths of the default ball of the given radius.
+
+        The rows come in strictly increasing lexicographic order.
+        """
         raise NotImplementedError
 
     def check(self, a: GroupElement) -> None:
@@ -363,10 +366,12 @@ class InfiniteDihedral(Group):
         return 4 * radius + (radius == 0)
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        m = np.concatenate([np.arange(-radius, radius + 1, dtype=np.int64),
-                            np.arange(1 - radius, radius, dtype=np.int64)])
-        s = (np.arange(m.size) > 2 * radius).astype(np.int64)
-        return np.stack([m, s], axis=-1), np.abs(m) + s
+        # (m, 0) and (m, 1) interleaved, less the (+-radius, 1) of length radius + 1
+        m = np.repeat(np.arange(-radius, radius + 1, dtype=np.int64), 2)
+        s = np.tile(np.arange(2, dtype=np.int64), 2 * radius + 1)
+        lengths = np.abs(m) + s
+        keep = lengths <= radius
+        return np.stack([m[keep], s[keep]], axis=-1), lengths[keep]
 
     def check(self, a: GroupElement) -> None:
         if a.f not in (0, 1) or len(a.z) != 1:
@@ -391,23 +396,45 @@ class InfiniteDihedral(Group):
 # exact row lookup
 # ---------------------------------------------------------------------------
 
+_SIGN_BIT = np.uint64(1 << 63)
+
+
 def _row_keys(rows: np.ndarray) -> np.ndarray:
-    """Each int64 row as one fixed-width byte string, so equal rows give equal keys."""
-    rows = np.ascontiguousarray(rows, dtype=np.int64)
-    return rows.view(np.dtype((np.void, 8 * rows.shape[-1]))).reshape(rows.shape[:-1])
+    """Each int64 row as one fixed-width byte string that sorts like the row.
+
+    Every coordinate is written big-endian with its sign bit flipped, so equal
+    rows give equal keys and the byte order of the keys is the numeric
+    lexicographic order of the rows, for every int64 coordinate.
+    """
+    flipped = np.asarray(rows, dtype=np.int64).view(np.uint64) ^ _SIGN_BIT
+    keys = np.ascontiguousarray(flipped, dtype=">u8")
+    return keys.view(np.dtype((np.void, keys.itemsize * keys.shape[-1]))).reshape(
+        keys.shape[:-1])
 
 
 class RowIndex:
     """Positions of rows in a fixed non-empty (n, k) int64 array, by a sorted-key search.
 
-    Rows are compared as byte strings, so the lookup is exact for every int64
-    coordinate (no mixed-radix packing that could overflow).
+    Rows are compared by their keys (see _row_keys), so the lookup is exact
+    for every int64 coordinate (no mixed-radix packing that could overflow).
+    The constructor sorts the keys once; ``lexicographic`` takes rows that
+    are already in order and sorts nothing.
     """
 
     def __init__(self, rows: np.ndarray):
         keys = _row_keys(rows)
         self._order = np.argsort(keys, kind="stable")
         self._sorted = keys[self._order]
+
+    @classmethod
+    def lexicographic(cls, rows: np.ndarray, positions: np.ndarray) -> "RowIndex":
+        """The index of rows in strictly increasing lexicographic order, without a sort.
+
+        find reports positions[p] for a match of rows[p].
+        """
+        index = cls.__new__(cls)
+        index._order, index._sorted = positions, _row_keys(rows)
+        return index
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row of a (..., k) array in the fixed rows, -1 where absent."""

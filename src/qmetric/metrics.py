@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import Group
 from .opalgebra import AlgebraElement, _top_singular, commutator_matrix, commutator_triplets
@@ -142,6 +141,8 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
         raise ValueError("support radius r must be >= 1")
     if R < 2 * r:
         raise ValueError("truncation radius R must be >= 2r")
+    import scipy.sparse as sp
+
     ball_r = enumerate_ball(group, r)
     ball_R = enumerate_ball(group, R)
     support = ball_r.elements[1:]

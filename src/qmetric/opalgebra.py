@@ -11,18 +11,23 @@ to _DENSE_CUTOFF ball elements, a thick-restart Lanczos iteration in numpy
 above it or from a caller's warm start (see _top_singular).  Both return
 |M v| for a unit vector v, so the value is a certified lower bound however
 the solver stopped.
+
+scipy.sparse is imported where a sparse operator is built, so a process that
+builds none (a bracket, a ball) does not pay for its import.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
-import scipy.sparse as sp
 
 from .groups import Group, GroupElement, fits_rows
 from .wordlength import Ball
+
+if TYPE_CHECKING:
+    import scipy.sparse as sp
 
 Complexish = Union[int, float, complex]
 
@@ -126,6 +131,8 @@ def commutator_triplets(support, ball: Ball):
 
 def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     """Compression of left convolution by a: column h carries alpha_g at row gh."""
+    import scipy.sparse as sp
+
     n = len(ball)
     rows, cols, index = _translations(a.support, ball)
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
@@ -140,6 +147,8 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     the ball are dropped (compression semantics), and entries with
     L(gh) = L(h) are not stored.
     """
+    import scipy.sparse as sp
+
     n = len(ball)
     rows, cols, index, diff = commutator_triplets(a.support, ball)
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
@@ -213,14 +222,15 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     u = M v / sigma and iterations counts applications of M^H M (0 for LAPACK).
     """
     n = matrix.shape[1]
-    nnz = matrix.nnz if sp.issparse(matrix) else int(np.count_nonzero(matrix))
+    dense = isinstance(matrix, np.ndarray)
+    nnz = int(np.count_nonzero(matrix)) if dense else matrix.nnz
     if n == 0 or nnz == 0:
         z = np.zeros(n, dtype=complex)
         return 0.0, z, z, True, 0
     if start is not None and not np.any(start):
         start = None
     if n <= _DENSE_CUTOFF:
-        matrix = matrix.toarray() if sp.issparse(matrix) else np.asarray(matrix)
+        matrix = matrix if dense else matrix.toarray()
     if n <= _DENSE_CUTOFF and (start is None or n < _WARM_MIN):
         _, vectors = np.linalg.eigh(matrix.conj().T @ matrix)
         v, converged, iterations = vectors[:, -1], True, 0
@@ -315,7 +325,7 @@ def norm_lower(T: TruncatedOperator, tol: float = 1e-9,
         raise ValueError("tol must be > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
-    entries = T.matrix.data if sp.issparse(T.matrix) else T.matrix
+    entries = T.matrix if isinstance(T.matrix, np.ndarray) else T.matrix.data
     if not np.all(np.isfinite(entries)):
         raise ValueError("operator has non-finite entries")
     sigma, u, v, converged, iterations = _top_singular(T.matrix, tol, max_iter)

@@ -2,17 +2,17 @@
 
 Every metric in this package depends on a state only through its coefficient
 function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
-``coeff_rows`` is the one vectorised evaluator, on an int64 array of element
-rows (see ``groups``), and serves ``coeff_array`` (the rows of a ball).  The
-constant positive-definite function 1 and the characters of free abelian
-groups are evaluated in closed form; both are characters, so their
-``pd_check`` Gram matrix is the rank-one outer product of the coefficients
-over the ball.  The
+``coeff_rows`` evaluates it on an int64 array of element rows (see
+``groups``), and ``coeff_array`` over the rows of a ball.  The constant
+positive-definite function 1 and the characters of free abelian groups are
+evaluated in closed form; both are characters, so their ``pd_check`` Gram
+matrix is the rank-one outer product of the coefficients over the ball.  The
 other four kinds have finitely supported coefficients and are stored as the
 table of them, built once and zero elsewhere, so a coefficient is one lookup
-(a dict for ``coeff``, a row-index search for ``coeff_rows``).  Their Gram
-matrix is scattered from the table instead: G[i, j] is nonzero only where
-g_j = g_i s for a key s, so each row i needs one lookup per key.  The kinds:
+(a dict for ``coeff``, a row-index search for ``coeff_rows``).  Over a ball
+they are scattered from the table: ``coeff_array`` looks each key up in the
+ball, and the Gram matrix G[i, j] is nonzero only where g_j = g_i s for a
+key s, so each row i needs one lookup per key.  The kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -110,8 +111,11 @@ class FiniteState(StateRep):
         # keys (reachable only through coeff) are left out of the row lookup
         keys = [g for g in table if fits_rows(g)]
         self._rows = group.to_rows(keys)
-        self._index = RowIndex(self._rows)
         self._values = np.array([table[g] for g in keys], dtype=complex)
+
+    @cached_property
+    def _index(self) -> RowIndex:
+        return RowIndex(self._rows)
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -130,6 +134,23 @@ class FiniteState(StateRep):
             g = self.group.from_rows(rows.reshape(-1, rows.shape[-1])[first])[0]
             raise StateError(f"element {g} is outside the state table")
         return np.where(missing, 0.0 + 0.0j, self._values[pos])
+
+    def coeff_array(self, ball: Ball) -> np.ndarray:
+        """Coefficients over a ball, in ball order: the table scattered into zeros.
+
+        Each key is looked up in the ball, not each ball row in the table.  A
+        strict table raises for the first ball row that no key reached.
+        """
+        pos = ball.find_rows(self._rows)
+        hit = pos >= 0
+        out = np.zeros(len(ball), dtype=complex)
+        out[pos[hit]] = self._values[hit]
+        if not self.extend_zero and np.count_nonzero(hit) < len(ball):
+            written = np.zeros(len(ball), dtype=bool)
+            written[pos[hit]] = True
+            g = ball.group.from_rows(ball.rows[np.argmin(written)])[0]
+            raise StateError(f"element {g} is outside the state table")
+        return out
 
 
 class TraceState(FiniteState):
@@ -231,7 +252,8 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
             a, b = divmod(int(np.flatnonzero(~written)[0]), n)
             g = group.from_rows(group.mul_rows(group.inv_rows(rows[a]), rows[b]))[0]
             raise StateError(f"element {g} is outside the state table")
-        asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
+        with np.errstate(over="ignore"):  # an overflow is an infinite asymmetry
+            asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
         return gram, float(asymmetry)
     x = state.coeff_rows(rows)
     gram = np.outer(x.conj(), x)
@@ -244,8 +266,11 @@ def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
     Builds G[i, j] = coeff(g_i^-1 g_j).  It passes iff G is Hermitian to
     tol, max |G - G^H| <= tol * max(hi, 1), and the smallest eigenvalue lo of
     the Hermitian part (G + G^H) / 2 (numpy's eigvalsh) is >= -tol * max(hi, 1),
-    hi being the largest.  It checks one truncation in floating point; it is
-    not a proof of positive definiteness.
+    hi being the largest, and both lo and hi are finite.  A G with no
+    asymmetry at all is its own Hermitian part and goes to eigvalsh as it
+    is.  A Hermitian part that overflows fails, with NaN for lo and hi.  It
+    checks one truncation in floating point; it is not a proof of positive
+    definiteness.
     """
     n = len(ball)
     if n > _PD_MAX_BALL:
@@ -253,12 +278,17 @@ def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
             f"Gram matrix would be {n} x {n}; the dense eigensolve is capped at "
             f"{_PD_MAX_BALL}")
     gram, asymmetry = _gram(state, ball)
-    gram += gram.conj().T
-    gram /= 2.0
+    if asymmetry != 0.0:
+        with np.errstate(over="ignore", invalid="ignore"):
+            gram += gram.conj().T
+            gram /= 2.0
+        if not np.isfinite(gram).all():
+            return PdCheckResult(False, math.nan, math.nan)
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
     slack = tol * max(hi, 1.0)
-    return PdCheckResult(lo >= -slack and asymmetry <= slack, lo, hi)
+    finite = math.isfinite(lo) and math.isfinite(hi)
+    return PdCheckResult(finite and lo >= -slack and asymmetry <= slack, lo, hi)
 
 
 @dataclass

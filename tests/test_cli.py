@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -542,3 +545,45 @@ def test_misspelt_field_is_two(experiment, config, path, key, tmp_path, capsys):
     target[key[:-1]] = target[key]
     assert main([experiment, "--config", write_json(tmp_path / "c.json", config)]) == 2
     assert f"unknown field {key[:-1]!r}" in capsys.readouterr().err
+
+
+_SPARSE_LOADED_SCRIPT = """
+import json
+import sys
+from qmetric.cli import main
+
+loaded = {}
+for experiment, config, out in zip(*[iter(sys.argv[1:])] * 3):
+    code = main([experiment, "--config", config, "--out", out])
+    loaded[experiment] = [code, "scipy.sparse" in sys.modules]
+print(json.dumps(loaded))
+"""
+
+
+def test_only_sparse_operators_import_scipy_sparse(tmp_path):
+    configs = {
+        "dist": _DIST_BASE,
+        "ball": {"group": Z_GROUP, "radius": 5},
+        "growth": {"group": Z_GROUP, "radius": 5},
+        "summable": {"group": Z_GROUP, "radius": 10},
+        "converge": {**_CONVERGE_BASE, "radius": 30, "sequence": {
+            "kind": "density_inverse_n", "n_max": 20,
+            "base_element": [0], "step_element": [1]}},
+        "kappa": {"group": Z_GROUP, "radius": 5,
+                  "states": [{"label": "rho", "state": DENSITY_01}]},
+    }
+    argv = []
+    for experiment, config in configs.items():
+        argv += [experiment, write_json(tmp_path / f"{experiment}.json", config),
+                 str(tmp_path / f"{experiment}.out")]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(__file__).resolve().parent.parent / "src")]
+        + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    result = subprocess.run([sys.executable, "-c", _SPARSE_LOADED_SCRIPT, *argv], env=env,
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stderr
+    # kappa, run last, is the first to build a sparse operator
+    assert json.loads(result.stdout) == {
+        experiment: [0, experiment == "kappa"] for experiment in configs}
+    assert "state,rho," in (tmp_path / "kappa.out").read_text()

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
-                            InfiniteDihedral, ProductZFinite, RowIndex)
+                            InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
 from qmetric.wordlength import enumerate_ball
 
 GROUPS = {
@@ -87,3 +87,35 @@ def test_lookup_is_exact_at_large_coordinates():
                    GroupElement((-BIG, -BIG, BIG)), GroupElement((BIG, -BIG + 1, BIG))]
     index = RowIndex(group.to_rows([group.identity, far]))
     assert index.find(group.to_rows([far, *near_misses])).tolist() == [1, -1, -1, -1, -1]
+
+
+# any int64, with the extremes, +-10^12 and small values drawn often
+int64s = st.one_of(st.integers(-2 ** 63, 2 ** 63 - 1),
+                   st.sampled_from([-2 ** 63, 2 ** 63 - 1, BIG, -BIG, -1, 0, 1]),
+                   st.integers(-3, 3))
+
+
+@st.composite
+def int64_rows(draw, min_size=0):
+    width = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.tuples(*[int64s] * width), min_size=min_size, max_size=30))
+    return np.array(rows, dtype=np.int64).reshape(len(rows), width)
+
+
+@settings(deadline=None)
+@given(int64_rows())
+def test_row_keys_sort_like_the_rows(rows):
+    order = np.argsort(_row_keys(rows), kind="stable")
+    assert order.tolist() == np.lexsort(rows.T[::-1]).tolist()
+
+
+@settings(deadline=None)
+@given(int64_rows(min_size=1), st.data())
+def test_lexicographic_index_matches_a_sorted_one(rows, data):
+    fixed = np.unique(rows, axis=0)  # distinct, in lexicographic order
+    perm = np.array(data.draw(st.permutations(range(len(fixed)))), dtype=np.intp)
+    # the fixed rows in another order: lexicographic row perm[i] at index i
+    sorted_index = RowIndex(fixed[perm])
+    lexicographic = RowIndex.lexicographic(fixed, np.argsort(perm))
+    queries = np.concatenate([fixed, rows + 1, rows - 1, rows[::-1]])  # +-1 wraps at the ends
+    assert lexicographic.find(queries).tolist() == sorted_index.find(queries).tolist()

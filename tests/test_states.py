@@ -138,6 +138,40 @@ def test_coeff_rows_matches_coeff(case):
             assert value == phi.coeff(g)
 
 
+# default balls, and balls of generating sets without a closed form
+_SCATTER_GROUPS = {
+    **_GROUPS,
+    "z2-hex": (lambda: FreeAbelian(2, [*FreeAbelian(2).generators, GroupElement((1, 1)),
+                                       GroupElement((-1, -1))]), 4),
+    "dihedral-reflections": (lambda: InfiniteDihedral([GroupElement((0,), 1),
+                                                       GroupElement((1,), 1)]), 5),
+}
+
+
+@pytest.mark.parametrize("group_name", sorted(_SCATTER_GROUPS))
+@pytest.mark.parametrize("kind", ["trace", "table", "vector", "density"])
+def test_coeff_array_is_coeff_rows_bit_for_bit(group_name, kind):
+    make, radius = _SCATTER_GROUPS[group_name]
+    group = make()
+    phi, _ = _state_and_formula(kind, group)
+    ball = enumerate_ball(group, radius)
+    assert phi.coeff_array(ball).tobytes() == phi.coeff_rows(ball.rows).tobytes()
+
+
+@pytest.mark.parametrize("group_name", sorted(_SCATTER_GROUPS))
+def test_strict_coeff_array_names_the_element_coeff_rows_names(group_name):
+    make, radius = _SCATTER_GROUPS[group_name]
+    group = make()
+    table = enumerate_ball(group, radius - 1).elements
+    phi = TableState(group, {g: 0.5 for g in table[1:]}, extend_zero=False)
+    ball = enumerate_ball(group, radius)
+    with pytest.raises(StateError) as expected:
+        phi.coeff_rows(ball.rows)
+    with pytest.raises(StateError) as got:
+        phi.coeff_array(ball)
+    assert str(got.value) == str(expected.value)
+
+
 def test_table_entry_at_large_coordinates_is_found_exactly():
     group = FreeAbelian(3)
     far = GroupElement((10 ** 12, -10 ** 12, 10 ** 12))
@@ -373,6 +407,24 @@ class TestPdCheck:
         result = pd_check(TableState(z_group, entries), enumerate_ball(z_group, 5))
         assert not result.passed
         assert result.min_eigenvalue > 0.05
+
+    @pytest.mark.parametrize("entries,radius", [
+        ({k: 5e307 for k in (*range(-6, 0), *range(1, 7))}, 20),
+        ({1: 1e308, -1: 1e308}, 3),
+    ], ids=["eigenvalues-overflow", "entries-near-the-top"])
+    def test_hermitian_table_whose_eigenvalues_overflow_fails(self, z_group, entries, radius):
+        phi = TableState(z_group, {GroupElement((k,)): v for k, v in entries.items()})
+        result = pd_check(phi, enumerate_ball(z_group, radius))
+        assert not result.passed
+        assert not (np.isfinite(result.min_eigenvalue) and np.isfinite(result.max_eigenvalue))
+
+    @pytest.mark.parametrize("entries", [
+        {1: 1e308, -1: 1.5e308},
+        {1: 1e308, -1: -1e308},
+    ], ids=["hermitian-part-overflows", "asymmetry-overflows"])
+    def test_huge_non_hermitian_table_fails(self, z_group, entries):
+        phi = TableState(z_group, {GroupElement((k,)): v for k, v in entries.items()})
+        assert not pd_check(phi, enumerate_ball(z_group, 3)).passed
 
     def test_cap(self, z2_group):
         phi = TraceState(z2_group)

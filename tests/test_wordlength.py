@@ -8,8 +8,9 @@ from hypothesis import strategies as st
 
 from qmetric import wordlength
 from qmetric.errors import BallRadiusError, GroupError, ResourceError
+from qmetric.experiments import run_dist
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
-                            InfiniteDihedral, ProductZFinite)
+                            InfiniteDihedral, ProductZFinite, RowIndex)
 from qmetric.metrics import connes_bracket
 from qmetric.opalgebra import AlgebraElement, commutator_matrix
 from qmetric.states import DensityState, TraceState, pd_check
@@ -199,6 +200,38 @@ class TestClosedForms:
             reordered = build(group.generators[::-1])
             assert reordered.generators != group.generators
             assert_same_ball(enumerate_ball(reordered, 7), enumerate_ball(group, 7))
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
+    def test_default_ball_rows_are_lexicographic(self, name):
+        group = DEFAULT_GROUPS[name]
+        for radius in [*range(13), *(r for ball, r in BENCHMARK_BALLS if ball == name)]:
+            rows, _ = group.default_ball(radius)
+            before, after = rows[:-1], rows[1:]
+            differs = before != after
+            first = np.argmax(differs, axis=1)  # the first coordinate where they differ
+            pairs = np.arange(len(first))
+            assert differs.any(axis=1).all()
+            assert (after[pairs, first] > before[pairs, first]).all()
+
+    @pytest.mark.parametrize("spec,s,s_inv", [
+        ({"family": "free_abelian", "rank": 1}, [1], [-1]),
+        ({"family": "free_abelian", "rank": 2}, [1, 0], [-1, 0]),
+        ({"family": "product_z_finite", "finite": {"name": "s3"}}, [1, 1], [-1, 1]),
+        ({"family": "infinite_dihedral"}, [1, 0], [-1, 0]),
+    ], ids=["z", "z2", "zxs3", "dihedral"])
+    def test_closed_form_balls_never_sort_for_a_lookup(self, monkeypatch, spec, s, s_inv):
+        def no_sort(index, rows):
+            raise AssertionError("sorted row keys for a lookup")
+
+        monkeypatch.setattr(RowIndex, "__init__", no_sort)
+        identity = [0] * len(s)
+        table = {"kind": "table", "extend_zero": True, "entries": [
+            {"element": s, "re": 0.25}, {"element": s_inv, "re": 0.25}]}
+        density = {"kind": "density", "b": [{"element": identity, "re": 1.0},
+                                            {"element": s, "re": 0.5, "im": 0.5}]}
+        report = run_dist({"group": spec, "state_a": table, "state_b": density,
+                           "radius": 6, "mode": "bracket"})
+        assert report.passed and report.rows[0][0] > 0
 
     def test_custom_set_takes_the_search(self, monkeypatch):
         def no_closed_form(self, radius):
