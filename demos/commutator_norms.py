@@ -25,7 +25,7 @@ for m in (1, 2, 5):
         print(f"  L(g)={m}, radius {radius:3d}: sigma = {est.value:.12f} "
               f"(LAPACK, residual {est.residual:.1e})")
 
-print("\nbeyond 600 ball elements: thick-restart Lanczos on M^H M, lam_(1,2) on Z^2")
+print("\nbeyond 110 ball elements: thick-restart Lanczos on M^H M, lam_(1,2) on Z^2")
 z2 = FreeAbelian(2)
 g = GroupElement((1, 2))
 for radius in (20, 30):

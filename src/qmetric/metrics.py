@@ -231,8 +231,9 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
             best_f = f_val
             best_alpha = alpha
 
-    # re-evaluate the winner cold (LAPACK on the dense path) at the strict
-    # tolerance so the reported sigma is not an ascent artifact
+    # re-evaluate the winner cold (LAPACK up to the dense cutoff, Lanczos from
+    # the seeded start above it) at the strict tolerance so the reported
+    # sigma is not an ascent artifact
     v_last = None
     best_f, _, _, _, best_n, _ = evaluate(best_alpha, tol=_NORM_TOL)
 

@@ -8,9 +8,10 @@ compressed the same way.
 
 The largest singular value is found from the Gram matrix M^H M: LAPACK up
 to _DENSE_CUTOFF ball elements, a thick-restart Lanczos iteration in numpy
-above it or from a caller's warm start (see _top_singular).  Both return
-|M v| for a unit vector v, so the value is a certified lower bound however
-the solver stopped.
+above it or from a caller's warm start (see _top_singular).  Lanczos keeps
+a sparse M sparse and applies M^H M as two CSR products, with a CSR copy of
+M^H built once per solve.  Both return |M v| for a unit vector v, so the
+value is a certified lower bound however the solver stopped.
 
 scipy.sparse is imported where a sparse operator is built, so a process that
 builds none (a bracket, a ball) does not pay for its import.
@@ -180,7 +181,14 @@ class NormEstimate:
         return self.value
 
 
-_DENSE_CUTOFF = 600
+# a cold solve costs less by LAPACK up to about this many columns and less by
+# sparse Lanczos above it (one BLAS thread, tol 1e-12, medians over 4 random
+# commutators supported in B(4), LAPACK against Lanczos): 1.55 against 1.87 ms
+# at 81 columns on Z, 2.58 against 2.97 ms at 100 on D and 1.91 against
+# 2.42 ms at 102 on Z x S3; 3.07 against 1.94 ms at 101 on Z, 2.76 against
+# 1.93 ms at 113 on Z^2, 3.93 against 2.90 ms at 120 on D and 3.14 against
+# 2.34 ms at 126 on Z x S3; at 300 columns 40-50 against 4-6 ms
+_DENSE_CUTOFF = 110
 # Lanczos vectors held before a restart, and Ritz vectors kept at each thick
 # restart.  The dihedral commutators of the norms benchmark (1200 columns) have
 # their top pair of M^H M split by 1e-6 to 1e-8 relative; 24/10 restarted too
@@ -201,7 +209,8 @@ _WARM_MIN = 80
 def _top_singular(matrix, tol: float, max_iter: int, start=None):
     """Top singular triple of a dense or sparse matrix M from its Gram matrix M^H M.
 
-    Up to _DENSE_CUTOFF columns, LAPACK diagonalises M^H M.  Above it, a
+    Up to _DENSE_CUTOFF columns, M is made dense and LAPACK diagonalises
+    M^H M.  Above it, a sparse M stays sparse (COO input becomes CSR) and a
     thick-restart Lanczos iteration on M^H M (Wu and Simon, SIAM J. Matrix
     Anal. Appl. 22, 2000) runs from a seeded random start: a three-term
     recurrence with one full reorthogonalisation pass per step, and a second
@@ -212,7 +221,8 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     applications of M^H M.
 
     A nonzero start vector sends every size from _WARM_MIN columns up to
-    Lanczos from that vector: callers that evaluate a slowly varying family
+    Lanczos from that vector, on the dense M up to _DENSE_CUTOFF columns:
+    callers that evaluate a slowly varying family
     of operators (the ratio ascent of metrics.connes_heuristic) pass the
     previous top vector, from which one basis of Lanczos (32 applications
     of M^H M) usually replaces a full LAPACK solve.
@@ -230,7 +240,11 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     if start is not None and not np.any(start):
         start = None
     if n <= _DENSE_CUTOFF:
+        # dense for a warm Lanczos too: a warm solve at 81 columns takes 0.83 ms
+        # on the dense M against 1.06 ms on CSR copies of M and M^H
         matrix = matrix if dense else matrix.toarray()
+    elif not dense:
+        matrix = matrix.tocsr()
     if n <= _DENSE_CUTOFF and (start is None or n < _WARM_MIN):
         _, vectors = np.linalg.eigh(matrix.conj().T @ matrix)
         v, converged, iterations = vectors[:, -1], True, 0
@@ -256,9 +270,24 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
     eta = 1/sqrt 2).
     """
     n = M.shape[1]
-    Mt = M.T  # a view: M^H y is conj(M^T conj(y)), so no conjugate copy of M is stored
+    if isinstance(M, np.ndarray):
+        Mt = M.T  # a view: M^H y is conj(M^T conj(y)), so no conjugate copy of M is stored
+
+        def gram(x):
+            return np.conj(Mt @ np.conj(M @ x))
+    else:
+        # a CSR copy of M^H (as large as M): each product gathers along rows,
+        # where the CSC view M.T would scatter and need two conjugate copies
+        M = M.tocsr()
+        Mh = M.conj().T.tocsr()
+
+        def gram(x):
+            return Mh @ (M @ x)
     m, k = _LANCZOS_BASIS, _LANCZOS_KEEP
     V = np.empty((m + 1, n), dtype=complex)
+    # the real and imaginary parts side by side: a real coefficient times a
+    # basis vector is a real product, at half the flops of a complex one
+    Vr = V.view(float)
     T = np.zeros((m + 1, m + 1))
     if start is None:
         x = np.random.default_rng(_LANCZOS_SEED).standard_normal((2, n))
@@ -270,13 +299,13 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
     diag_max = 0.0  # the largest diagonal entry of T[:size, :size]
     while True:
         for j in range(j0, m):
-            w = np.conj(Mt @ np.conj(M @ V[j]))
+            w = gram(V[j])
+            wr = w.view(float)
             applications += 1
             if j > j0:
-                alpha = np.vdot(V[j], w).real
-                w -= alpha * V[j]
-                w -= T[j, j - 1] * V[j - 1]
-                T[j, j] += alpha
+                # alpha_j v_j + beta_{j-1} v_{j-1} as one real product
+                T[j, j] = np.vdot(V[j], w).real
+                wr -= T[j, j - 1:j + 1] @ Vr[j - 1:j + 1]
             basis = V[:j + 1]
             norm2 = np.vdot(w, w).real
             for _ in range(2):
@@ -296,13 +325,15 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
             if closed or applications >= max_iter:
                 break
             T[j + 1, j] = T[j, j + 1] = beta
-            V[j + 1] = w / beta
+            # numpy divides a complex array by a real scalar as a product with
+            # its reciprocal, so this real product gives the same bits
+            np.multiply(wr, 1.0 / beta, out=Vr[j + 1])
         theta, S = np.linalg.eigh(T[:size, :size])
         converged = closed or beta * abs(S[-1, -1]) <= tol * theta[-1]
         if converged or applications >= max_iter:
-            return S[:, -1] @ V[:size], bool(converged), applications
+            return (S[:, -1] @ Vr[:size]).view(complex), bool(converged), applications
         # thick restart: keep the top k Ritz pairs and the residual direction
-        V[:k] = S[:, -k:].T @ V[:m]
+        Vr[:k] = S[:, -k:].T @ Vr[:m]
         V[k] = V[m]
         T[:] = 0.0
         T[np.arange(k), np.arange(k)] = theta[-k:]

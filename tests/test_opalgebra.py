@@ -14,7 +14,8 @@ from qmetric.states import DensityState, kappa_bounds
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import (_DENSE_CUTOFF, _LANCZOS_BASIS, _WARM_MIN, AlgebraElement,
-                               TruncatedOperator, _top_singular, commutator_matrix,
+                               TruncatedOperator, _lanczos_top, _top_singular,
+                               commutator_matrix,
                                commutator_triplets,
                                commutator_norm_upper_l1, conv_mul,
                                lemma2_lower, norm_lower, op_matrix, star,
@@ -245,13 +246,57 @@ def _random_element(rng, ball, max_support=8):
 
 Z_X_S3 = ProductZFinite(FiniteGroupTable.symmetric(3))
 
-# groups and radii whose balls have 601-1500 elements: the Lanczos path
-LANCZOS_BALLS = [(FreeAbelian(2), 17), (FreeAbelian(2), 26), (Z_X_S3, 50),
+# groups and radii whose balls have more than _DENSE_CUTOFF and at most 1500
+# elements: the Lanczos path, from just above the cutoff (113, 113, 114 and 112)
+LANCZOS_BALLS = [(FreeAbelian(1), 56), (FreeAbelian(2), 7), (Z_X_S3, 9),
+                 (InfiniteDihedral(), 28),
+                 (FreeAbelian(2), 17), (FreeAbelian(2), 26), (Z_X_S3, 50),
                  (Z_X_S3, 120), (InfiniteDihedral(), 151), (InfiniteDihedral(), 370)]
 
 
 class TestSpectralSolver:
     """The solver above the dense cutoff against LAPACK and closed forms."""
+
+    def test_eigh_sees_only_the_projected_matrix_above_the_cutoff(self, dihedral,
+                                                                  monkeypatch):
+        ball = enumerate_ball(dihedral, 40)
+        assert len(ball) > _DENSE_CUTOFF
+        rng = np.random.default_rng(23)
+        T = commutator_matrix(_random_element(rng, enumerate_ball(dihedral, 4)), ball)
+        shapes = []
+        eigh = np.linalg.eigh
+
+        def spy(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigh(a, *args, **kwargs)
+
+        def refuse(self, *args, **kwargs):
+            raise AssertionError("a sparse operator bound for Lanczos was densified")
+
+        monkeypatch.setattr(np.linalg, "eigh", spy)
+        for cls in (sp.csr_matrix, sp.coo_matrix):
+            monkeypatch.setattr(cls, "toarray", refuse)
+        norm_lower(T)
+        norm_lower(TruncatedOperator(ball, T.matrix.tocoo(), T.kind))
+        _top_singular(T.matrix.tocoo(), 1e-9, 10_000, start=np.ones(len(ball)))
+        assert shapes
+        assert all(shape[0] == shape[1] <= _LANCZOS_BASIS + 1 for shape in shapes)
+
+    def test_csr_and_coo_input_are_bit_identical(self, z2_group):
+        # the COO copy lists its entries in triplet order (by g, then by h), as
+        # the heuristic builds it, not row by row as the CSR matrix stores them
+        ball = enumerate_ball(z2_group, 20)
+        rng = np.random.default_rng(29)
+        a = _random_element(rng, enumerate_ball(z2_group, 4))
+        M = commutator_matrix(a, ball).matrix
+        rows, cols, index, diff = commutator_triplets(a.support, ball)
+        alphas = np.array(list(a.coeffs.values()))
+        coo = sp.coo_matrix((alphas[index] * diff, (rows, cols)), shape=M.shape)
+        v, converged, applications = _lanczos_top(M, 1e-12, 10_000)
+        v_coo, converged_coo, applications_coo = _lanczos_top(coo, 1e-12, 10_000)
+        assert np.array_equal(v, v_coo)
+        assert (converged, applications) == (converged_coo, applications_coo)
+        assert applications > _LANCZOS_BASIS
 
     @pytest.mark.parametrize("group,radius", LANCZOS_BALLS,
                              ids=[f"{type(g).__name__}-r{r}" for g, r in LANCZOS_BALLS])
@@ -259,7 +304,8 @@ class TestSpectralSolver:
         ball = enumerate_ball(group, radius)
         assert _DENSE_CUTOFF < len(ball) <= 1500
         rng = np.random.default_rng(radius)
-        a = _random_element(rng, enumerate_ball(group, 4))
+        support = enumerate_ball(group, 4)
+        a = _random_element(rng, support)
         T = commutator_matrix(a, ball)
         est = norm_lower(T, tol=1e-12)
         exact = float(np.linalg.norm(T.matrix.toarray(), 2))
@@ -269,6 +315,16 @@ class TestSpectralSolver:
         # converged: the Ritz residual bound met 1e-12 theta; the recomputed
         # residual may exceed it by rounding only
         assert est.residual <= 2e-12 * exact ** 2
+        # from COO input, and warm from the top vector of a nearby operator,
+        # as the heuristic's ascent passes it
+        step = _random_element(rng, support).scaled(1e-2)
+        b = AlgebraElement({g: a.coeffs.get(g, 0.0) + step.coeffs.get(g, 0.0)
+                            for g in {**a.coeffs, **step.coeffs}})
+        _, _, v0, _, _ = _top_singular(commutator_matrix(b, ball).matrix, 1e-12, 10_000)
+        for matrix, start in ((T.matrix.tocoo(), None), (T.matrix, v0), (T.matrix.tocoo(), v0)):
+            sigma, _, _, converged, iterations = _top_singular(matrix, 1e-12, 10_000, start)
+            assert converged and iterations > 0
+            assert abs(sigma - exact) <= 1e-12 * exact
 
     def test_near_degenerate_dihedral_commutator(self):
         # the top pair of M^H M is split by 1.9e-6 relative: one of the slowest
@@ -340,7 +396,7 @@ class TestSpectralSolver:
     def test_warm_start_reaches_the_lapack_value(self, z_group, z2_group):
         # the heuristic's ascent passes the previous top vector as the start
         rng = np.random.default_rng(19)
-        ball = enumerate_ball(z2_group, 12)
+        ball = enumerate_ball(z2_group, 6)
         a = _random_element(rng, enumerate_ball(z2_group, 2))
         step = _random_element(rng, enumerate_ball(z2_group, 2)).scaled(1e-2)
         b = AlgebraElement({g: a.coeffs.get(g, 0.0) + step.coeffs.get(g, 0.0)
@@ -372,15 +428,21 @@ class TestSpectralSolver:
             "radius": 40, "mode": "bracket"}))
         script = f"""
 import sys
-from qmetric import (AlgebraElement, DensityState, FreeAbelian, GroupElement,
-                     commutator_matrix, enumerate_ball, kappa_bounds, norm_lower, pd_check)
+from qmetric import (AlgebraElement, CharacterState, DensityState, FreeAbelian, GroupElement,
+                     TraceState, commutator_matrix, connes_heuristic, enumerate_ball,
+                     kappa_bounds, norm_lower, pd_check)
 from qmetric.cli import main
-from qmetric.opalgebra import _DENSE_CUTOFF
+from qmetric.opalgebra import _DENSE_CUTOFF, TruncatedOperator
 group = FreeAbelian(2)
 ball = enumerate_ball(group, 20)
 assert len(ball) > _DENSE_CUTOFF
 a = AlgebraElement({{GroupElement((1, 0)): 1.0, GroupElement((2, -1)): 0.5j}})
-assert norm_lower(commutator_matrix(a, ball)).iterations > 0
+T = commutator_matrix(a, ball)
+assert norm_lower(T).iterations > 0
+assert norm_lower(TruncatedOperator(ball, T.matrix.tocoo(), T.kind)).iterations > 0
+# the ascent solves warm from 81 columns, the drift radius cold from 161
+z = FreeAbelian(1)
+connes_heuristic(TraceState(z), CharacterState(z, [-1.0]), z, 2, 40)
 kappa_bounds(DensityState(group, a), ball)
 assert pd_check(DensityState(group, a), enumerate_ball(group, 8)).passed
 assert main(["dist", "--config", {str(config)!r}, "--out", {str(tmp_path / "out.csv")!r}]) == 0
