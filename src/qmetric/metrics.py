@@ -3,7 +3,9 @@
 Two metrics are computed exactly on a ball with rigorous tails:
 
 * d_inf: the sup of |phi(lam_g) - psi(lam_g)| / L(g) over g != e,
-* d_2:   the l2 analogue, finite whenever shells are boundedly sized.
+* d_2:   the l2 analogue, finite whenever shells are boundedly sized,
+
+with tails from the states' outside bounds (``StateRep.outside_bound``).
 
 They enclose the Connes metric d (sup of |phi(a) - psi(a)| over a with
 commutator norm <= 1): d_inf <= d <= d_2.  The bracket is the only certified
@@ -44,41 +46,45 @@ def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
     return c
 
 
-def _sup_bracket(c: np.ndarray, ball: Ball) -> MetricBracket:
+def _outside_sum(phi: StateRep, psi: StateRep, ball: Ball) -> float:
+    """e_phi + e_psi, a bound on |c_g| for every g outside the ball."""
+    return phi.outside_bound(ball) + psi.outside_bound(ball)
+
+
+def _sup_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_inf needs ball radius >= 1")
     lengths = ball.lengths
     ratios = np.abs(c[1:]) / lengths[1:]
     best = int(np.argmax(ratios))
     lo = float(ratios[best])
-    tail = 2.0 / (ball.radius + 1)
+    tail = outside / (ball.radius + 1)
     return MetricBracket(lo, max(lo, tail), ball.radius, tail, {
         "argmax": ball.group.from_rows(ball.rows[best + 1])[0],
         "argmax_length": int(lengths[best + 1]),
     })
 
 
-def _l2_bracket(c: np.ndarray, ball: Ball) -> MetricBracket:
+def _l2_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_2 needs ball radius >= 1")
     bound = ball.group.shell_bound
     lengths = ball.lengths
     weights = (np.abs(c[1:]) / lengths[1:]) ** 2
-    by_radius = np.zeros(ball.radius + 1)
-    np.add.at(by_radius, lengths[1:], weights)
-    partials = np.sqrt(np.cumsum(by_radius))
+    partials = np.sqrt(np.cumsum(np.bincount(lengths[1:], weights, ball.radius + 1)))
     lo = float(partials[-1])
     diagnostics = {"partial_by_radius": partials.tolist(), "shell_bound": bound}
     if bound is None:
         return MetricBracket(lo, math.inf, ball.radius, None, diagnostics)
-    tail = 4.0 * bound / ball.radius
+    # for two states (outside = 2) this is 4.0 * bound / r, bit for bit
+    tail = outside ** 2 * bound / ball.radius
     return MetricBracket(lo, float(np.sqrt(lo ** 2 + tail)), ball.radius,
                          tail, diagnostics)
 
 
 def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
-    """Sup metric, exact on the ball; the tail uses |c_g| <= 2 and L >= r+1 outside."""
-    return _sup_bracket(delta_coeffs(phi, psi, ball), ball)
+    """Sup metric, exact on the ball; the tail uses |c_g| <= e_phi + e_psi and L >= r+1 outside."""
+    return _sup_bracket(delta_coeffs(phi, psi, ball), ball, _outside_sum(phi, psi, ball))
 
 
 def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
@@ -87,14 +93,15 @@ def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     Without one the upper endpoint is infinite and the diagnostics record the
     partial sums across sub-radii as divergence evidence.
     """
-    return _l2_bracket(delta_coeffs(phi, psi, ball), ball)
+    return _l2_bracket(delta_coeffs(phi, psi, ball), ball, _outside_sum(phi, psi, ball))
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Certified enclosure of the Connes metric: [d_inf.lo, d_2.hi]."""
     c = delta_coeffs(phi, psi, ball)
-    lower = _sup_bracket(c, ball)
-    upper = _l2_bracket(c, ball)
+    outside = _outside_sum(phi, psi, ball)
+    lower = _sup_bracket(c, ball, outside)
+    upper = _l2_bracket(c, ball, outside)
     return MetricBracket(lower.lo, upper.hi, ball.radius, upper.tail_bound,
                          {"d_inf": lower, "d_2": upper})
 

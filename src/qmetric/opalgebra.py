@@ -270,19 +270,13 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
     eta = 1/sqrt 2).
     """
     n = M.shape[1]
+    # a copy of M^H, as large as M; a sparse one is CSR, so each product
+    # gathers along rows where the CSC view M.T would scatter
     if isinstance(M, np.ndarray):
-        Mt = M.T  # a view: M^H y is conj(M^T conj(y)), so no conjugate copy of M is stored
-
-        def gram(x):
-            return np.conj(Mt @ np.conj(M @ x))
+        Mh = M.conj().T
     else:
-        # a CSR copy of M^H (as large as M): each product gathers along rows,
-        # where the CSC view M.T would scatter and need two conjugate copies
         M = M.tocsr()
         Mh = M.conj().T.tocsr()
-
-        def gram(x):
-            return Mh @ (M @ x)
     m, k = _LANCZOS_BASIS, _LANCZOS_KEEP
     V = np.empty((m + 1, n), dtype=complex)
     # the real and imaginary parts side by side: a real coefficient times a
@@ -299,7 +293,7 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
     diag_max = 0.0  # the largest diagonal entry of T[:size, :size]
     while True:
         for j in range(j0, m):
-            w = gram(V[j])
+            w = Mh @ (M @ V[j])
             wr = w.view(float)
             applications += 1
             if j > j0:

@@ -1,18 +1,17 @@
 """State representations on the reduced group C*-algebra.
 
 Every metric in this package depends on a state only through its coefficient
-function g -> phi(lam_g).  ``coeff`` evaluates it at one checked element;
-``coeff_rows`` evaluates it on an int64 array of element rows (see
-``groups``), and ``coeff_array`` over the rows of a ball.  The constant
-positive-definite function 1 and the characters of free abelian groups are
-evaluated in closed form; both are characters, so their ``pd_check`` Gram
-matrix is the rank-one outer product of the coefficients over the ball.  The
-other four kinds have finitely supported coefficients and are stored as the
-table of them, built once and zero elsewhere, so a coefficient is one lookup
-(a dict for ``coeff``, a row-index search for ``coeff_rows``).  Over a ball
-they are scattered from the table: ``coeff_array`` looks each key up in the
-ball, and the Gram matrix G[i, j] is nonzero only where g_j = g_i s for a
-key s, so each row i needs one lookup per key.  The kinds:
+function g -> phi(lam_g): ``coeff`` evaluates it at one checked element and
+``coeff_array`` over the int64 rows of a ball (see ``groups``), and
+``outside_bound`` bounds |phi(lam_g)| outside the ball by e_phi >= 1.  The
+constant positive-definite function 1 and the characters of free abelian
+groups are evaluated in closed form, e_phi = 1; both are characters, so their
+``pd_check`` Gram matrix is the rank-one outer product of the coefficients over
+the ball.  The other four kinds are stored as the table of their finitely
+supported coefficients, zero elsewhere, and e_phi is max(1, |value|) over keys
+outside the ball.  ``coeff_array`` looks each key up in the ball, and the Gram
+matrix G[i, j] is nonzero only where g_j = g_i s for a key s, so each row i
+needs one lookup per key.  The kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -25,19 +24,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, ResourceError, StateError, check_fields
-from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element, fits_rows
+from .groups import FreeAbelian, Group, GroupElement, decode_element, fits_rows
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
 
 class StateRep:
-    """Base state evaluator; subclasses implement coeff(g) and coeff_rows(rows)."""
+    """Base state evaluator; subclasses implement coeff(g) and coeff_array(ball)."""
 
     kind: str = ""
 
@@ -47,13 +45,17 @@ class StateRep:
     def coeff(self, g: GroupElement) -> complex:
         raise NotImplementedError
 
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Coefficients at a (..., row_width) array of element rows, shape (...)."""
-        raise NotImplementedError
-
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order."""
-        return self.coeff_rows(ball.rows)
+        raise NotImplementedError
+
+    def outside_bound(self, ball: Ball) -> float:
+        """A bound e_phi >= 1 on |phi(lam_g)| for every g outside the ball."""
+        return 1.0
+
+
+def _outside_table(g: GroupElement) -> StateError:
+    return StateError(f"element {g} is outside the state table")
 
 
 class OneState(StateRep):
@@ -65,8 +67,8 @@ class OneState(StateRep):
         self.group.check(g)
         return 1.0 + 0.0j
 
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        return np.ones(rows.shape[:-1], dtype=complex)
+    def coeff_array(self, ball: Ball) -> np.ndarray:
+        return np.ones(len(ball), dtype=complex)
 
 
 class CharacterState(StateRep):
@@ -89,8 +91,8 @@ class CharacterState(StateRep):
         self.group.check(g)
         return complex(np.exp(1j * float(np.dot(self.theta, g.z))))
 
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        return np.exp(1j * (rows @ self.theta))
+    def coeff_array(self, ball: Ball) -> np.ndarray:
+        return np.exp(1j * (ball.rows @ self.theta))
 
 
 class FiniteState(StateRep):
@@ -107,15 +109,13 @@ class FiniteState(StateRep):
         for g in table:
             group.check(g)
         self.table = table
-        # no int64 row equals a key with a coordinate beyond int64, so such
-        # keys (reachable only through coeff) are left out of the row lookup
+        # a key with a coordinate beyond int64 has no row and lies outside
+        # every ball: only coeff reaches it, and outside_bound counts it always
         keys = [g for g in table if fits_rows(g)]
         self._rows = group.to_rows(keys)
         self._values = np.array([table[g] for g in keys], dtype=complex)
-
-    @cached_property
-    def _index(self) -> RowIndex:
-        return RowIndex(self._rows)
+        far = np.array([v for g, v in table.items() if not fits_rows(g)], dtype=complex)
+        self._far_bound = float(np.abs(far).max(initial=1.0))
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -123,17 +123,8 @@ class FiniteState(StateRep):
         if value is None:
             if self.extend_zero:
                 return 0.0 + 0.0j
-            raise StateError(f"element {g} is outside the state table")
+            raise _outside_table(g)
         return value
-
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        pos = self._index.find(rows)
-        missing = pos < 0
-        if not self.extend_zero and missing.any():
-            first = int(np.flatnonzero(missing)[0])
-            g = self.group.from_rows(rows.reshape(-1, rows.shape[-1])[first])[0]
-            raise StateError(f"element {g} is outside the state table")
-        return np.where(missing, 0.0 + 0.0j, self._values[pos])
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order: the table scattered into zeros.
@@ -148,9 +139,13 @@ class FiniteState(StateRep):
         if not self.extend_zero and np.count_nonzero(hit) < len(ball):
             written = np.zeros(len(ball), dtype=bool)
             written[pos[hit]] = True
-            g = ball.group.from_rows(ball.rows[np.argmin(written)])[0]
-            raise StateError(f"element {g} is outside the state table")
+            raise _outside_table(ball.group.from_rows(ball.rows[np.argmin(written)])[0])
         return out
+
+    def outside_bound(self, ball: Ball) -> float:
+        """max(1, |value|) over the keys outside the ball."""
+        outside = self._values[ball.find_rows(self._rows) < 0]
+        return max(self._far_bound, float(np.abs(outside).max(initial=1.0)))
 
 
 class TraceState(FiniteState):
@@ -250,12 +245,12 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
             written = np.zeros((n, n), dtype=bool)
             written[i, j] = True
             a, b = divmod(int(np.flatnonzero(~written)[0]), n)
-            g = group.from_rows(group.mul_rows(group.inv_rows(rows[a]), rows[b]))[0]
-            raise StateError(f"element {g} is outside the state table")
+            raise _outside_table(
+                group.from_rows(group.mul_rows(group.inv_rows(rows[a]), rows[b]))[0])
         with np.errstate(over="ignore"):  # an overflow is an infinite asymmetry
             asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
         return gram, float(asymmetry)
-    x = state.coeff_rows(rows)
+    x = state.coeff_array(ball)
     gram = np.outer(x.conj(), x)
     return gram, float(np.abs(gram - gram.conj().T).max())
 

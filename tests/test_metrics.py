@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qmetric.experiments import run_ball, run_growth, run_summable
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, InfiniteDihedral,
@@ -139,6 +141,73 @@ class TestConnesBracket:
         ball = enumerate_ball(group, 30)
         bracket = connes_bracket(TraceState(group), OneState(group), ball)
         assert 0.0 < bracket.lo <= bracket.hi < math.inf
+
+
+class TestTableTails:
+    """The tails bound tables by their values outside the ball, not by 1."""
+
+    @pytest.mark.parametrize("r", [10, 49, 60])
+    def test_large_table_value_is_bracketed(self, z_group, r):
+        # c at 50 is 100 and L(50) = 50, so d_inf = 2 and d >= 2
+        phi = TableState(z_group, {GroupElement((50,)): 100.0})
+        ball = enumerate_ball(z_group, r)
+        assert d_inf(phi, TraceState(z_group), ball).hi >= 2.0
+        assert connes_bracket(phi, TraceState(z_group), ball).hi >= 2.0
+
+    def test_key_beyond_int64_gets_the_same_tail(self, z_group):
+        ball = enumerate_ball(z_group, 10)
+        near = TableState(z_group, {GroupElement((50,)): 100.0})
+        far = TableState(z_group, {GroupElement((2 ** 70,)): 100.0})
+        for metric in (d_inf, d_2):
+            expected = metric(near, TraceState(z_group), ball).tail_bound
+            assert metric(far, TraceState(z_group), ball).tail_bound == expected
+        assert d_inf(far, TraceState(z_group), ball).tail_bound == 101.0 / 11
+
+    @pytest.mark.parametrize("family", ["z", "zxz2", "dihedral"])
+    def test_states_keep_the_tails_of_two(self, family, z_group, z_x_z2, dihedral):
+        group = {"z": z_group, "zxz2": z_x_z2, "dihedral": dihedral}[family]
+        ball = enumerate_ball(group, 30)
+        bracket = connes_bracket(TraceState(group), OneState(group), ball)
+        assert bracket.diagnostics["d_inf"].tail_bound == 2.0 / 31
+        assert bracket.tail_bound == 4.0 * group.shell_bound / 30
+
+
+_TAIL_GROUPS = {"z": FreeAbelian(1), "zxz2": ProductZFinite(FiniteGroupTable.cyclic(2)),
+                "dihedral": InfiniteDihedral()}
+_TAIL_BALLS = {name: enumerate_ball(group, 30) for name, group in _TAIL_GROUPS.items()}
+
+
+@st.composite
+def _far_table(draw):
+    """A group, a table with keys in its ball of radius 30 and values up to 100 in modulus."""
+    name = draw(st.sampled_from(sorted(_TAIL_GROUPS)))
+    group, ball = _TAIL_GROUPS[name], _TAIL_BALLS[name]
+    keys = draw(st.lists(st.sampled_from(ball.elements[1:]), min_size=1, max_size=6,
+                         unique=True))
+    table = {}
+    for g in keys:
+        value = draw(st.floats(0.0, 100.0)) * np.exp(1j * draw(st.floats(0.0, 2 * np.pi)))
+        table[g] = complex(value)
+        if draw(st.booleans()):
+            table[group.inv(g)] = complex(value).conjugate()
+    table.pop(group.identity, None)
+    return name, table, draw(st.integers(1, 40))
+
+
+@settings(deadline=None)
+@given(_far_table())
+def test_brackets_contain_the_exact_metrics_of_a_table(case):
+    name, table, r = case
+    group, ball_30 = _TAIL_GROUPS[name], _TAIL_BALLS[name]
+    ratios = [abs(v) / ball_30.length(g) for g, v in table.items()]
+    exact_inf = max(ratios)
+    exact_2 = math.sqrt(sum(x * x for x in ratios))
+    bracket = connes_bracket(TableState(group, table), TraceState(group),
+                             enumerate_ball(group, r))
+    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+    slack = 1 + 1e-12
+    assert lower.lo <= exact_inf * slack and exact_inf <= lower.hi * slack
+    assert upper.lo <= exact_2 * slack and exact_2 <= upper.hi * slack
 
 
 class TestHeuristic:

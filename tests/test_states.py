@@ -2,8 +2,6 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
@@ -108,34 +106,9 @@ _CASES = [(group_name, kind) for group_name in _GROUPS for kind in _KINDS
           if kind != "character" or group_name == "z2"]
 
 
-@st.composite
-def _rows_case(draw):
-    """A group and state kind, and elements both inside and far outside its test ball."""
-    group_name, kind = draw(st.sampled_from(_CASES))
-    group = _GROUPS[group_name][0]()
-    z = st.integers(-40, 40)
-    if isinstance(group, FreeAbelian):
-        element = st.tuples(*[z] * group.rank).map(GroupElement)
-    else:
-        order = group.finite.order if isinstance(group, ProductZFinite) else 2
-        element = st.builds(lambda m, f: GroupElement((m,), f), z, st.integers(0, order - 1))
-    ball = enumerate_ball(group, 2)
-    near = st.sampled_from(ball.elements)
-    return group, kind, draw(st.lists(st.one_of(near, element), min_size=1, max_size=40))
-
-
-@settings(deadline=None)
-@given(_rows_case())
-def test_coeff_rows_matches_coeff(case):
-    group, kind, elements = case
-    phi, _ = _state_and_formula(kind, group)
-    got = phi.coeff_rows(group.to_rows(elements))
-    assert got.shape == (len(elements),) and got.dtype == complex
-    for value, g in zip(got, elements):
-        if kind == "character":  # rows @ theta and the scalar dot may round differently
-            assert value == pytest.approx(phi.coeff(g), abs=1e-12)
-        else:
-            assert value == phi.coeff(g)
+def coeff_rows(phi, rows):
+    """The reference for coeff_array: one checked coeff call per row, in row order."""
+    return np.array([phi.coeff(g) for g in phi.group.from_rows(rows)], dtype=complex)
 
 
 # default balls, and balls of generating sets without a closed form
@@ -155,7 +128,7 @@ def test_coeff_array_is_coeff_rows_bit_for_bit(group_name, kind):
     group = make()
     phi, _ = _state_and_formula(kind, group)
     ball = enumerate_ball(group, radius)
-    assert phi.coeff_array(ball).tobytes() == phi.coeff_rows(ball.rows).tobytes()
+    assert phi.coeff_array(ball).tobytes() == coeff_rows(phi, ball.rows).tobytes()
 
 
 @pytest.mark.parametrize("group_name", sorted(_SCATTER_GROUPS))
@@ -166,19 +139,10 @@ def test_strict_coeff_array_names_the_element_coeff_rows_names(group_name):
     phi = TableState(group, {g: 0.5 for g in table[1:]}, extend_zero=False)
     ball = enumerate_ball(group, radius)
     with pytest.raises(StateError) as expected:
-        phi.coeff_rows(ball.rows)
+        coeff_rows(phi, ball.rows)
     with pytest.raises(StateError) as got:
         phi.coeff_array(ball)
     assert str(got.value) == str(expected.value)
-
-
-def test_table_entry_at_large_coordinates_is_found_exactly():
-    group = FreeAbelian(3)
-    far = GroupElement((10 ** 12, -10 ** 12, 10 ** 12))
-    phi = TableState(group, {far: 0.5, group.inv(far): 0.5})
-    rows = group.to_rows([far, group.inv(far), GroupElement((10 ** 12, -10 ** 12, 10 ** 12 - 1)),
-                          GroupElement((10 ** 12, 10 ** 12, 10 ** 12)), group.identity])
-    assert phi.coeff_rows(rows).tolist() == [0.5, 0.5, 0, 0, 1]
 
 
 def test_table_key_beyond_int64_is_only_reached_pointwise():
@@ -187,6 +151,22 @@ def test_table_key_beyond_int64_is_only_reached_pointwise():
     phi = TableState(group, {far: 0.5, group.inv(far): 0.5})
     assert phi.coeff(far) == 0.5
     assert phi.coeff_array(enumerate_ball(group, 2)).tolist() == [1, 0, 0, 0, 0]
+
+
+class TestOutsideBound:
+    def test_closed_form_kinds_are_bounded_by_one(self, z_group):
+        ball = enumerate_ball(z_group, 3)
+        assert OneState(z_group).outside_bound(ball) == 1.0
+        assert CharacterState(z_group, [np.exp(0.3j)]).outside_bound(ball) == 1.0
+
+    def test_table_counts_only_keys_outside_the_ball(self, z_group):
+        phi = TableState(z_group, {GroupElement((2,)): 30.0, GroupElement((-5,)): -7j,
+                                   GroupElement((6,)): 0.5})
+        assert phi.outside_bound(enumerate_ball(z_group, 1)) == 30.0
+        assert phi.outside_bound(enumerate_ball(z_group, 2)) == 7.0
+        # a key of modulus below 1 leaves the floor of 1
+        assert phi.outside_bound(enumerate_ball(z_group, 5)) == 1.0
+        assert phi.outside_bound(enumerate_ball(z_group, 6)) == 1.0
 
 
 def _gram_double_loop(state, ball):
