@@ -74,10 +74,11 @@ class FiniteGroupTable:
 
     @classmethod
     def from_table(cls, rows: Sequence[Sequence[int]]) -> "FiniteGroupTable":
-        """Validate a raw table: identity, inverses, and (for order <= 24) associativity.
+        """Validate a raw table: identity, inverses and associativity, at every order.
 
         The table is a list (or tuple) of lists of integers; booleans, floats
-        and strings are refused rather than cast.
+        and strings are refused rather than cast.  Associativity is checked
+        for all order^3 triples, one numpy comparison per row.
         """
         if not isinstance(rows, (list, tuple)) or not all(
                 isinstance(row, (list, tuple)) for row in rows):
@@ -106,11 +107,14 @@ class FiniteGroupTable:
             if not cands:
                 raise GroupError(f"element {i} has no inverse in the Cayley table")
             inverse.append(cands[0])
-        if order <= 24:
-            for i, j, k in itertools.product(range(order), repeat=3):
-                if table[table[i][j]][k] != table[i][table[j][k]]:
-                    raise GroupError(
-                        f"Cayley table is not associative at triple ({i}, {j}, {k})")
+        # row i compares (ij)k with i(jk) over every (j, k); argwhere lists the
+        # mismatches in row-major order, so the first triple is lexicographic
+        t = np.array(table)
+        for i in range(order):
+            bad = np.argwhere(t[t[i]] != t[i][t])
+            if len(bad):
+                j, k = bad[0]
+                raise GroupError(f"Cayley table is not associative at triple ({i}, {j}, {k})")
         return cls(order, table, identity, tuple(inverse))
 
     @classmethod

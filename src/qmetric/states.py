@@ -8,10 +8,11 @@ constant positive-definite function 1 and the characters of free abelian
 groups are evaluated in closed form, e_phi = 1; both are characters, so their
 ``pd_check`` Gram matrix is the rank-one outer product of the coefficients over
 the ball.  The other four kinds are stored as the table of their finitely
-supported coefficients, zero elsewhere, and e_phi is max(1, |value|) over keys
-outside the ball.  ``coeff_array`` looks each key up in the ball, and the Gram
-matrix G[i, j] is nonzero only where g_j = g_i s for a key s, so each row i
-needs one lookup per key.  The kinds:
+supported coefficients.  A table is zero outside its keys, so the state is
+defined at every element of the group, as a state of C*_r(G) must be; e_phi
+is max(1, |value|) over keys outside the ball.  ``coeff_array`` looks each
+key up in the ball, and the Gram matrix G[i, j] is nonzero only where
+g_j = g_i s for a key s, so each row i needs one lookup per key.  The kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -37,8 +38,6 @@ from .wordlength import Ball
 class StateRep:
     """Base state evaluator; subclasses implement coeff(g) and coeff_array(ball)."""
 
-    kind: str = ""
-
     def __init__(self, group: Group):
         self.group = group
 
@@ -54,14 +53,8 @@ class StateRep:
         return 1.0
 
 
-def _outside_table(g: GroupElement) -> StateError:
-    return StateError(f"element {g} is outside the state table")
-
-
 class OneState(StateRep):
     """The state induced by the constant positive-definite function 1."""
-
-    kind = "one"
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -73,8 +66,6 @@ class OneState(StateRep):
 
 class CharacterState(StateRep):
     """Character of a free abelian group: g -> prod z_i^(m_i) with |z_i| = 1."""
-
-    kind = "character"
 
     def __init__(self, group: Group, z: Sequence[complex]):
         if not isinstance(group, FreeAbelian):
@@ -98,11 +89,8 @@ class CharacterState(StateRep):
 class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
-    With extend_zero False a coefficient outside the table raises instead.
     Every key must belong to the group (GroupError otherwise).
     """
-
-    extend_zero = True
 
     def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
@@ -119,27 +107,17 @@ class FiniteState(StateRep):
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
-        value = self.table.get(g)
-        if value is None:
-            if self.extend_zero:
-                return 0.0 + 0.0j
-            raise _outside_table(g)
-        return value
+        return self.table.get(g, 0.0 + 0.0j)
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order: the table scattered into zeros.
 
-        Each key is looked up in the ball, not each ball row in the table.  A
-        strict table raises for the first ball row that no key reached.
+        Each key is looked up in the ball, not each ball row in the table.
         """
         pos = ball.find_rows(self._rows)
         hit = pos >= 0
         out = np.zeros(len(ball), dtype=complex)
         out[pos[hit]] = self._values[hit]
-        if not self.extend_zero and np.count_nonzero(hit) < len(ball):
-            written = np.zeros(len(ball), dtype=bool)
-            written[pos[hit]] = True
-            raise _outside_table(ball.group.from_rows(ball.rows[np.argmin(written)])[0])
         return out
 
     def outside_bound(self, ball: Ball) -> float:
@@ -149,8 +127,6 @@ class FiniteState(StateRep):
 
 
 class TraceState(FiniteState):
-    kind = "trace"
-
     def __init__(self, group: Group):
         super().__init__(group, {group.identity: 1.0 + 0.0j})
 
@@ -158,39 +134,31 @@ class TraceState(FiniteState):
 class TableState(FiniteState):
     """Explicit coefficient table; it may violate positivity (see pd_check)."""
 
-    kind = "table"
-
-    def __init__(self, group: Group, entries: Mapping[GroupElement, complex],
-                 extend_zero: bool = True):
-        self.entries = {g: complex(v) for g, v in entries.items()}
-        ident = self.entries.get(group.identity)
+    def __init__(self, group: Group, entries: Mapping[GroupElement, complex]):
+        entries = {g: complex(v) for g, v in entries.items()}
+        ident = entries.get(group.identity)
         if ident is not None and ident != 1:
             raise StateError("table value at the identity must be 1 (states are unital)")
-        super().__init__(group, {**self.entries, group.identity: 1.0 + 0.0j})
-        self.extend_zero = extend_zero
+        super().__init__(group, {**entries, group.identity: 1.0 + 0.0j})
 
 
 class VectorState(FiniteState):
     """Vector state from a finitely supported unit vector xi on the group."""
 
-    kind = "vector"
-
     def __init__(self, group: Group, xi: Mapping[GroupElement, complex]):
-        self.xi = {g: complex(v) for g, v in xi.items() if complex(v) != 0}
-        for g in self.xi:
+        xi = {g: complex(v) for g, v in xi.items() if complex(v) != 0}
+        for g in xi:
             group.check(g)
         # a product, because float ** 2 raises OverflowError above about 1.3e154
-        norm_sq = sum(abs(v) * abs(v) for v in self.xi.values())
+        norm_sq = sum(abs(v) * abs(v) for v in xi.values())
         if abs(norm_sq - 1.0) > 1e-12:
             raise StateError(f"vector state must be normalized; |xi|^2 = {norm_sq}")
-        xi_bar = AlgebraElement({g: v.conjugate() for g, v in self.xi.items()})
+        xi_bar = AlgebraElement({g: v.conjugate() for g, v in xi.items()})
         super().__init__(group, conv_mul(group, xi_bar, star(group, xi_bar)).coeffs)
 
 
 class DensityState(FiniteState):
     """Trace-bounded state with density rho = b*b / tau(b*b) for finitely supported b."""
-
-    kind = "density"
 
     def __init__(self, group: Group, b: AlgebraElement):
         bb = conv_mul(group, star(group, b), b)
@@ -199,7 +167,6 @@ class DensityState(FiniteState):
             raise StateError("density generator b must be nonzero")
         if not np.isfinite(total):
             raise StateError("density generator b must have a finite tau(b*b)")
-        self.b = b
         self.rho = bb.scaled(1.0 / total.real)
         super().__init__(group, {group.inv(g): v for g, v in self.rho.coeffs.items()})
 
@@ -226,8 +193,7 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
     and 0 elsewhere.  For a fixed i distinct keys give distinct products, so
     no entry is written twice, and |G - G^H| is nonzero only at the written
     entries and their transposes.  (A product that wraps past int64 has a
-    coordinate of magnitude above 2^62 and so lies in no ball.)  A strict
-    table raises for the first unwritten entry in row-major order.  The
+    coordinate of magnitude above 2^62 and so lies in no ball.)  The
     closed-form kinds are characters, phi(g_i^-1 g_j) = conj(phi(g_i)) phi(g_j),
     so G is the outer product of conj(x) and x for x the coefficients over
     the ball; rounding still leaves G - G^H a few ulps from 0.
@@ -241,12 +207,6 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
         j = cols[i, k]
         gram = np.zeros((n, n), dtype=complex)
         gram[i, j] = state._values[k]
-        if not state.extend_zero and len(i) < n * n:
-            written = np.zeros((n, n), dtype=bool)
-            written[i, j] = True
-            a, b = divmod(int(np.flatnonzero(~written)[0]), n)
-            raise _outside_table(
-                group.from_rows(group.mul_rows(group.inv_rows(rows[a]), rows[b]))[0])
         with np.errstate(over="ignore"):  # an overflow is an infinite asymmetry
             asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
         return gram, float(asymmetry)
@@ -386,10 +346,9 @@ def state_from_json(group: Group, data) -> StateRep:
             return DensityState(group, algebra_element_from_json(group, data.get("b"), "b"))
         # kind == "table"
         entries = _decode_weighted(group, data.get("entries"), "entries")
-        extend_zero = data.get("extend_zero", True)
-        if not isinstance(extend_zero, bool):
-            raise ConfigError(f"table: 'extend_zero' must be true or false, "
-                              f"got {extend_zero!r}")
-        return TableState(group, entries, extend_zero)
+        if data.get("extend_zero", True) is not True:
+            raise ConfigError(f"table: a table is zero outside its entries, so 'extend_zero' "
+                              f"may only be true, got {data['extend_zero']!r}")
+        return TableState(group, entries)
     except StateError as exc:
         raise ConfigError(str(exc)) from exc

@@ -42,3 +42,15 @@ def random_element(rng: np.random.Generator, group) -> GroupElement:
         return GroupElement((int(rng.integers(-5, 6)),),
                             int(rng.integers(group.finite.order)))
     return GroupElement((int(rng.integers(-5, 6)),), int(rng.integers(2)))
+
+
+def z26_not_associative() -> list[list[int]]:
+    """Z/26 with columns 2 and 15 swapped in rows 1 and 14.
+
+    It keeps an identity and inverses but fails associativity at 368 triples,
+    the first being (1, 1, 1).
+    """
+    rows = [[(i + j) % 26 for j in range(26)] for i in range(26)]
+    for i in (1, 14):
+        rows[i][2], rows[i][15] = rows[i][15], rows[i][2]
+    return rows

@@ -13,6 +13,8 @@ from qmetric import groups
 from qmetric.cli import main
 from qmetric.experiments import config_hash, run_ball, run_converge, run_dist
 
+from conftest import z26_not_associative
+
 Z_GROUP = {"family": "free_abelian", "rank": 1}
 
 
@@ -53,6 +55,12 @@ def _table_ball(table):
     return {"group": {"family": "product_z_finite", "finite": {"table": table}},
             "radius": 3}
 
+
+# what the error of a config-error case must name, by case id
+_NAMED_IN_ERROR = {
+    "table-extend-zero-false": "extend_zero",
+    "cayley-table-not-associative-26": "associative",
+}
 
 _DIST_BASE = {"group": Z_GROUP, "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
               "radius": 5, "mode": "bracket"}
@@ -146,6 +154,12 @@ class TestExitCodes:
                                                       {"element": [-1], "re": 0.5}]},
                               "radius": 5},
                      id="table-extend-zero-string"),
+        pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
+                              "state_b": {"kind": "table", "extend_zero": False,
+                                          "entries": [{"element": [1], "re": 0.5},
+                                                      {"element": [-1], "re": 0.5}]},
+                              "radius": 5},
+                     id="table-extend-zero-false"),
         pytest.param("dist", {"group": {**Z_GROUP, "generators": [[0]]},
                               "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
                               "radius": 5, "mode": "bracket"},
@@ -193,6 +207,8 @@ class TestExitCodes:
                      id="cayley-table-string"),
         pytest.param("ball", _table_ball(5), id="cayley-table-number"),
         pytest.param("ball", _table_ball([0, 1]), id="cayley-table-flat"),
+        pytest.param("ball", _table_ball(z26_not_associative()),
+                     id="cayley-table-not-associative-26"),
         pytest.param("dist", {"group": Z_GROUP, "state_a": {"kind": "trace"},
                               "state_b": {"kind": "character", "z": 5},
                               "radius": 5, "mode": "bracket"}, id="character-z-number"),
@@ -219,7 +235,7 @@ class TestExitCodes:
         *[pytest.param(experiment, payload, id=f"misspelt-{name}")
           for name, experiment, payload in MISSPELT],
     ])
-    def test_config_error_is_two(self, experiment, payload, tmp_path, capsys):
+    def test_config_error_is_two(self, experiment, payload, tmp_path, capsys, request):
         # a str payload is written verbatim, for JSON that json.dumps cannot produce
         path = tmp_path / "bad.json"
         if isinstance(payload, str):
@@ -227,7 +243,9 @@ class TestExitCodes:
         else:
             write_json(path, payload)
         assert main([experiment, "--config", str(path)]) == 2
-        assert "config error" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error" in err
+        assert _NAMED_IN_ERROR.get(request.node.callspec.id, "") in err
 
     def test_missing_config_file_is_two(self, capsys):
         assert main(["ball", "--config", "/nonexistent/x.json"]) == 2

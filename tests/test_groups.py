@@ -1,3 +1,6 @@
+import itertools
+import re
+
 import numpy as np
 import pytest
 
@@ -7,7 +10,7 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             builtin_finite_table, decode_element,
                             encode_element, group_from_json, word_eval)
 
-from conftest import random_element
+from conftest import random_element, z26_not_associative
 
 
 def dihedral_oracle(a, b):
@@ -42,8 +45,27 @@ class TestFiniteGroupTable:
                 [2, 4, 0, 1, 3],
                 [3, 2, 4, 0, 1],
                 [4, 3, 1, 2, 0]]
-        with pytest.raises(GroupError, match="associative"):
+        with pytest.raises(GroupError, match=re.escape("associative at triple (1, 1, 2)")):
             FiniteGroupTable.from_table(rows)
+        # order 26: identity and inverses hold, associativity fails
+        with pytest.raises(GroupError, match=re.escape("associative at triple (1, 1, 1)")):
+            FiniteGroupTable.from_table(z26_not_associative())
+
+    def test_first_failing_triple_matches_the_triple_loop(self):
+        # Z/n with an intercalate swapped in rows r, r + n/2 and columns c, c + n/2;
+        # r + c not in {0, n/2} keeps the identity and the inverses in place
+        rng = np.random.default_rng(5)
+        for n in range(6, 41, 2):
+            h = n // 2
+            r, c = next((int(r), int(c)) for r, c in rng.integers(1, h, size=(50, 2))
+                        if r + c != h)
+            rows = [[(i + j) % n for j in range(n)] for i in range(n)]
+            for i in (r, r + h):
+                rows[i][c], rows[i][c + h] = rows[i][c + h], rows[i][c]
+            first = next((i, j, k) for i, j, k in itertools.product(range(n), repeat=3)
+                         if rows[rows[i][j]][k] != rows[i][rows[j][k]])
+            with pytest.raises(GroupError, match=re.escape(f"triple {first}")):
+                FiniteGroupTable.from_table(rows)
 
     @pytest.mark.parametrize("rows", [[[0, 1], [1, 0.5]], [[False, True], [True, "0"]],
                                       [[0, "abc"], ["abc", 0]], 5, [0, 1]])
