@@ -18,6 +18,9 @@ Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
 two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
 broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
 in a fixed set of rows, by keys whose byte order is the rows' lexicographic order.
+Elements may have coordinates of any size; ``to_rows`` alone decides their
+rows, saturating a coordinate beyond int64 to the nearest int64 limit.  Ball
+coordinates stay below 2^61 (see ``to_rows``), so such a row lies in no ball.
 
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
@@ -47,16 +50,7 @@ class GroupElement(NamedTuple):
     f: Optional[int] = None
 
 
-_INT64 = np.iinfo(np.int64)
-
-
-def fits_rows(g: GroupElement) -> bool:
-    """Whether every coordinate of g fits an int64 row.
-
-    An element that does not lies in no ball: ball coordinates stay within
-    +-2^31 times the radius.
-    """
-    return all(_INT64.min <= x <= _INT64.max for x in g.z)
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 # ---------------------------------------------------------------------------
@@ -93,23 +87,20 @@ class FiniteGroupTable:
         for i, row in enumerate(table):
             if len(row) != order or any(not 0 <= x < order for x in row):
                 raise GroupError(f"row {i} of the Cayley table is not a map into the group")
-        identity = None
-        for i in range(order):
-            if all(table[i][j] == j and table[j][i] == j for j in range(order)):
-                identity = i
-                break
-        if identity is None:
+        t = np.array(table)
+        ids = np.arange(order)
+        is_identity = (t == ids).all(axis=1) & (t.T == ids).all(axis=1)
+        if not is_identity.any():
             raise GroupError("Cayley table has no identity element")
-        inverse = []
-        for i in range(order):
-            cands = [j for j in range(order)
-                     if table[i][j] == identity and table[j][i] == identity]
-            if not cands:
-                raise GroupError(f"element {i} has no inverse in the Cayley table")
-            inverse.append(cands[0])
+        identity = int(is_identity.argmax())
+        # is_inverse[i, j]: ij = ji = e; argmax gives the first such j of each row
+        is_inverse = (t == identity) & (t.T == identity)
+        missing = np.flatnonzero(~is_inverse.any(axis=1))
+        if missing.size:
+            raise GroupError(f"element {missing[0]} has no inverse in the Cayley table")
+        inverse = is_inverse.argmax(axis=1).tolist()
         # row i compares (ij)k with i(jk) over every (j, k); argwhere lists the
         # mismatches in row-major order, so the first triple is lexicographic
-        t = np.array(table)
         for i in range(order):
             bad = np.argwhere(t[t[i]] != t[i][t])
             if len(bad):
@@ -145,8 +136,8 @@ def builtin_finite_table(name: str) -> FiniteGroupTable:
 # group handles
 # ---------------------------------------------------------------------------
 
-# Keeps every coordinate of a ball, and of a product of two ball elements,
-# far inside the int64 rows that the vectorised products work on.
+# With the ball cap of at most 2^30 elements (wordlength._MAX_CAP), keeps
+# every ball coordinate below 2^61; see Group.to_rows.
 _MAX_GENERATOR_COORD = 2 ** 31
 
 
@@ -219,15 +210,25 @@ class Group:
         raise NotImplementedError
 
     def to_rows(self, elements: Iterable[GroupElement]) -> np.ndarray:
-        """Elements (assumed to belong to the group) as an (n, row_width) int64 array."""
+        """Elements (assumed to belong to the group) as an (n, row_width) int64 array.
+
+        A coordinate beyond int64 saturates to the nearest int64 limit.  This
+        is sound because ball coordinates stay below 2^61: each shell of an
+        infinite group is nonempty, so a ball of at most 2^30 elements (the
+        cap) has radius below 2^30, and generator coordinates are at most
+        2^31.  So a saturated row lies in no ball, and
+        a product of a ball row with any int64 row is either exact or wraps to
+        a coordinate of magnitude above 2^62, and then lies in no ball either.
+        """
         if self.identity.f is None:
             flat = [g.z for g in elements]
         else:
             flat = [g.z + (g.f,) for g in elements]
-        return np.array(flat, dtype=np.int64).reshape(len(flat), self.row_width)
+        rows = np.array(flat, dtype=object).reshape(len(flat), self.row_width)
+        return rows.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
 
     def from_rows(self, rows: np.ndarray) -> list[GroupElement]:
-        """Inverse of to_rows: canonical elements with Python int coordinates."""
+        """Inverse of to_rows on elements within int64: elements with Python int coordinates."""
         flat = np.asarray(rows).reshape(-1, self.row_width).tolist()
         if self.identity.f is None:
             return [GroupElement(tuple(r)) for r in flat]

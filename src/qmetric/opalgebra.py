@@ -24,7 +24,7 @@ from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
-from .groups import Group, GroupElement, fits_rows
+from .groups import Group, GroupElement
 from .wordlength import Ball
 
 if TYPE_CHECKING:
@@ -92,28 +92,19 @@ class TruncatedOperator:
     matrix: sp.csr_matrix
     kind: str
 
-    def to_coo_text(self) -> str:
-        """Coordinate-format dump: one 'row col re im' line per stored entry."""
-        coo = self.matrix.tocoo()
-        lines = [f"{i} {j} {float(v.real)!r} {float(v.imag)!r}"
-                 for i, j, v in zip(coo.row, coo.col, coo.data)]
-        return "\n".join(lines)
-
 
 def _translations(support, ball: Ball):
     """Triplets (row, col, index): row indexes gh, col indexes h, both in the ball.
 
-    index is g's place in support.  Ordered by g, then by h.  A g without an
-    int64 row maps no ball element into the ball and is skipped.
+    index is g's place in support.  Ordered by g, then by h.  A g beyond
+    int64 maps no ball element into the ball (see Group.to_rows).
     """
     group = ball.group
     for g in support:
         group.check(g)
-    places = np.array([i for i, g in enumerate(support) if fits_rows(g)], dtype=np.intp)
-    rows = group.to_rows([support[i] for i in places])
-    k = ball.find_rows(group.mul_rows(rows[:, None, :], ball.rows))
+    k = ball.find_rows(group.mul_rows(group.to_rows(support)[:, None, :], ball.rows))
     g_index, cols = np.nonzero(k >= 0)
-    return k[g_index, cols], cols, places[g_index]
+    return k[g_index, cols], cols, g_index
 
 
 def commutator_triplets(support, ball: Ball):
@@ -225,7 +216,7 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     callers that evaluate a slowly varying family
     of operators (the ratio ascent of metrics.connes_heuristic) pass the
     previous top vector, from which one basis of Lanczos (32 applications
-    of M^H M) usually replaces a full LAPACK solve.
+    of M^H M) usually does the work of a full LAPACK solve.
 
     Returns (sigma, u, v, converged, iterations) where v is a unit vector,
     sigma = |M v| is a certified lower bound of the largest singular value,

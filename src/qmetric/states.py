@@ -30,7 +30,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, ResourceError, StateError, check_fields
-from .groups import FreeAbelian, Group, GroupElement, decode_element, fits_rows
+from .groups import FreeAbelian, Group, GroupElement, decode_element
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
@@ -97,13 +97,8 @@ class FiniteState(StateRep):
         for g in table:
             group.check(g)
         self.table = table
-        # a key with a coordinate beyond int64 has no row and lies outside
-        # every ball: only coeff reaches it, and outside_bound counts it always
-        keys = [g for g in table if fits_rows(g)]
-        self._rows = group.to_rows(keys)
-        self._values = np.array([table[g] for g in keys], dtype=complex)
-        far = np.array([v for g, v in table.items() if not fits_rows(g)], dtype=complex)
-        self._far_bound = float(np.abs(far).max(initial=1.0))
+        self._rows = group.to_rows(table)
+        self._values = np.array(list(table.values()), dtype=complex)
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -123,7 +118,7 @@ class FiniteState(StateRep):
     def outside_bound(self, ball: Ball) -> float:
         """max(1, |value|) over the keys outside the ball."""
         outside = self._values[ball.find_rows(self._rows) < 0]
-        return max(self._far_bound, float(np.abs(outside).max(initial=1.0)))
+        return float(np.abs(outside).max(initial=1.0))
 
 
 class TraceState(FiniteState):
@@ -192,11 +187,11 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
     so row i holds value_k at the ball index of each right translate g_i s_k
     and 0 elsewhere.  For a fixed i distinct keys give distinct products, so
     no entry is written twice, and |G - G^H| is nonzero only at the written
-    entries and their transposes.  (A product that wraps past int64 has a
-    coordinate of magnitude above 2^62 and so lies in no ball.)  The
-    closed-form kinds are characters, phi(g_i^-1 g_j) = conj(phi(g_i)) phi(g_j),
-    so G is the outer product of conj(x) and x for x the coefficients over
-    the ball; rounding still leaves G - G^H a few ulps from 0.
+    entries and their transposes.  (A product that wraps past int64 lies in
+    no ball; see Group.to_rows.)  The closed-form kinds are characters,
+    phi(g_i^-1 g_j) = conj(phi(g_i)) phi(g_j), so G is the outer product of
+    conj(x) and x for x the coefficients over the ball; rounding still leaves
+    G - G^H a few ulps from 0.
     """
     group = ball.group
     rows = ball.rows

@@ -29,9 +29,11 @@ from typing import Optional
 import numpy as np
 
 from .errors import BallRadiusError, ResourceError
-from .groups import Group, GroupElement, RowIndex, fits_rows
+from .groups import Group, GroupElement, RowIndex
 
 DEFAULT_MAX_BALL = 200_000
+# largest ball cap: keeps ball coordinates below 2^61 (see groups.Group.to_rows)
+_MAX_CAP = 2 ** 30
 # most products per search step; the step length m grows while a step stays below it
 _STEP_ROWS = 4096
 
@@ -82,7 +84,7 @@ class Ball:
 
     def index(self, g: GroupElement) -> int:
         self.group.check(g)
-        idx = int(self.find_rows(self.group.to_rows([g]))[0]) if fits_rows(g) else -1
+        idx = int(self.find_rows(self.group.to_rows([g]))[0])
         if idx < 0:
             raise BallRadiusError(
                 f"element {g} lies outside the enumerated ball; "
@@ -105,14 +107,17 @@ def enumerate_ball(group: Group, radius: int,
                    max_elements: Optional[int] = None) -> Ball:
     """The ball of the given radius around the identity, of at most the cap's elements.
 
-    The cap is max_elements, or max_ball_elements() when that is None; a ball
-    above it raises ResourceError naming the first radius whose ball is over.
+    The cap is max_elements, or max_ball_elements() when that is None, and
+    must lie in [1, 2^30]; a ball above it raises ResourceError naming the
+    first radius whose ball is over.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
     cap = max_elements if max_elements is not None else max_ball_elements()
     if cap < 1:
         raise ResourceError("ball size cap must be >= 1")
+    if cap > _MAX_CAP:
+        raise ResourceError(f"ball size cap must be <= 2^30 = {_MAX_CAP}")
     if not group._default_generators:
         return _search_ball(group, radius, cap)
     if group.default_ball_sizes(int(radius)) > cap:

@@ -284,6 +284,12 @@ class TestExitCodes:
         assert main(["ball", "--config", config]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_cap_above_2_to_30_is_three(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("QMETRIC_MAX_BALL", str(2 ** 30 + 1))
+        config = write_json(tmp_path / "c.json", {"group": Z_GROUP, "radius": 3})
+        assert main(["ball", "--config", config]) == 3
+        assert "cap must be <= 2^30" in capsys.readouterr().err
+
     @pytest.mark.parametrize("generators", [False, True], ids=["default", "custom"])
     def test_rank_over_cap_is_three_before_building(self, tmp_path, monkeypatch, capsys,
                                                     generators):

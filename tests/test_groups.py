@@ -75,8 +75,12 @@ class TestFiniteGroupTable:
 
     def test_missing_inverse_rejected(self):
         rows = [[0, 1], [1, 1]]
-        with pytest.raises(GroupError):
+        with pytest.raises(GroupError, match="^element 1 has no inverse"):
             FiniteGroupTable.from_table(rows)
+
+    def test_missing_identity_rejected(self):
+        with pytest.raises(GroupError, match="no identity element"):
+            FiniteGroupTable.from_table([[0, 0], [0, 0]])
 
     def test_builtins(self):
         assert builtin_finite_table("z2").order == 2

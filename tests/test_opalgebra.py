@@ -158,15 +158,6 @@ class TestTruncatedOperators:
         T = commutator_matrix(AlgebraElement.lam(z_group.identity), ball)
         assert T.matrix.nnz == 0
 
-    def test_coo_text_round_trip(self, z_group):
-        ball = enumerate_ball(z_group, 2)
-        T = commutator_matrix(AlgebraElement.lam(GroupElement((1,)), 1j), ball)
-        rebuilt = np.zeros((len(ball), len(ball)), dtype=complex)
-        for line in T.to_coo_text().splitlines():
-            i, j, re, im = line.split()
-            rebuilt[int(i), int(j)] = float(re) + 1j * float(im)
-        assert np.allclose(rebuilt, T.matrix.toarray())
-
 
 class TestNorms:
     def test_matches_numpy_svd(self, z_x_z2):

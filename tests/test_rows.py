@@ -1,4 +1,8 @@
-"""Property tests of the row layer: vectorised products, the converters and the row lookup."""
+"""Property tests of the row layer: vectorised products, the converters and the row lookup.
+
+The last tests check the int64 boundary: elements beyond int64 saturate in
+``to_rows`` and take the same path as every other element, so no ball finds them.
+"""
 
 import numpy as np
 import pytest
@@ -7,7 +11,10 @@ from hypothesis import strategies as st
 
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
+from qmetric.opalgebra import commutator_triplets
+from qmetric.states import FiniteState, _gram
 from qmetric.wordlength import enumerate_ball
+from test_states import _gram_double_loop
 
 GROUPS = {
     "z": FreeAbelian(1),
@@ -119,3 +126,77 @@ def test_lexicographic_index_matches_a_sorted_one(rows, data):
     lexicographic = RowIndex.lexicographic(fixed, np.argsort(perm))
     queries = np.concatenate([fixed, rows + 1, rows - 1, rows[::-1]])  # +-1 wraps at the ends
     assert lexicographic.find(queries).tolist() == sorted_index.find(queries).tolist()
+
+
+# ---------------------------------------------------------------------------
+# the int64 boundary
+# ---------------------------------------------------------------------------
+
+BOUNDARY_GROUPS = {
+    "z": FreeAbelian(1),
+    "z2": FreeAbelian(2),
+    "zxz2": ProductZFinite(FiniteGroupTable.cyclic(2)),
+    "dihedral": InfiniteDihedral(),
+}
+# magnitudes from just below the int64 limits, which wrap in products, to far beyond them
+far_coordinates = st.integers(2 ** 63 - 2, 2 ** 80).flatmap(lambda x: st.sampled_from([x, -x]))
+values = st.complex_numbers(max_magnitude=200, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def far_elements(draw, group):
+    """An element with at least one coordinate in +-[2^63 - 2, 2^80]."""
+    g = draw(elements(group, st.integers(-4, 4)))
+    z = list(g.z)
+    for i in draw(st.sets(st.integers(0, len(z) - 1), min_size=1)):
+        z[i] = draw(far_coordinates)
+    return GroupElement(tuple(z), g.f)
+
+
+@st.composite
+def near_and_far(draw):
+    """A group, a ball, and a table and support that mix near and far elements."""
+    group = BOUNDARY_GROUPS[draw(st.sampled_from(sorted(BOUNDARY_GROUPS)))]
+    ball = enumerate_ball(group, draw(st.integers(0, 4)))
+    near = draw(st.dictionaries(elements(group, st.integers(-6, 6)), values, max_size=8))
+    far = draw(st.dictionaries(far_elements(group), values, min_size=1, max_size=6))
+    support = draw(st.permutations([*near, *far]))
+    return group, ball, near, far, support
+
+
+@settings(deadline=None, max_examples=60)
+@given(near_and_far())
+def test_far_elements_are_in_no_ball(case):
+    group, ball, near, far, support = case
+    phi, phi_near = FiniteState(group, {**near, **far}), FiniteState(group, near)
+    assert phi.coeff_array(ball).tobytes() == phi_near.coeff_array(ball).tobytes()
+    gram, asymmetry = _gram(phi, ball)
+    gram_near, asymmetry_near = _gram(phi_near, ball)
+    assert gram.tobytes() == gram_near.tobytes() and asymmetry == asymmetry_near
+    assert np.array_equal(gram, _gram_double_loop(phi, ball))
+    inside = set(ball.elements)
+    # numpy's modulus, which can differ from Python's abs in the last bit
+    assert phi.outside_bound(ball) == max(
+        [1.0] + [float(np.abs(v)) for g, v in phi.table.items() if g not in inside])
+    # the far elements of the support get no triplets, the near ones keep theirs
+    rows, cols, index, diff = commutator_triplets(support, ball)
+    places = np.array([i for i, g in enumerate(support) if g in near], dtype=np.intp)
+    near_rows, near_cols, near_index, near_diff = commutator_triplets(
+        [support[i] for i in places], ball)
+    assert rows.tolist() == near_rows.tolist() and cols.tolist() == near_cols.tolist()
+    assert index.tolist() == places[near_index].tolist()
+    assert diff.tolist() == near_diff.tolist()
+
+
+def test_saturated_rows_times_a_ball_at_the_generator_limit():
+    # coordinates up to 300 * 2^31, the largest generator coordinate
+    group = FreeAbelian(1, [GroupElement((s * x,)) for x in (1, 2 ** 31) for s in (1, -1)])
+    ball = enumerate_ball(group, 300)
+    assert len(ball) == 180_601 and np.abs(ball.rows).max() == 300 * 2 ** 31
+    far = group.to_rows([GroupElement((2 ** 70,)), GroupElement((-2 ** 70,)),
+                         GroupElement((2 ** 63,)), GroupElement((-2 ** 63 - 1,))])
+    int64 = np.iinfo(np.int64)
+    assert far[:, 0].tolist() == [int64.max, int64.min, int64.max, int64.min]
+    for row in far:
+        assert (ball.find_rows(group.mul_rows(row, ball.rows)) == -1).all()
+        assert (ball.find_rows(group.mul_rows(ball.rows, row)) == -1).all()

@@ -354,6 +354,17 @@ class TestResourceCap:
         with pytest.raises(ResourceError):
             enumerate_ball(z2_group, 3)
 
+    def test_cap_above_2_to_30_refused(self, monkeypatch, z_group):
+        # ball coordinates stay below 2^61 only while the cap is at most 2^30
+        assert len(enumerate_ball(z_group, 2, max_elements=2 ** 30)) == 5
+        with pytest.raises(ResourceError, match="<= 2\\^30"):
+            enumerate_ball(z_group, 2, max_elements=2 ** 30 + 1)
+        monkeypatch.setenv("QMETRIC_MAX_BALL", str(2 ** 30))
+        assert len(enumerate_ball(z_group, 2)) == 5
+        monkeypatch.setenv("QMETRIC_MAX_BALL", str(2 ** 30 + 1))
+        with pytest.raises(ResourceError, match="<= 2\\^30"):
+            enumerate_ball(z_group, 2)
+
 
 class TestGrowth:
     def test_z_fit_is_exact(self, z_group):
