@@ -6,8 +6,6 @@ to a finite ball recovers it from below.  For general elements the norm is
 squeezed between an l2-type lower bound and the l1 upper bound.
 """
 
-import numpy as np
-
 from qmetric import (AlgebraElement, GroupElement, InfiniteDihedral,
                      commutator_matrix, commutator_norm_upper_l1,
                      enumerate_ball, lemma2_lower, norm_lower)

@@ -7,8 +7,6 @@ truncated operator norm.  These states also make d_2 finite with the
 explicit cap d_2 <= 2 * kappa.
 """
 
-import numpy as np
-
 from qmetric import (AlgebraElement, DensityState, GroupElement, TraceState,
                      d_2, enumerate_ball, kappa_bounds, pd_check)
 from qmetric.groups import FreeAbelian

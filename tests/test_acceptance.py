@@ -8,7 +8,6 @@ guarantee is not met.
 import math
 
 import numpy as np
-import pytest
 
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)

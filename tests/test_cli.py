@@ -284,6 +284,12 @@ class TestExitCodes:
         assert main(["ball", "--config", config]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    def test_cayley_table_over_the_cap_is_three(self, tmp_path, capsys):
+        group = {"family": "product_z_finite", "finite": {"table": [[0]] * 1025}}
+        config = write_json(tmp_path / "c.json", {"group": group, "radius": 1})
+        assert main(["ball", "--config", config]) == 3
+        assert "order 1025 is over the cap of 1024" in capsys.readouterr().err
+
     def test_cap_above_2_to_30_is_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QMETRIC_MAX_BALL", str(2 ** 30 + 1))
         config = write_json(tmp_path / "c.json", {"group": Z_GROUP, "radius": 3})

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from qmetric.errors import ConfigError, GroupError
+from qmetric.errors import ConfigError, GroupError, ResourceError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite,
                             builtin_finite_table, decode_element,
@@ -18,6 +18,23 @@ def dihedral_oracle(a, b):
     m, s = a.z[0], a.f
     mp, sp = b.z[0], b.f
     return GroupElement((m + (mp if s == 0 else -mp),), s ^ sp)
+
+
+def assert_law_matches_oracle(group, oracle, rng):
+    """mul and inv on elements up to +-2^80, mul_rows and inv_rows on rows up to +-2^61."""
+    order = group.finite.order
+    for bound in (5, 2 ** 61, 2 ** 80):
+        pairs = [[GroupElement((int.from_bytes(rng.bytes(11), "little", signed=True)
+                                % (2 * bound + 1) - bound,), int(rng.integers(order)))
+                  for _ in range(2)] for _ in range(300)]
+        for a, b in pairs:
+            assert group.mul(a, b) == oracle(a, b)
+            assert oracle(a, group.inv(a)) == oracle(group.inv(a), a) == group.identity
+        if bound > 2 ** 61:
+            continue
+        a, b = (group.to_rows(column) for column in zip(*pairs))
+        assert group.from_rows(group.mul_rows(a, b)) == [oracle(x, y) for x, y in pairs]
+        assert group.from_rows(group.inv_rows(a)) == [group.inv(x) for x, _ in pairs]
 
 
 class TestFiniteGroupTable:
@@ -73,6 +90,14 @@ class TestFiniteGroupTable:
         with pytest.raises(GroupError, match="of integers"):
             FiniteGroupTable.from_table(rows)
 
+    def test_order_over_the_cap_rejected(self, monkeypatch):
+        with pytest.raises(ResourceError, match="order 1025"):
+            FiniteGroupTable.from_table([[0]] * 1025)
+        monkeypatch.setattr("qmetric.groups._MAX_TABLE_ORDER", 4)
+        assert FiniteGroupTable.cyclic(4).order == 4
+        with pytest.raises(ResourceError, match="cap of 4"):
+            FiniteGroupTable.cyclic(5)
+
     def test_missing_inverse_rejected(self):
         rows = [[0, 1], [1, 1]]
         with pytest.raises(GroupError, match="^element 1 has no inverse"):
@@ -117,11 +142,16 @@ class TestMul:
             dihedral.mul(GroupElement((1,)), GroupElement((0,), 1))
 
     def test_dihedral_matches_oracle(self, dihedral):
-        rng = np.random.default_rng(3)
-        for _ in range(500):
-            a = random_element(rng, dihedral)
-            b = random_element(rng, dihedral)
-            assert dihedral.mul(a, b) == dihedral_oracle(a, b)
+        assert_law_matches_oracle(dihedral, dihedral_oracle, np.random.default_rng(3))
+
+    def test_z_x_s3_matches_the_direct_product(self):
+        table = FiniteGroupTable.symmetric(3).table
+
+        def direct_product(a, b):
+            return GroupElement((a.z[0] + b.z[0],), table[a.f][b.f])
+
+        assert_law_matches_oracle(ProductZFinite(FiniteGroupTable.symmetric(3)),
+                                  direct_product, np.random.default_rng(4))
 
     @pytest.mark.parametrize("family", ["z", "z2", "zxz2", "dihedral"])
     def test_associativity_random(self, family, z_group, z2_group, z_x_z2, dihedral):

@@ -191,6 +191,11 @@ class TestClosedForms:
         assert_same_ball(ball, _search_ball(group, radius, max_ball_elements()))
         assert np.array_equal(group.default_shell_sizes(radius), ball.shell_sizes)
 
+    def test_matches_the_search_at_high_rank(self):
+        # Z^40 at radius 2: 3281 rows, built one coordinate at a time
+        group = FreeAbelian(40)
+        assert_same_ball(enumerate_ball(group, 2), _search_ball(group, 2, max_ball_elements()))
+
     def test_reordered_default_set_takes_the_closed_form(self, monkeypatch):
         def no_search(*args):
             raise AssertionError("searched a default generating set")
