@@ -23,7 +23,7 @@ from typing import Optional
 import numpy as np
 
 from .groups import Group
-from .opalgebra import AlgebraElement, _top_singular, commutator_matrix, commutator_triplets
+from .opalgebra import _top_singular, commutator_triplets
 from .states import StateRep
 from .wordlength import Ball, enumerate_ball
 
@@ -132,9 +132,11 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     sigma(alpha) is the norm of T(alpha), the commutator [D, sum alpha_g lam_g]
     compressed to ball(R).  It is a lower bound of the true constraint, so the
     estimate is not certified; the sigma drift on re-evaluation at radius 2R
-    is reported as a stability check.  T(alpha) comes from one list of
-    commutator triplets, and the subgradients u^H [D, lam_g] v are one sum
-    over it.
+    is reported as a stability check.  The support is the rows of ball(r)
+    \\ {e}.  T(alpha) comes from one list of commutator triplets, the
+    subgradients u^H [D, lam_g] v are one sum over it, and the drift operator
+    is assembled the same way on ball(2R).  ball(2R) is enumerated before any
+    solve, so its ball cap raises ResourceError at once.
 
     Restarts begin at the singletons with the largest |c_g| / L(g), so the
     first iterate already attains the d_inf lower bound on the ball.  When c
@@ -152,12 +154,13 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
 
     ball_r = enumerate_ball(group, r)
     ball_R = enumerate_ball(group, R)
-    support = ball_r.elements[1:]
+    support = ball_r.rows[1:]
     c = delta_coeffs(phi, psi, ball_r)[1:]
     lengths = ball_r.lengths[1:].astype(float)
-    if support == () or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
+    if len(support) == 0 or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
         return HeuristicResult(0.0, 0.0, {"reason": "states agree on the support ball",
                                           "restarts": 0})
+    ball_2R = enumerate_ball(group, 2 * R)
     m, n = len(support), len(ball_R)
     rows, cols, index, diff = commutator_triplets(support, ball_R)
     # each ascent solve starts from the previous top vector (see _top_singular)
@@ -244,10 +247,11 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     v_last = None
     best_f, _, _, _, best_n, _ = evaluate(best_alpha, tol=_NORM_TOL)
 
-    nz = [i for i in range(m) if abs(best_alpha[i]) > 1e-14]
-    coeffs = [(support[i], complex(best_alpha[i])) for i in nz]
-    T_big = commutator_matrix(AlgebraElement(dict(coeffs)), enumerate_ball(group, 2 * R))
-    sigma_big, _, _, _, _ = _top_singular(T_big.matrix, _NORM_TOL, _NORM_MAX_ITER)
+    nz = np.flatnonzero(np.abs(best_alpha) > 1e-14)
+    rows_2R, cols_2R, index_2R, diff_2R = commutator_triplets(support[nz], ball_2R)
+    T_big = sp.coo_matrix((best_alpha[nz][index_2R] * diff_2R, (rows_2R, cols_2R)),
+                          shape=(len(ball_2R),) * 2)
+    sigma_big, _, _, _, _ = _top_singular(T_big, _NORM_TOL, _NORM_MAX_ITER)
     est_big = abs(best_n) / sigma_big if sigma_big > 0 else 0.0
     drift = max(0.0, best_f - est_big)
 
@@ -258,5 +262,5 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
         "support_radius": r,
         "truncation_radius": R,
         "drift_radius": 2 * R,
-        "coefficients": coeffs,
+        "coefficients": list(zip(group.from_rows(support[nz]), best_alpha[nz].tolist())),
     })

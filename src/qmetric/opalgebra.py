@@ -93,22 +93,20 @@ class TruncatedOperator:
     kind: str
 
 
-def _translations(support, ball: Ball):
+def _translations(support: np.ndarray, ball: Ball):
     """Triplets (row, col, index): row indexes gh, col indexes h, both in the ball.
 
-    index is g's place in support.  Ordered by g, then by h.  A g beyond
-    int64 maps no ball element into the ball (see Group.to_rows).
+    support is an (m, row_width) int64 array of the rows g; index is g's
+    place in it.  Ordered by g, then by h.  A saturated row (see
+    Group.to_rows) maps no ball element into the ball.
     """
-    group = ball.group
-    for g in support:
-        group.check(g)
-    k = ball.find_rows(group.mul_rows(group.to_rows(support)[:, None, :], ball.rows))
+    k = ball.find_rows(ball.group.mul_rows(support[:, None, :], ball.rows))
     g_index, cols = np.nonzero(k >= 0)
     return k[g_index, cols], cols, g_index
 
 
-def commutator_triplets(support, ball: Ball):
-    """Nonzero entries (row, col, index, diff) of the commutators [D, lam_g] on the ball.
+def commutator_triplets(support: np.ndarray, ball: Ball):
+    """Nonzero entries (row, col, index, diff) of [D, lam_g] on the ball, g a support row.
 
     diff is L(gh) - L(h) and the rest is as in _translations, so the
     compression of [D, sum alpha_g lam_g] carries alpha[index] * diff at
@@ -126,7 +124,7 @@ def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     import scipy.sparse as sp
 
     n = len(ball)
-    rows, cols, index = _translations(a.support, ball)
+    rows, cols, index = _translations(ball.group.to_rows(a.coeffs), ball)
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
     matrix = sp.csr_matrix((alphas[index], (rows, cols)), shape=(n, n), dtype=complex)
     return TruncatedOperator(ball, matrix, "convolution")
@@ -142,7 +140,7 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     import scipy.sparse as sp
 
     n = len(ball)
-    rows, cols, index, diff = commutator_triplets(a.support, ball)
+    rows, cols, index, diff = commutator_triplets(ball.group.to_rows(a.coeffs), ball)
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
     matrix = sp.csr_matrix((alphas[index] * diff, (rows, cols)), shape=(n, n),
                            dtype=complex)

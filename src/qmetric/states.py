@@ -89,13 +89,11 @@ class CharacterState(StateRep):
 class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
-    Every key must belong to the group (GroupError otherwise).
+    Every key must belong to the group (GroupError from Group.to_rows otherwise).
     """
 
     def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
-        for g in table:
-            group.check(g)
         self.table = table
         self._rows = group.to_rows(table)
         self._values = np.array(list(table.values()), dtype=complex)
@@ -142,8 +140,6 @@ class VectorState(FiniteState):
 
     def __init__(self, group: Group, xi: Mapping[GroupElement, complex]):
         xi = {g: complex(v) for g, v in xi.items() if complex(v) != 0}
-        for g in xi:
-            group.check(g)
         # a product, because float ** 2 raises OverflowError above about 1.3e154
         norm_sq = sum(abs(v) * abs(v) for v in xi.values())
         if abs(norm_sq - 1.0) > 1e-12:

@@ -83,7 +83,6 @@ class Ball:
         return self._row_index.find(rows)
 
     def index(self, g: GroupElement) -> int:
-        self.group.check(g)
         idx = int(self.find_rows(self.group.to_rows([g]))[0])
         if idx < 0:
             raise BallRadiusError(

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qmetric import groups
+from qmetric import groups, metrics
+from qmetric.errors import ResourceError
 from qmetric.cli import main
 from qmetric.experiments import config_hash, run_ball, run_converge, run_dist
+from qmetric.states import OneState, TraceState
 
 from conftest import z26_not_associative
 
@@ -289,6 +291,30 @@ class TestExitCodes:
         config = write_json(tmp_path / "c.json", {"group": group, "radius": 1})
         assert main(["ball", "--config", config]) == 3
         assert "order 1025 is over the cap of 1024" in capsys.readouterr().err
+
+    def test_rank_over_the_cap_is_three(self, tmp_path, capsys):
+        group = {"family": "free_abelian", "rank": 1025}
+        config = write_json(tmp_path / "c.json", {"group": group, "radius": 1})
+        assert main(["ball", "--config", config]) == 3
+        assert "rank 1025 is over the cap of 1024" in capsys.readouterr().err
+
+    def test_heuristic_over_the_cap_is_three_before_any_solve(self, tmp_path, monkeypatch,
+                                                               capsys):
+        # ball(20) of Z holds 41 elements and ball(40), the drift ball, 81 > 50
+        monkeypatch.setenv("QMETRIC_MAX_BALL", "50")
+        solves = []
+        solve = metrics._top_singular
+        monkeypatch.setattr(metrics, "_top_singular",
+                            lambda *args, **kw: solves.append(1) or solve(*args, **kw))
+        z = groups.FreeAbelian(1)
+        with pytest.raises(ResourceError, match="cap of 50 elements at radius 25"):
+            metrics.connes_heuristic(TraceState(z), OneState(z), z, 3, 20)
+        config = write_json(tmp_path / "c.json", {
+            "group": Z_GROUP, "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
+            "radius": 20, "trunc": 20, "support_radius": 3, "mode": "both"})
+        assert main(["dist", "--config", config]) == 3
+        assert "cap of 50 elements at radius 25" in capsys.readouterr().err
+        assert solves == []
 
     def test_cap_above_2_to_30_is_three(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("QMETRIC_MAX_BALL", str(2 ** 30 + 1))

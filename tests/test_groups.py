@@ -261,6 +261,14 @@ class TestConstruction:
                              "generators": [[2 ** 31 + 1, 0], [-2 ** 31 - 1, 0], [0, 1]]})
         FreeAbelian(1, [GroupElement((2 ** 31,)), GroupElement((-2 ** 31,))])
 
+    def test_rank_over_the_cap_rejected(self, monkeypatch):
+        with pytest.raises(ResourceError, match="rank 1025 is over the cap of 1024"):
+            FreeAbelian(1025)
+        monkeypatch.setattr("qmetric.groups._MAX_RANK", 3)
+        assert FreeAbelian(3).rank == 3
+        with pytest.raises(ResourceError, match="cap of 3"):
+            FreeAbelian(4)
+
     def test_generator_override(self):
         gens = [GroupElement((2,)), GroupElement((-2,))]
         group = FreeAbelian(1, gens)

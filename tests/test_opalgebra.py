@@ -125,7 +125,7 @@ class TestTruncatedOperators:
         # an element beyond int64 rows sits among the support and gets no triplets
         far = GroupElement((2 ** 70,) + (0,) * (len(group.identity.z) - 1), group.identity.f)
         support = [far, *enumerate_ball(group, 2).elements, far]
-        rows, cols, index, diff = commutator_triplets(support, ball)
+        rows, cols, index, diff = commutator_triplets(group.to_rows(support), ball)
         n = len(ball)
         for i, g in enumerate(support):
             mine = index == i
@@ -280,7 +280,7 @@ class TestSpectralSolver:
         rng = np.random.default_rng(29)
         a = _random_element(rng, enumerate_ball(z2_group, 4))
         M = commutator_matrix(a, ball).matrix
-        rows, cols, index, diff = commutator_triplets(a.support, ball)
+        rows, cols, index, diff = commutator_triplets(z2_group.to_rows(a.support), ball)
         alphas = np.array(list(a.coeffs.values()))
         coo = sp.coo_matrix((alphas[index] * diff, (rows, cols)), shape=M.shape)
         v, converged, applications = _lanczos_top(M, 1e-12, 10_000)

@@ -1,7 +1,9 @@
 """Property tests of the row layer: vectorised products, the converters and the row lookup.
 
-The last tests check the int64 boundary: elements beyond int64 saturate in
-``to_rows`` and take the same path as every other element, so no ball finds them.
+Then the int64 boundary: elements beyond int64 saturate in ``to_rows`` and
+take the same path as every other element, so no ball finds them.  The last
+test checks the membership boundary: ``to_rows`` refuses a foreign element,
+and so does every entry to rows.
 """
 
 import numpy as np
@@ -9,10 +11,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetric.errors import GroupError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
-from qmetric.opalgebra import commutator_triplets
-from qmetric.states import FiniteState, _gram
+from qmetric.opalgebra import AlgebraElement, commutator_matrix, commutator_triplets
+from qmetric.states import FiniteState, TableState, _gram
 from qmetric.wordlength import enumerate_ball
 from test_states import _gram_double_loop
 
@@ -179,10 +182,10 @@ def test_far_elements_are_in_no_ball(case):
     assert phi.outside_bound(ball) == max(
         [1.0] + [float(np.abs(v)) for g, v in phi.table.items() if g not in inside])
     # the far elements of the support get no triplets, the near ones keep theirs
-    rows, cols, index, diff = commutator_triplets(support, ball)
+    rows, cols, index, diff = commutator_triplets(group.to_rows(support), ball)
     places = np.array([i for i, g in enumerate(support) if g in near], dtype=np.intp)
     near_rows, near_cols, near_index, near_diff = commutator_triplets(
-        [support[i] for i in places], ball)
+        group.to_rows([support[i] for i in places]), ball)
     assert rows.tolist() == near_rows.tolist() and cols.tolist() == near_cols.tolist()
     assert index.tolist() == places[near_index].tolist()
     assert diff.tolist() == near_diff.tolist()
@@ -200,3 +203,21 @@ def test_saturated_rows_times_a_ball_at_the_generator_limit():
     for row in far:
         assert (ball.find_rows(group.mul_rows(row, ball.rows)) == -1).all()
         assert (ball.find_rows(group.mul_rows(ball.rows, row)) == -1).all()
+
+
+# on Z x Z2: a bare two-coordinate tuple, and a finite index past the order
+FOREIGN = [GroupElement((1, 2)), GroupElement((3,), 7)]
+
+
+@pytest.mark.parametrize("foreign", FOREIGN, ids=["no_finite_part", "index_past_order"])
+def test_foreign_elements_are_refused_where_they_become_rows(foreign):
+    group = ProductZFinite(FiniteGroupTable.cyclic(2))
+    ball = enumerate_ball(group, 2)
+    with pytest.raises(GroupError, match="does not belong to product_z_finite"):
+        group.to_rows([group.identity, foreign])
+    with pytest.raises(GroupError):
+        ball.index(foreign)
+    with pytest.raises(GroupError):
+        TableState(group, {foreign: 0.5})
+    with pytest.raises(GroupError):
+        commutator_matrix(AlgebraElement({foreign: 1.0}), ball)
