@@ -28,8 +28,8 @@ for name, group in groups:
     print(f"   ball size at radius 20: {len(ball)}")
     print(f"   linear fit #ball(c) ~ {fit.fit_k:.3f} c + {fit.fit_l:.3f}, "
           f"residual {fit.residual:.3e}")
-    if fit.shell_bound is not None:
-        print(f"   analytic shell bound: {fit.shell_bound} "
+    if group.shell_bound is not None:
+        print(f"   analytic shell bound: {group.shell_bound} "
               f"(sum 1/L^2 <= {partial:.4f} + {tail:.4f})")
     else:
         print(f"   no shell bound; partial sum 1/L^2 = {partial:.4f} "

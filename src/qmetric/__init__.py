@@ -11,7 +11,7 @@ from .errors import (BallRadiusError, ConfigError, GroupError, QmetricError,
                      ResourceError, StateError)
 from .groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
                      InfiniteDihedral, ProductZFinite, builtin_finite_table,
-                     decode_element, encode_element, group_from_json, word_eval)
+                     decode_element, group_from_json)
 from .metrics import (HeuristicResult, MetricBracket, connes_bracket,
                       connes_heuristic, d_2, d_inf, delta_coeffs)
 from .opalgebra import (AlgebraElement, NormEstimate, TruncatedOperator,

@@ -229,10 +229,10 @@ def run_growth(config: dict) -> Report:
         raise ConfigError("growth: radius must be >= 3")
     ball = enumerate_ball(group, radius)
     fit = growth_fit(ball)
+    bound = group.shell_bound
     meta = _base_meta(config, family=group.family, fit_k=fit.fit_k, fit_l=fit.fit_l,
-                      residual=fit.residual,
-                      shell_bound=fit.shell_bound,
-                      shell_bound_provenance=fit.shell_bound_provenance)
+                      residual=fit.residual, shell_bound=bound,
+                      shell_bound_provenance="analytic" if bound is not None else None)
     return Report("growth",
                   ["radius", "ball_size", "shell_size", "partial_square_sum",
                    "tail_bound"],
@@ -262,15 +262,15 @@ def run_dist(config: dict) -> Report:
     psi = state_from_json(group, _load_spec(_require(config, "state_b"), "state_b"))
     radius = _get_positive_int(config)
     mode = config.get("mode", "both")
-    if mode not in ("bracket", "heuristic", "both"):
-        raise ConfigError("mode: must be one of bracket, heuristic, both")
+    if mode not in ("bracket", "both"):
+        raise ConfigError(f"mode: must be bracket or both, got {mode!r}")
     trunc = support_radius = None  # heuristic radii; the bracket needs neither
-    if mode != "bracket" or {"trunc", "support_radius"} & config.keys():
+    if mode == "both" or {"trunc", "support_radius"} & config.keys():
         trunc, support_radius = _get_truncation(config)
     bracket = connes_bracket(phi, psi, enumerate_ball(group, radius))
     lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
     heuristic = drift = None
-    if mode != "bracket":
+    if mode == "both":
         result = connes_heuristic(phi, psi, group, support_radius, trunc)
         heuristic, drift = result.estimate, result.sigma_drift
     row = [lower.lo, lower.hi, upper.lo, upper.hi, bracket.lo, bracket.hi,

@@ -163,6 +163,7 @@ class Group:
     """Immutable group handle exposing identity, generators, mul and inv."""
 
     family: str = ""
+    law: tuple  # (family, rank) or (family, finite table): the same for every generating set
 
     def __init__(self, identity: GroupElement, default_generators: Iterable[GroupElement],
                  generators: Optional[Iterable[GroupElement]] = None):
@@ -283,6 +284,7 @@ class FreeAbelian(Group):
         if rank > _MAX_RANK:
             raise ResourceError(f"free_abelian rank {rank} is over the cap of {_MAX_RANK}")
         self.rank = rank
+        self.law = (self.family, rank)
         default = []
         for i in range(rank):
             for s in (1, -1):
@@ -354,6 +356,7 @@ class _ZSemidirectFinite(Group):
     def __init__(self, finite: FiniteGroupTable, sigma: tuple[int, ...],
                  default: list[GroupElement], generators: Optional[Iterable[GroupElement]]):
         self.finite = finite
+        self.law = (self.family, finite)
         self._sigma = sigma  # Python ints: element coordinates may exceed int64
         self._sigma_rows = np.array(sigma, dtype=np.int64)
         self._table = np.array(finite.table, dtype=np.int64)
@@ -482,46 +485,29 @@ class RowIndex:
 
 
 # ---------------------------------------------------------------------------
-# words
-# ---------------------------------------------------------------------------
-
-def word_eval(group: Group, word: Sequence[int]) -> GroupElement:
-    """Left-to-right product of generators; the empty word is the identity."""
-    out = group.identity
-    for idx in word:
-        if not 0 <= idx < len(group.generators):
-            raise GroupError(
-                f"generator index {idx} out of range (have {len(group.generators)})")
-        out = group.mul(out, group.generators[idx])
-    return out
-
-
-# ---------------------------------------------------------------------------
 # JSON encoding
 # ---------------------------------------------------------------------------
 
-def decode_element(group: Group, data) -> GroupElement:
-    """Family-specific element encoding: [m1,...,mn] or [m, f_index]."""
+def _element_shape(data, free_abelian: bool) -> GroupElement:
+    """The element an encoding names, unchecked: [m1,...,mn] on Z^n, [m, f_index] otherwise."""
     if not isinstance(data, (list, tuple)) or any(
             isinstance(x, bool) or not isinstance(x, int) for x in data):
         raise ConfigError(f"element {data!r} is not a list of integers")
-    if isinstance(group, FreeAbelian):
-        el = GroupElement(tuple(data))
-    else:
-        if len(data) != 2:
-            raise ConfigError(f"element {data!r}: expected [m, f_index]")
-        el = GroupElement((data[0],), data[1])
+    if free_abelian:
+        return GroupElement(tuple(data))
+    if len(data) != 2:
+        raise ConfigError(f"element {data!r}: expected [m, f_index]")
+    return GroupElement((data[0],), data[1])
+
+
+def decode_element(group: Group, data) -> GroupElement:
+    """Family-specific element encoding: [m1,...,mn] or [m, f_index]."""
+    el = _element_shape(data, isinstance(group, FreeAbelian))
     try:
         group.check(el)
     except GroupError as exc:
         raise ConfigError(str(exc)) from exc
     return el
-
-
-def encode_element(group: Group, el: GroupElement) -> list[int]:
-    if isinstance(group, FreeAbelian):
-        return list(el.z)
-    return [el.z[0], el.f]
 
 
 _GROUP_FIELDS = {
@@ -572,13 +558,12 @@ def group_from_json(data) -> Group:
         build = functools.partial(ProductZFinite, finite)
     else:
         build = InfiniteDihedral
-    group = build()
+    generators = None
     if "generators" in data:
-        gens = data["generators"]
-        if not isinstance(gens, list):
+        if not isinstance(data["generators"], list):
             raise ConfigError("generators: must be a list of elements")
-        try:
-            group = build([decode_element(group, g) for g in gens])
-        except GroupError as exc:
-            raise ConfigError(str(exc)) from exc
-    return group
+        generators = [_element_shape(g, family == "free_abelian") for g in data["generators"]]
+    try:
+        return build(generators)  # _validate_generators checks each generator
+    except GroupError as exc:
+        raise ConfigError(str(exc)) from exc

@@ -34,13 +34,14 @@ class MetricBracket:
 
     lo: float
     hi: float
-    ball_radius: int
     tail_bound: Optional[float]
     diagnostics: dict = field(default_factory=dict)
 
 
 def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
-    """Coefficient differences c_g = phi(lam_g) - psi(lam_g); c_e (row 0) is pinned to 0."""
+    """c_g = phi(lam_g) - psi(lam_g), c_e (row 0) pinned to 0; GroupError for a foreign law."""
+    phi.check_ball(ball)
+    psi.check_ball(ball)
     c = phi.coeff_array(ball) - psi.coeff_array(ball)
     c[0] = 0.0
     return c
@@ -59,7 +60,7 @@ def _sup_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     best = int(np.argmax(ratios))
     lo = float(ratios[best])
     tail = outside / (ball.radius + 1)
-    return MetricBracket(lo, max(lo, tail), ball.radius, tail, {
+    return MetricBracket(lo, max(lo, tail), tail, {
         "argmax": ball.group.from_rows(ball.rows[best + 1])[0],
         "argmax_length": int(lengths[best + 1]),
     })
@@ -75,11 +76,10 @@ def _l2_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     lo = float(partials[-1])
     diagnostics = {"partial_by_radius": partials.tolist(), "shell_bound": bound}
     if bound is None:
-        return MetricBracket(lo, math.inf, ball.radius, None, diagnostics)
+        return MetricBracket(lo, math.inf, None, diagnostics)
     # for two states (outside = 2) this is 4.0 * bound / r, bit for bit
     tail = outside ** 2 * bound / ball.radius
-    return MetricBracket(lo, float(np.sqrt(lo ** 2 + tail)), ball.radius,
-                         tail, diagnostics)
+    return MetricBracket(lo, float(np.sqrt(lo ** 2 + tail)), tail, diagnostics)
 
 
 def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
@@ -102,7 +102,7 @@ def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     outside = _outside_sum(phi, psi, ball)
     lower = _sup_bracket(c, ball, outside)
     upper = _l2_bracket(c, ball, outside)
-    return MetricBracket(lower.lo, upper.hi, ball.radius, upper.tail_bound,
+    return MetricBracket(lower.lo, upper.hi, upper.tail_bound,
                          {"d_inf": lower, "d_2": upper})
 
 
@@ -132,11 +132,12 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     sigma(alpha) is the norm of T(alpha), the commutator [D, sum alpha_g lam_g]
     compressed to ball(R).  It is a lower bound of the true constraint, so the
     estimate is not certified; the sigma drift on re-evaluation at radius 2R
-    is reported as a stability check.  The support is the rows of ball(r)
-    \\ {e}.  T(alpha) comes from one list of commutator triplets, the
-    subgradients u^H [D, lam_g] v are one sum over it, and the drift operator
-    is assembled the same way on ball(2R).  ball(2R) is enumerated before any
-    solve, so its ball cap raises ResourceError at once.
+    is reported as a stability check.  ball(2R) is enumerated first (its cap
+    raises ResourceError even for agreeing states), and ball(r) and ball(R)
+    are its prefixes.  The support is the rows of ball(r) \\ {e}; its one list
+    of commutator triplets on ball(2R) gives T(alpha) (the triplets inside
+    ball(R), over which the subgradients u^H [D, lam_g] v are one sum) and
+    the drift operator (those of the winner's nonzero coefficients).
 
     Restarts begin at the singletons with the largest |c_g| / L(g), so the
     first iterate already attains the d_inf lower bound on the ball.  When c
@@ -152,30 +153,31 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
         raise ValueError("truncation radius R must be >= 2r")
     import scipy.sparse as sp
 
-    ball_r = enumerate_ball(group, r)
-    ball_R = enumerate_ball(group, R)
-    support = ball_r.rows[1:]
-    c = delta_coeffs(phi, psi, ball_r)[1:]
-    lengths = ball_r.lengths[1:].astype(float)
+    ball = enumerate_ball(group, 2 * R)
+    n_r, n = np.searchsorted(ball.lengths, [r, R], side="right")
+    support = ball.rows[1:n_r]
+    c = delta_coeffs(phi, psi, ball)[1:n_r]
+    lengths = ball.lengths[1:n_r].astype(float)
     if len(support) == 0 or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
         return HeuristicResult(0.0, 0.0, {"reason": "states agree on the support ball",
                                           "restarts": 0})
-    ball_2R = enumerate_ball(group, 2 * R)
-    m, n = len(support), len(ball_R)
-    rows, cols, index, diff = commutator_triplets(support, ball_R)
+    m = len(support)
+    triplets = commutator_triplets(support, ball)
+    inner = (triplets[0] < n) & (triplets[1] < n)
+    rows, cols, index, diff = (a[inner] for a in triplets)
     # each ascent solve starts from the previous top vector (see _top_singular)
     v_last = None
 
     def evaluate(alpha, tol=_ASCENT_TOL):
         nonlocal v_last
         T = sp.coo_matrix((alpha[index] * diff, (rows, cols)), shape=(n, n))
-        sigma, u, v_last, converged, _ = _top_singular(T, tol, _NORM_MAX_ITER, start=v_last)
+        sigma, u, v_last, _, _ = _top_singular(T, tol, _NORM_MAX_ITER, start=v_last)
         n_val = complex(np.dot(alpha, c))
-        return abs(n_val) / sigma if sigma > 0 else 0.0, sigma, u, v_last, n_val, converged
+        return abs(n_val) / sigma if sigma > 0 else 0.0, sigma, u, v_last, n_val
 
     order = np.argsort(-np.abs(c) / lengths, kind="stable")
     starts = [int(i) for i in order if abs(c[i]) > 1e-14][:_RESTARTS]
-    inverse = ball_r.find_rows(group.inv_rows(ball_r.rows[1:])) - 1
+    inverse = ball.find_rows(group.inv_rows(support)) - 1
     if np.max(np.abs(c[inverse] - np.conj(c))) <= 1e-12:
         starts = [s for k, s in enumerate(starts) if inverse[s] not in starts[:k]]
 
@@ -186,7 +188,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
         v_last = None
         alpha = np.zeros(m, dtype=complex)
         alpha[start] = 1.0
-        f_val, sigma, u, v, n_val, conv = evaluate(alpha)
+        f_val, sigma, u, v, n_val = evaluate(alpha)
         converged = False
         t_prev = 1.0
         for iters_done in range(1, _MAX_STEPS + 1):
@@ -218,9 +220,9 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
                 for _ in range(halvings):
                     cand = alpha + t * step
                     cand /= np.linalg.norm(cand)
-                    f2, s2, u2, v2, n2, conv2 = evaluate(cand)
+                    f2, s2, u2, v2, n2 = evaluate(cand)
                     if f2 > f_val * (1.0 + 1e-14):
-                        accepted = (cand, f2, s2, u2, v2, n2, conv2)
+                        accepted = (cand, f2, s2, u2, v2, n2)
                         break
                     t /= 2.0
                 if accepted is not None:
@@ -230,13 +232,12 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
                 break
             t_prev = t
             rel = (accepted[1] - f_val) / max(f_val, 1e-300)
-            alpha, f_val, sigma, u, v, n_val, conv = accepted
+            alpha, f_val, sigma, u, v, n_val = accepted
             if rel < _FTOL:
                 converged = True
                 break
         restart_log.append({"start_index": start, "iterations": iters_done,
-                            "converged": converged, "ratio": f_val,
-                            "sigma_converged": bool(conv)})
+                            "converged": converged, "ratio": f_val})
         if f_val > best_f:
             best_f = f_val
             best_alpha = alpha
@@ -245,12 +246,12 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     # the seeded start above it) at the strict tolerance so the reported
     # sigma is not an ascent artifact
     v_last = None
-    best_f, _, _, _, best_n, _ = evaluate(best_alpha, tol=_NORM_TOL)
+    best_f, _, _, _, best_n = evaluate(best_alpha, tol=_NORM_TOL)
 
-    nz = np.flatnonzero(np.abs(best_alpha) > 1e-14)
-    rows_2R, cols_2R, index_2R, diff_2R = commutator_triplets(support[nz], ball_2R)
-    T_big = sp.coo_matrix((best_alpha[nz][index_2R] * diff_2R, (rows_2R, cols_2R)),
-                          shape=(len(ball_2R),) * 2)
+    nz = np.abs(best_alpha) > 1e-14
+    rows_2R, cols_2R, index_2R, diff_2R = (a[nz[triplets[2]]] for a in triplets)
+    T_big = sp.coo_matrix((best_alpha[index_2R] * diff_2R, (rows_2R, cols_2R)),
+                          shape=(len(ball),) * 2)
     sigma_big, _, _, _, _ = _top_singular(T_big, _NORM_TOL, _NORM_MAX_ITER)
     est_big = abs(best_n) / sigma_big if sigma_big > 0 else 0.0
     drift = max(0.0, best_f - est_big)

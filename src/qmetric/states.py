@@ -29,7 +29,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ResourceError, StateError, check_fields
+from .errors import ConfigError, GroupError, ResourceError, StateError, check_fields
 from .groups import FreeAbelian, Group, GroupElement, decode_element
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
@@ -51,6 +51,17 @@ class StateRep:
     def outside_bound(self, ball: Ball) -> float:
         """A bound e_phi >= 1 on |phi(lam_g)| for every g outside the ball."""
         return 1.0
+
+    def check_ball(self, ball: Ball) -> None:
+        """GroupError unless the ball's group has this state's group law (Group.law)."""
+        if self.group.law != ball.group.law:
+            raise GroupError(f"a state of {_law_name(self.group)} cannot be evaluated "
+                             f"on a ball of {_law_name(ball.group)}")
+
+
+def _law_name(group: Group) -> str:
+    family, arg = group.law
+    return f"{family}(rank={arg})" if isinstance(arg, int) else f"{family}(|F|={arg.order})"
 
 
 class OneState(StateRep):
@@ -173,7 +184,7 @@ class PdCheckResult:
     max_eigenvalue: float
 
 
-_PD_MAX_BALL = 2000
+_PD_MAX_BALL, _PD_TOL = 2000, 1e-8
 
 
 def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
@@ -206,18 +217,20 @@ def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
     return gram, float(np.abs(gram - gram.conj().T).max())
 
 
-def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
+def pd_check(state: StateRep, ball: Ball) -> PdCheckResult:
     """Floating-point positivity check of the Gram matrix over the ball.
 
-    Builds G[i, j] = coeff(g_i^-1 g_j).  It passes iff G is Hermitian to
-    tol, max |G - G^H| <= tol * max(hi, 1), and the smallest eigenvalue lo of
-    the Hermitian part (G + G^H) / 2 (numpy's eigvalsh) is >= -tol * max(hi, 1),
-    hi being the largest, and both lo and hi are finite.  A G with no
+    Builds G[i, j] = coeff(g_i^-1 g_j).  With tol = _PD_TOL, it passes iff G
+    is Hermitian to tol, max |G - G^H| <= tol * max(hi, 1), and the smallest
+    eigenvalue lo of the Hermitian part (G + G^H) / 2 (numpy's eigvalsh) is
+    >= -tol * max(hi, 1), hi being the largest, and both lo and hi are
+    finite.  A ball of another group law raises GroupError.  A G with no
     asymmetry at all is its own Hermitian part and goes to eigvalsh as it
     is.  A Hermitian part that overflows fails, with NaN for lo and hi.  It
     checks one truncation in floating point; it is not a proof of positive
     definiteness.
     """
+    state.check_ball(ball)
     n = len(ball)
     if n > _PD_MAX_BALL:
         raise ResourceError(
@@ -232,7 +245,7 @@ def pd_check(state: StateRep, ball: Ball, tol: float = 1e-8) -> PdCheckResult:
             return PdCheckResult(False, math.nan, math.nan)
     eigs = np.linalg.eigvalsh(gram)
     lo, hi = float(eigs[0]), float(eigs[-1])
-    slack = tol * max(hi, 1.0)
+    slack = _PD_TOL * max(hi, 1.0)
     finite = math.isfinite(lo) and math.isfinite(hi)
     return PdCheckResult(finite and lo >= -slack and asymmetry <= slack, lo, hi)
 
@@ -249,6 +262,7 @@ def kappa_bounds(state: StateRep, ball: Ball) -> KappaBound:
     """Bracket kappa = |rho|^2: l1 bound from above, truncated norm from below."""
     if not isinstance(state, DensityState):
         raise StateError("kappa bounds are defined for trace-density states")
+    state.check_ball(ball)
     upper = float(sum(abs(c) for c in state.rho.coeffs.values())) ** 2
     lower = norm_lower(op_matrix(state.rho, ball)).value ** 2
     return KappaBound(min(lower, upper), upper)

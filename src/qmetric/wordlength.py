@@ -192,14 +192,12 @@ def _search_ball(group: Group, radius: int, cap: int) -> Ball:
 
 @dataclass
 class GrowthReport:
-    """Least-squares linear fit of cumulative ball sizes against the radius."""
+    """Least-squares linear fit of cumulative ball sizes; the shell bound is Group.shell_bound."""
 
     shell_sizes: np.ndarray
     fit_k: float
     fit_l: float
     residual: float
-    shell_bound: Optional[int]
-    shell_bound_provenance: Optional[str]
 
 
 def growth_fit(ball: Ball) -> GrowthReport:
@@ -211,21 +209,21 @@ def growth_fit(ball: Ball) -> GrowthReport:
     c = np.arange(ball.radius + 1, dtype=float)
     fit_k, fit_l = np.polyfit(c, cumulative, 1)
     residual = float(np.sqrt(np.sum((cumulative - (fit_k * c + fit_l)) ** 2)))
-    bound = ball.group.shell_bound
-    return GrowthReport(sizes, float(fit_k), float(fit_l), residual,
-                        bound, "analytic" if bound is not None else None)
+    return GrowthReport(sizes, float(fit_k), float(fit_l), residual)
 
 
 def square_sum_evidence(ball: Ball) -> tuple[float, Optional[float]]:
     """Partial sum of 1/L(g)^2 over the ball, with a crude tail bound when available.
 
-    The tail bound B/r uses an analytic per-shell size bound B; without one the
-    partial sum itself is the convergence/divergence evidence.
+    It adds S_k / k^2 shell by shell, as the rows of ``ball`` do, so it is
+    their last partial sum bit for bit.  The tail bound B/r uses an analytic
+    per-shell size bound B; without one the partial sum itself is the
+    convergence/divergence evidence.
     """
     if ball.radius < 1:
         raise ValueError("square-sum evidence needs radius >= 1")
-    lengths = ball.lengths[ball.lengths > 0].astype(float)
-    partial = float(np.sum(1.0 / lengths ** 2))
+    k = np.arange(1, ball.radius + 1)
+    partial = float(np.cumsum(ball.shell_sizes[1:] / k ** 2)[-1])
     bound = ball.group.shell_bound
     tail = bound / ball.radius if bound is not None else None
     return partial, tail

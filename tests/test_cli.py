@@ -429,6 +429,14 @@ class TestParser:
             assert main(["dist", "--config", write_json(tmp_path / "h.json", {
                 **config, **bad})]) == 2
 
+    @pytest.mark.parametrize("mode", ["heuristic", "Both", None, 1])
+    def test_mode_is_bracket_or_both(self, tmp_path, capsys, mode):
+        config = write_json(tmp_path / "d.json", {
+            "group": Z_GROUP, "state_a": {"kind": "trace"}, "state_b": {"kind": "one"},
+            "radius": 5, "trunc": 4, "mode": mode})
+        assert main(["dist", "--config", config]) == 2
+        assert "mode: must be bracket or both" in capsys.readouterr().err
+
 
 class TestRunners:
     def test_ball_matches_direct_call(self, ball_config):

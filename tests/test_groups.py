@@ -8,7 +8,7 @@ from qmetric.errors import ConfigError, GroupError, ResourceError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite,
                             builtin_finite_table, decode_element,
-                            encode_element, group_from_json, word_eval)
+                            group_from_json)
 
 from conftest import random_element, z26_not_associative
 
@@ -198,33 +198,6 @@ class TestInv:
             assert group.mul(a, group.inv(a)) == group.identity
 
 
-class TestWordEval:
-    def test_z_cancellation(self, z_group):
-        # generators are [+1, -1]
-        assert word_eval(z_group, [0, 0, 1]) == GroupElement((1,))
-
-    def test_empty_word(self, dihedral):
-        assert word_eval(dihedral, []) == dihedral.identity
-
-    def test_dihedral_word_matches_fold(self, dihedral):
-        rng = np.random.default_rng(13)
-        for _ in range(200):
-            word = list(rng.integers(0, len(dihedral.generators),
-                                     size=rng.integers(0, 9)))
-            expected = dihedral.identity
-            for idx in word:
-                expected = dihedral_oracle(expected, dihedral.generators[idx])
-            assert word_eval(dihedral, word) == expected
-
-    def test_index_out_of_range(self, z_group):
-        with pytest.raises(GroupError, match="out of range"):
-            word_eval(z_group, [5])
-
-    def test_canonicality(self, z2_group):
-        # two different words with the same abelianized content agree exactly
-        assert word_eval(z2_group, [0, 2, 0]) == word_eval(z2_group, [0, 0, 2])
-
-
 class TestConstruction:
     def test_family_constructors(self):
         assert FreeAbelian(3).family == "free_abelian"
@@ -234,6 +207,16 @@ class TestConstruction:
             == GroupElement((3,), 0)
         assert len(g.generators) == 2
         assert InfiniteDihedral().shell_bound == 4
+
+    def test_law_ignores_the_generating_set(self):
+        assert FreeAbelian(1, [GroupElement((2,)), GroupElement((-2,))]).law \
+            == FreeAbelian(1).law == ("free_abelian", 1)
+        assert FreeAbelian(1).law != FreeAbelian(2).law
+        assert ProductZFinite(FiniteGroupTable.cyclic(2)).law \
+            == ProductZFinite(builtin_finite_table("z2")).law
+        assert ProductZFinite(FiniteGroupTable.symmetric(3)).law \
+            != ProductZFinite(FiniteGroupTable.cyclic(6)).law
+        assert ProductZFinite(FiniteGroupTable.cyclic(2)).law != InfiniteDihedral().law
 
     def test_default_generators_symmetric(self, z2_group, z_x_z2, dihedral):
         for group in (z2_group, z_x_z2, dihedral):
@@ -293,6 +276,33 @@ class TestJson:
                              "generators": [[2], [-2]]})
         assert g.generators == (GroupElement((2,)), GroupElement((-2,)))
 
+    def test_generators_build_the_group_once(self, monkeypatch):
+        calls = []
+        init = FreeAbelian.__init__
+
+        def counting_init(self, *args, **kwargs):
+            calls.append(args)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(FreeAbelian, "__init__", counting_init)
+        g = group_from_json({"family": "free_abelian", "rank": 2,
+                             "generators": [[1, 0], [-1, 0], [0, 1], [0, -1]]})
+        assert len(calls) == 1
+        assert g._default_generators
+
+    @pytest.mark.parametrize("spec,message", [
+        ({"family": "free_abelian", "rank": 1, "generators": [[1], [-1], [1, 1]]},
+         "does not belong to free_abelian(rank=1)"),
+        ({"family": "product_z_finite", "finite": {"name": "z2"},
+          "generators": [[1, 0], [-1, 0], [0, 2]]},
+         "does not belong to product_z_finite (|F|=2)"),
+        ({"family": "infinite_dihedral", "generators": [[0, 1], [1, 3]]},
+         "does not belong to infinite_dihedral (|F|=2)"),
+    ], ids=["z", "zxz2", "dihedral"])
+    def test_foreign_generator_is_a_config_error(self, spec, message):
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            group_from_json(spec)
+
     def test_bad_specs(self):
         with pytest.raises(ConfigError):
             group_from_json({"family": "free_product"})
@@ -304,11 +314,7 @@ class TestJson:
             group_from_json("not valid json {")
 
     def test_element_codec(self, z2_group, z_x_z2):
-        el = decode_element(z2_group, [1, -2])
-        assert el == GroupElement((1, -2))
-        assert encode_element(z2_group, el) == [1, -2]
-        el = decode_element(z_x_z2, [3, 1])
-        assert el == GroupElement((3,), 1)
-        assert encode_element(z_x_z2, el) == [3, 1]
+        assert decode_element(z2_group, [1, -2]) == GroupElement((1, -2))
+        assert decode_element(z_x_z2, [3, 1]) == GroupElement((3,), 1)
         with pytest.raises(ConfigError):
             decode_element(z_x_z2, [3, 7])

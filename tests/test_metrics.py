@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from qmetric import metrics
+from qmetric.errors import GroupError, ResourceError
 from qmetric.experiments import run_ball, run_growth, run_summable
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, InfiniteDihedral,
                             ProductZFinite)
@@ -12,7 +14,7 @@ from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
 from qmetric.opalgebra import AlgebraElement, commutator_matrix
 from qmetric.states import (CharacterState, DensityState, OneState,
-                            TableState, TraceState)
+                            TableState, TraceState, kappa_bounds, pd_check)
 from qmetric.wordlength import enumerate_ball
 
 
@@ -124,6 +126,59 @@ class TestCustomGenerators:
     def test_reordered_default_set_keeps_bound(self):
         assert FreeAbelian(1, [GroupElement((-1,)), GroupElement((1,))]).shell_bound == 2
 
+    def test_default_states_on_a_ball_of_another_generating_set(self, z_group):
+        # the same group law, so states of the default Z evaluate on the ball
+        group = FreeAbelian(1, [GroupElement((m,)) for m in (2, -2, 3, -3)])
+        ball = enumerate_ball(group, 3)
+        phi, psi = TraceState(z_group), CharacterState(z_group, [-1.0])
+        bracket = connes_bracket(phi, psi, ball)
+        assert bracket.lo == d_inf(phi, psi, ball).lo == 1.0
+        result = connes_heuristic(phi, psi, group, 1, 2)
+        assert result.estimate >= bracket.lo - 1e-9
+
+
+class TestGroupLaw:
+    """A state is evaluated only on a ball of its own group law."""
+
+    CASES = {
+        # a dihedral table against the trace of Z x Z2: same rows, another law
+        "dihedral-on-zxz2": (
+            InfiniteDihedral, lambda: ProductZFinite(FiniteGroupTable.cyclic(2)),
+            lambda g: TableState(g, {GroupElement((1,), 0): 0.5, GroupElement((-1,), 0): 0.5}),
+            r"infinite_dihedral\(\|F\|=2\).*product_z_finite\(\|F\|=2\)"),
+        "zxs3-on-zxz6": (
+            lambda: ProductZFinite(FiniteGroupTable.symmetric(3)),
+            lambda: ProductZFinite(FiniteGroupTable.cyclic(6)),
+            lambda g: DensityState(g, AlgebraElement({GroupElement((0,), 0): 1.0,
+                                                      GroupElement((1,), 3): 1.0})),
+            r"product_z_finite\(\|F\|=6\).*product_z_finite\(\|F\|=6\)"),
+        "z-on-z2": (
+            lambda: FreeAbelian(1), lambda: FreeAbelian(2),
+            lambda g: DensityState(g, AlgebraElement({GroupElement((0,)): 1.0,
+                                                      GroupElement((1,)): 1.0})),
+            r"free_abelian\(rank=1\).*free_abelian\(rank=2\)"),
+    }
+
+    @pytest.mark.parametrize("case", CASES, ids=list(CASES))
+    def test_foreign_state_is_refused(self, case):
+        make_own, make_ball_group, make_state, message = self.CASES[case]
+        foreign = make_state(make_own())
+        group = make_ball_group()
+        ball = enumerate_ball(group, 4)
+        native = TraceState(group)
+        for call in (lambda: delta_coeffs(foreign, native, ball),
+                     lambda: delta_coeffs(native, foreign, ball),
+                     lambda: d_inf(native, foreign, ball),
+                     lambda: d_2(native, foreign, ball),
+                     lambda: connes_bracket(foreign, native, ball),
+                     lambda: connes_heuristic(native, foreign, group, 1, 2),
+                     lambda: pd_check(foreign, ball)):
+            with pytest.raises(GroupError, match=message):
+                call()
+        if isinstance(foreign, DensityState):
+            with pytest.raises(GroupError, match=message):
+                kappa_bounds(foreign, ball)
+
 
 class TestConnesBracket:
     def test_combines_endpoints(self, z_group, char_minus_one):
@@ -216,6 +271,32 @@ class TestHeuristic:
                                   z_group, 2, 8)
         assert result.estimate == 0.0
         assert result.sigma_drift == 0.0
+
+    def test_agreement_over_the_cap_raises(self, z_group, monkeypatch):
+        # ball(2R) is enumerated before the states are compared; ball(R) fits
+        monkeypatch.setenv("QMETRIC_MAX_BALL", "20")
+        with pytest.raises(ResourceError, match="at radius 10"):
+            connes_heuristic(TraceState(z_group), TraceState(z_group), z_group, 2, 8)
+
+    @pytest.mark.parametrize("group", [
+        FreeAbelian(1), InfiniteDihedral(),
+        FreeAbelian(1, [GroupElement((m,)) for m in (2, -2, 3, -3)])],
+        ids=["z", "dihedral", "z-custom"])
+    def test_one_ball_and_one_triplet_list(self, group, monkeypatch):
+        calls = {"enumerate_ball": [], "commutator_triplets": []}
+        for name in calls:
+            original = getattr(metrics, name)
+
+            def counting(*args, _name=name, _original=original):
+                calls[_name].append(args)
+                return _original(*args)
+
+            monkeypatch.setattr(metrics, name, counting)
+        rho = DensityState(group, AlgebraElement({group.identity: 1.0,
+                                                  group.generators[0]: 1.0}))
+        connes_heuristic(TraceState(group), rho, group, 2, 6)
+        assert [args[1] for args in calls["enumerate_ball"]] == [12]
+        assert len(calls["commutator_triplets"]) == 1
 
     def test_validation(self, z_group, char_minus_one):
         with pytest.raises(ValueError):

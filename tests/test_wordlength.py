@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from qmetric import wordlength
 from qmetric.errors import BallRadiusError, GroupError, ResourceError
-from qmetric.experiments import run_dist
+from qmetric.experiments import run_dist, run_summable
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex)
 from qmetric.metrics import connes_bracket
@@ -377,22 +377,21 @@ class TestGrowth:
         assert report.fit_k == pytest.approx(2.0, abs=1e-9)
         assert report.fit_l == pytest.approx(1.0, abs=1e-9)
         assert report.residual < 1e-9
-        assert report.shell_bound == 2
-        assert report.shell_bound_provenance == "analytic"
+        assert z_group.shell_bound == 2
 
     def test_dihedral_fit(self, dihedral):
         report = growth_fit(enumerate_ball(dihedral, 30))
         assert report.fit_k == pytest.approx(4.0, rel=1e-2)
-        assert report.shell_bound == 4
+        assert dihedral.shell_bound == 4
 
     def test_z2_quadratic_has_no_bound(self, z2_group):
         report = growth_fit(enumerate_ball(z2_group, 20))
-        assert report.shell_bound is None
+        assert z2_group.shell_bound is None
         assert report.residual > 100
 
     def test_product_bound_scales_with_order(self, z_x_z2):
-        report = growth_fit(enumerate_ball(z_x_z2, 10))
-        assert report.shell_bound == 4
+        growth_fit(enumerate_ball(z_x_z2, 10))
+        assert z_x_z2.shell_bound == 4
 
 
 class TestSquareSum:
@@ -403,6 +402,17 @@ class TestSquareSum:
         assert partial < exact
         assert partial + tail >= exact - 1e-12
         assert partial == pytest.approx(exact, abs=1.1e-3)
+
+    @pytest.mark.parametrize("spec", [
+        {"family": "free_abelian", "rank": 1}, {"family": "free_abelian", "rank": 2},
+        {"family": "product_z_finite", "finite": {"name": "s3"}},
+        {"family": "infinite_dihedral"},
+        {"family": "infinite_dihedral", "generators": [[0, 1], [1, 1]]}],
+        ids=["z", "z2", "zxs3", "dihedral", "dihedral-reflections"])
+    def test_partial_is_the_last_row_bit_for_bit(self, spec):
+        for radius in (1, 2, 7, 40):
+            report = run_summable({"group": spec, "radius": radius})
+            assert report.meta["partial"].hex() == report.rows[-1][1].hex()
 
     def test_z2_partial_diverges(self, z2_group):
         p10, tail = square_sum_evidence(enumerate_ball(z2_group, 10))
