@@ -261,7 +261,7 @@ class Group:
             self.check(g)
             if g == self.identity:
                 raise GroupError("generating set contains the identity")
-            if any(abs(x) > _MAX_GENERATOR_COORD for x in g.z):
+            if max(g.z) > _MAX_GENERATOR_COORD or min(g.z) < -_MAX_GENERATOR_COORD:
                 raise GroupError(f"generator {g} has a coordinate beyond +-2^31")
             if self.inv(g) not in gens:
                 raise GroupError(f"generating set is not symmetric: missing inverse of {g}")
@@ -490,8 +490,10 @@ class RowIndex:
 
 def _element_shape(data, free_abelian: bool) -> GroupElement:
     """The element an encoding names, unchecked: [m1,...,mn] on Z^n, [m, f_index] otherwise."""
-    if not isinstance(data, (list, tuple)) or any(
-            isinstance(x, bool) or not isinstance(x, int) for x in data):
+    # the set of coordinate types takes one pass in C; only a list with a type
+    # other than int is searched coordinate by coordinate
+    if not isinstance(data, (list, tuple)) or (not set(map(type, data)) <= {int} and any(
+            isinstance(x, bool) or not isinstance(x, int) for x in data)):
         raise ConfigError(f"element {data!r} is not a list of integers")
     if free_abelian:
         return GroupElement(tuple(data))

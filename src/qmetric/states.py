@@ -5,24 +5,30 @@ function g -> phi(lam_g): ``coeff`` evaluates it at one checked element and
 ``coeff_array`` over the int64 rows of a ball (see ``groups``), and
 ``outside_bound`` bounds |phi(lam_g)| outside the ball by e_phi >= 1.  The
 constant positive-definite function 1 and the characters of free abelian
-groups are evaluated in closed form, e_phi = 1; both are characters, so their
-``pd_check`` Gram matrix is the rank-one outer product of the coefficients over
-the ball.  The other four kinds are stored as the table of their finitely
-supported coefficients.  A table is zero outside its keys, so the state is
-defined at every element of the group, as a state of C*_r(G) must be; e_phi
-is max(1, |value|) over keys outside the ball.  ``coeff_array`` looks each
-key up in the ball, and the Gram matrix G[i, j] is nonzero only where
-g_j = g_i s for a key s, so each row i needs one lookup per key.  The kinds:
+groups are evaluated in closed form, e_phi = 1.  The other four kinds are
+stored as the table of their finitely supported coefficients.  A table is
+zero outside its keys, so the state is defined at every element of the
+group, as a state of C*_r(G) must be; e_phi is max(1, |value|) over keys
+outside the ball, and ``coeff_array`` looks each key up in the ball.  The
+kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
 * vector states <lam_g xi, xi> for finitely supported unit vectors xi: the
   convolution conj(xi) * conj(xi)^*,
 * trace-bounded states with density rho = b*b / tau(b*b): {g^-1: rho(g)}.
+
+``pd_check`` decides positivity on the whole group, not on one ball: from
+the Fourier symbol of a table along the Z part it proves, up to a slack of
+_PD_TOL, a lower bound on the least eigenvalue of every Gram matrix
+phi(g_i^-1 g_j).  Its work is capped (ResourceError), which refuses tables
+with keys far out, beyond int64 or not.  The closed-form kinds are
+characters, so their Gram matrices are rank one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -30,7 +36,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .errors import ConfigError, GroupError, ResourceError, StateError, check_fields
-from .groups import FreeAbelian, Group, GroupElement, decode_element
+from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element
 from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
@@ -184,70 +190,181 @@ class PdCheckResult:
     max_eigenvalue: float
 
 
-_PD_MAX_BALL, _PD_TOL = 2000, 1e-8
+_PD_TOL = 1e-8
+# Symbol entries (points times |F|^2) that one pd_check may evaluate on the
+# grid and in the refinement together, which bounds its memory: the grid is at
+# most 32 MB of complex values, the refinement evaluates _PD_CHUNK entries at
+# a time and holds a few floats per point.
+_PD_MAX_ENTRIES, _PD_CHUNK = 2 ** 21, 2 ** 16
 
 
-def _gram(state: StateRep, ball: Ball) -> tuple[np.ndarray, float]:
-    """G[i, j] = coeff(g_i^-1 g_j) over the ball, and max |G - G^H|.
+def _symbol(group: Group, rows: np.ndarray, values: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Frequencies (m, d) and blocks (m, n, n) of the symbol of the table {rows: values}.
 
-    A finite table is scattered: g_i^-1 g_j = s_k exactly when g_j = g_i s_k,
-    so row i holds value_k at the ball index of each right translate g_i s_k
-    and 0 elsewhere.  For a fixed i distinct keys give distinct products, so
-    no entry is written twice, and |G - G^H| is nonzero only at the written
-    entries and their transposes.  (A product that wraps past int64 lies in
-    no ball; see Group.to_rows.)  The closed-form kinds are characters,
-    phi(g_i^-1 g_j) = conj(phi(g_i)) phi(g_j), so G is the outer product of
-    conj(x) and x for x the coefficients over the ball; rounding still leaves
-    G - G^H a few ulps from 0.
+    On Z^rank the symbol is the scalar sum_k phi(k) e^{i k.theta} (n = 1) over
+    the d coordinates that some key uses.  On Z semidirect_sigma F it is
+    Phi(theta) = sum_k A_k e^{i k theta} with A_k[f, f'] = phi(sigma(f) k,
+    f^-1 f'): a key (m, g) sits in row f of the block of k = sigma(f) m, at
+    column f g, and (sigma(f) m, f g) is the product (0, f)(m, g).  A
+    constant symbol keeps one axis, so d >= 1.
     """
-    group = ball.group
-    rows = ball.rows
-    n = len(ball)
-    if isinstance(state, FiniteState):
-        cols = ball.find_rows(group.mul_rows(rows[:, None, :], state._rows[None, :, :]))
-        i, k = np.nonzero(cols >= 0)
-        j = cols[i, k]
-        gram = np.zeros((n, n), dtype=complex)
-        gram[i, j] = state._values[k]
-        with np.errstate(over="ignore"):  # an overflow is an infinite asymmetry
-            asymmetry = np.abs(gram[j, i] - state._values[k].conj()).max(initial=0.0)
-        return gram, float(asymmetry)
-    x = state.coeff_array(ball)
-    gram = np.outer(x.conj(), x)
-    return gram, float(np.abs(gram - gram.conj().T).max())
+    if isinstance(group, FreeAbelian):
+        freq, at, n = rows, (np.zeros(len(rows), dtype=np.int64),) * 2, 1
+    else:
+        n = group.finite.order
+        f = np.arange(n, dtype=np.int64)
+        left = np.stack([np.zeros(n, dtype=np.int64), f], axis=-1)
+        products = group.mul_rows(left[None, :, :], rows[:, None, :])  # (keys, n, 2)
+        freq = products[..., :1].reshape(-1, 1)
+        at = (np.tile(f, len(rows)), products[..., 1].ravel())
+        values = np.repeat(values, n)
+    used = np.flatnonzero((freq != 0).any(axis=0))
+    freq, which = np.unique(freq[:, used] if used.size else freq[:, :1], axis=0,
+                            return_inverse=True)
+    blocks = np.zeros((len(freq), n, n), dtype=complex)
+    np.add.at(blocks, (which.ravel(), *at), values)
+    return freq, blocks
+
+
+def _extremes(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Smallest and largest eigenvalue of each Hermitian matrix of a (P, n, n) stack."""
+    if values.shape[-1] == 1:
+        return values.real[:, 0, 0], values.real[:, 0, 0]
+    eigs = np.linalg.eigvalsh(values)
+    return eigs[:, 0], eigs[:, -1]
+
+
+def _lowest(freq: np.ndarray, blocks: np.ndarray, theta: np.ndarray) -> np.ndarray:
+    """Smallest eigenvalue of the symbol at each point of theta (P, d)."""
+    values = np.exp(1j * (theta @ freq.T)) @ blocks.reshape(len(blocks), -1)
+    return _extremes(values.reshape(len(theta), *blocks.shape[1:]))[0]
+
+
+def _lattice(d: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """A cell of side 2 bisected along every axis: the points {0, 1, 2}^d in product order.
+
+    Returns the new points (some coordinate odd), the mask of the old
+    corners (every coordinate even), the subcell origins {0, 1}^d in product
+    order, which is also the order of the corners, and subcells[s, c], the
+    index of corner c of subcell s among the points.
+    """
+    lattice = np.array(list(itertools.product(range(3), repeat=d)), dtype=np.int64)
+    halves = lattice[(lattice < 2).all(axis=1)]
+    corner = (lattice % 2 == 0).all(axis=1)
+    subcells = ((halves[:, None, :] + halves[None, :, :]) * 3 ** np.arange(d)[::-1]).sum(-1)
+    return lattice[~corner], corner, halves, subcells
+
+
+def _spend(points: int, n: int) -> None:
+    if points * n * n > _PD_MAX_ENTRIES:
+        raise ResourceError(
+            f"the positivity check needs {points} points of a {n} x {n} symbol; "
+            f"it is capped at {_PD_MAX_ENTRIES} entries")
+
+
+def _certify(freq: np.ndarray, blocks: np.ndarray) -> tuple[bool, float, float]:
+    """(passed, lo, hi) for the Hermitian symbol of _symbol over the whole torus.
+
+    The grid has N_i points on axis i, the least power of two >= 16 K_i (and
+    >= 2) for K_i the largest |frequency| there, and one FFT per block entry
+    evaluates the symbol on it.  A cell of sides h_i is bounded below by the
+    least lambda_min at its corners minus sum_i (h_i^2 / 8) M_i, with M_i =
+    sum_k k_i^2 |A_k|_F: for every unit vector v, v^H Phi v has its second
+    derivative along axis i bounded by M_i, so it lies above its multilinear
+    interpolation between the corners less that remainder.  Cells whose
+    bound is below -slack are bisected along every axis, all of them at
+    once; the first batch of points where lambda_min < -slack fails, with lo
+    the least lambda_min there.  slack = _PD_TOL * max(hi, 1), hi the largest
+    eigenvalue on the grid.  On a pass lo is the least bound of the final
+    cells.  ResourceError once the points evaluated, times n^2, would pass
+    _PD_MAX_ENTRIES.
+    """
+    n, d = blocks.shape[-1], freq.shape[1]
+    spread = np.abs(freq.astype(float)).max(axis=0)  # a float: |int64 min| wraps
+    shape = tuple(max(2, 1 << (16 * int(k) - 1).bit_length()) for k in spread)
+    spent = math.prod(shape)
+    _spend(spent, n)
+    grid = np.zeros((*shape, n, n), dtype=complex)
+    grid[tuple((freq % shape).T)] = blocks
+    grid = np.fft.ifftn(grid, axes=tuple(range(d)), norm="forward")
+    curvature = (freq.astype(float) ** 2).T @ np.linalg.norm(
+        blocks.reshape(len(blocks), -1), axis=1)
+    if not (np.isfinite(grid).all() and np.isfinite(curvature).all()):
+        return False, math.nan, math.nan
+    lo, hi = _extremes(grid.reshape(-1, n, n))
+    hi = float(hi.max())
+    slack = _PD_TOL * max(hi, 1.0)
+    if lo.min() < -slack:
+        return False, float(lo.min()), hi
+    lo = lo.reshape(shape)
+    cell_min = lo  # the least corner of the cell at each grid point
+    for axis in range(d):
+        cell_min = np.minimum(cell_min, np.roll(cell_min, -1, axis=axis))
+    step = 2 * np.pi / np.array(shape)
+    bound = cell_min.ravel() - curvature @ step ** 2 / 8
+    lower = float(bound[bound >= -slack].min(initial=math.inf))
+    new_points, corner, halves, subcells = _lattice(d)
+    bad = np.flatnonzero(bound < -slack)
+    _spend(spent + len(bad) * len(new_points), n)  # before the corners are gathered
+    cells = np.stack(np.unravel_index(bad, shape), axis=-1)
+    corners = np.stack([lo[tuple(((cells + c) % shape).T)] for c in halves], axis=1)
+    origin = cells * step
+    while len(corners):
+        step = step / 2
+        spent += len(corners) * len(new_points)
+        _spend(spent, n)
+        offsets = new_points * step
+        chunk = max(1, _PD_CHUNK // (len(offsets) * max(len(freq), n * n)))
+        new = np.concatenate([
+            _lowest(freq, blocks, (origin[i:i + chunk, None, :] + offsets).reshape(-1, d))
+            for i in range(0, len(origin), chunk)])
+        if new.min() < -slack:
+            return False, float(new.min()), hi
+        values = np.empty((len(corners), len(corner)))
+        values[:, corner], values[:, ~corner] = corners, new.reshape(len(corners), -1)
+        corners = values[:, subcells].reshape(-1, len(halves))
+        origin = (origin[:, None, :] + halves * step).reshape(-1, d)
+        bound = corners.min(axis=1) - curvature @ step ** 2 / 8
+        keep = bound < -slack
+        lower = min(lower, float(bound[~keep].min(initial=math.inf)))
+        corners, origin = corners[keep], origin[keep]
+    return True, lower, hi
 
 
 def pd_check(state: StateRep, ball: Ball) -> PdCheckResult:
-    """Floating-point positivity check of the Gram matrix over the ball.
+    """Positivity of the state over the whole group, from its Fourier symbol.
 
-    Builds G[i, j] = coeff(g_i^-1 g_j).  With tol = _PD_TOL, it passes iff G
-    is Hermitian to tol, max |G - G^H| <= tol * max(hi, 1), and the smallest
-    eigenvalue lo of the Hermitian part (G + G^H) / 2 (numpy's eigvalsh) is
-    >= -tol * max(hi, 1), hi being the largest, and both lo and hi are
-    finite.  A ball of another group law raises GroupError.  A G with no
-    asymmetry at all is its own Hermitian part and goes to eigvalsh as it
-    is.  A Hermitian part that overflows fails, with NaN for lo and hi.  It
-    checks one truncation in floating point; it is not a proof of positive
-    definiteness.
+    phi is positive definite when every Gram matrix G[i, j] = phi(g_i^-1 g_j)
+    over a finite set is positive semidefinite.  Each such G is a principal
+    submatrix of one operator, block Toeplitz along the Z part with symbol
+    Phi(theta) (see _symbol); so the least eigenvalue of every G, on any ball
+    of any generating set, is at least the infimum of lambda_min(Phi) over
+    the torus.  The check bounds that infimum from below (see _certify) for
+    the Hermitian part (phi + phi^*) / 2, phi^*(g) = conj(phi(g^-1)), in
+    floating point.  It passes iff that bound lo is >= -slack and the
+    asymmetry max |phi(g^-1) - conj(phi(g))| over the keys is <= slack, with
+    slack = _PD_TOL * max(hi, 1) and hi the largest eigenvalue of the symbol
+    on the grid.  A fail at a point reports that point's lambda_min as lo, so
+    lo < -slack; a symbol that overflows fails with NaN lo and hi.  A table
+    whose frequencies need more grid points than the cap allows (a key beyond
+    int64 among them) raises ResourceError.  The ball only names the group
+    law (GroupError for another law) and, for the one and character states,
+    the size of their Gram matrix: they are characters, so it is rank one
+    and (lo, hi) = (0, len(ball)).
     """
     state.check_ball(ball)
-    n = len(ball)
-    if n > _PD_MAX_BALL:
-        raise ResourceError(
-            f"Gram matrix would be {n} x {n}; the dense eigensolve is capped at "
-            f"{_PD_MAX_BALL}")
-    gram, asymmetry = _gram(state, ball)
-    if asymmetry != 0.0:
-        with np.errstate(over="ignore", invalid="ignore"):
-            gram += gram.conj().T
-            gram /= 2.0
-        if not np.isfinite(gram).all():
-            return PdCheckResult(False, math.nan, math.nan)
-    eigs = np.linalg.eigvalsh(gram)
-    lo, hi = float(eigs[0]), float(eigs[-1])
-    slack = _PD_TOL * max(hi, 1.0)
-    finite = math.isfinite(lo) and math.isfinite(hi)
-    return PdCheckResult(finite and lo >= -slack and asymmetry <= slack, lo, hi)
+    if not isinstance(state, FiniteState):
+        return PdCheckResult(True, 0.0, float(len(ball)))
+    group, rows, values = state.group, state._rows, state._values
+    inverse = group.inv_rows(rows)
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = RowIndex(rows).find(inverse)
+        asymmetry = float(np.abs(np.where(pos >= 0, values[pos], 0) - values.conj()).max())
+        freq, blocks = _symbol(group, np.concatenate([rows, inverse]),
+                               np.concatenate([values, values.conj()]) / 2)
+        passed, lo, hi = _certify(freq, blocks)
+    return PdCheckResult(passed and asymmetry <= _PD_TOL * max(hi, 1.0), lo, hi)
 
 
 @dataclass

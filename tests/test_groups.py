@@ -243,6 +243,17 @@ class TestConstruction:
             group_from_json({"family": "infinite_dihedral",
                              "generators": [[2 ** 31 + 1, 0], [-2 ** 31 - 1, 0], [0, 1]]})
         FreeAbelian(1, [GroupElement((2 ** 31,)), GroupElement((-2 ** 31,))])
+        # only the negative coordinate is out of range, and it is not the first
+        with pytest.raises(GroupError, match=r"z=\(0, -2147483649\), f=None\) has a coordinate"):
+            FreeAbelian(2, [GroupElement((0, -2 ** 31 - 1)), GroupElement((0, 2 ** 31 + 1))])
+
+    @pytest.mark.parametrize("bad", [[1, True, 0], [0, 0, 1.0], [0, "1", 0], [0, None, 0]],
+                             ids=["bool", "float", "string", "null"])
+    def test_generator_coordinates_are_integers(self, bad):
+        # the fault sits in the middle of the second generator of Z^3
+        gens = [[1, 0, 0], bad, [-1, 0, 0], [0, -1, 0], [0, 0, -1]]
+        with pytest.raises(ConfigError, match=f"element {re.escape(repr(bad))} is not a list"):
+            group_from_json({"family": "free_abelian", "rank": 3, "generators": gens})
 
     def test_rank_over_the_cap_rejected(self, monkeypatch):
         with pytest.raises(ResourceError, match="rank 1025 is over the cap of 1024"):

@@ -419,7 +419,8 @@ class TestSpectralSolver:
             "radius": 40, "mode": "bracket"}))
         script = f"""
 import sys
-from qmetric import (AlgebraElement, CharacterState, DensityState, FreeAbelian, GroupElement,
+from qmetric import (AlgebraElement, CharacterState, DensityState, FiniteGroupTable,
+                     FreeAbelian, GroupElement, InfiniteDihedral, ProductZFinite, TableState,
                      TraceState, commutator_matrix, connes_heuristic, enumerate_ball,
                      kappa_bounds, norm_lower, pd_check)
 from qmetric.cli import main
@@ -436,6 +437,14 @@ z = FreeAbelian(1)
 connes_heuristic(TraceState(z), CharacterState(z, [-1.0]), z, 2, 40)
 kappa_bounds(DensityState(group, a), ball)
 assert pd_check(DensityState(group, a), enumerate_ball(group, 8)).passed
+# the block symbols of Z x S3 and the dihedral group
+zxs3 = ProductZFinite(FiniteGroupTable.symmetric(3))
+table = {{GroupElement((1,), 1): 0.25, GroupElement((-1,), 1): 0.25, GroupElement((0,), 3): 0.4j,
+          GroupElement((0,), 4): -0.4j}}
+assert pd_check(TableState(zxs3, table), enumerate_ball(zxs3, 2)).passed
+d = InfiniteDihedral()
+b = AlgebraElement({{GroupElement((0,), 0): 1.0, GroupElement((2,), 1): 0.5j}})
+assert pd_check(DensityState(d, b), enumerate_ball(d, 3)).passed
 assert main(["dist", "--config", {str(config)!r}, "--out", {str(tmp_path / "out.csv")!r}]) == 0
 print(sorted(name for name in sys.modules
              if name.startswith(("scipy.sparse.linalg", "scipy.optimize", "scipy.linalg"))))

@@ -1,12 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from qmetric import states
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
-                            InfiniteDihedral, ProductZFinite, RowIndex)
+                            InfiniteDihedral, ProductZFinite)
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
-                            TraceState, VectorState, _gram, kappa_bounds, pd_check,
+                            TraceState, VectorState, _PD_TOL, kappa_bounds, pd_check,
                             state_from_json)
 from qmetric.wordlength import enumerate_ball
 
@@ -160,21 +163,41 @@ def _gram_double_loop(state, ball):
                      for gi in ball.elements], dtype=complex)
 
 
+def _slack(result):
+    return _PD_TOL * max(result.max_eigenvalue, 1.0)
+
+
+def assert_bounds_the_gram(result, gram):
+    """pd_check's lo bounds the least eigenvalue of the Gram matrix's Hermitian part.
+
+    On a fail at a point, lo is that point's lambda_min, below -slack; a
+    pass also bounds the Gram matrix's asymmetry.
+    """
+    eigs = np.linalg.eigvalsh((gram + gram.conj().T) / 2.0)
+    if result.min_eigenvalue < -_slack(result):
+        assert not result.passed
+        return
+    assert result.min_eigenvalue <= eigs[0] + 1e-12 * max(1.0, eigs[-1])
+    if result.passed:
+        assert np.abs(gram - gram.conj().T).max() <= _slack(result)
+
+
 @pytest.mark.parametrize("group_name,kind", _CASES)
 def test_gram_matches_double_loop(group_name, kind):
     make, radius = _GROUPS[group_name]
     group = make()
     phi, _ = _state_and_formula(kind, group)
     ball = enumerate_ball(group, min(radius, 3))
-    expected = _gram_double_loop(phi, ball)
-    gram, _ = _gram(phi, ball)
-    if kind == "character":  # vectorised phases may differ in the last bit
-        assert np.allclose(gram, expected, rtol=0, atol=1e-15)
-        return
-    assert np.array_equal(gram, expected)
-    eigs = np.linalg.eigvalsh((expected + expected.conj().T) / 2.0)
+    gram = _gram_double_loop(phi, ball)
     result = pd_check(phi, ball)
-    assert (result.min_eigenvalue, result.max_eigenvalue) == (eigs[0], eigs[-1])
+    # the table has the key t without t^-1, so it is not Hermitian
+    assert result.passed == (kind != "table")
+    assert_bounds_the_gram(result, gram)
+    if kind in ("one", "character"):  # rank one, with |x|^2 = len(ball)
+        eigs = np.linalg.eigvalsh(gram)
+        assert (result.min_eigenvalue, result.max_eigenvalue) == (0.0, len(ball))
+        assert eigs[0] == pytest.approx(0.0, abs=1e-12)
+        assert eigs[-1] == pytest.approx(len(ball), rel=1e-12)
 
 
 # balls of 60-120 elements, and a generating set without a closed form
@@ -190,48 +213,75 @@ _SCATTER_BALLS = {
     (group_name, kind) for group_name in _SCATTER_BALLS for kind in _KINDS
     if kind != "character" or group_name in ("z2", "z-2-3")])
 def test_scattered_gram_matches_double_loop(group_name, kind):
+    # one certificate for the whole group bounds the Gram matrix of every
+    # ball, of the default generators or not
     make, radius = _SCATTER_BALLS[group_name]
     group = make()
     phi, _ = _state_and_formula(kind, group)
     ball = enumerate_ball(group, radius)
     assert 60 <= len(ball) <= 120
-    expected = _gram_double_loop(phi, ball)
-    gram, asymmetry = _gram(phi, ball)
-    if kind == "character":  # vectorised phases of up to 20 radians differ in the last bits
-        assert np.allclose(gram, expected, rtol=0, atol=1e-12)
-        assert asymmetry <= 1e-12
-        return
-    assert np.array_equal(gram, expected)
-    assert asymmetry == np.abs(expected - expected.conj().T).max()
+    result = pd_check(phi, ball)
+    assert result.passed == (kind != "table")
+    assert_bounds_the_gram(result, _gram_double_loop(phi, ball))
 
 
 @pytest.mark.parametrize("group", [FreeAbelian(1), InfiniteDihedral()], ids=["z", "dihedral"])
-def test_gram_of_far_table_keys_matches_double_loop(group):
+def test_far_table_keys_raise_resource_error(group):
+    # a key saturated in its row is not read as a frequency, which would alias
     f = group.identity.f
-    big = 2 ** 63 - 1
-    keys = [(10 ** 12,), (-10 ** 12,), (big,), (-big - 1,), (2 ** 70,), (1,), (-1,)]
-    values = [0.5, 0.5, 0.25j, -0.25j, 0.5, 0.125, 0.125]
-    phi = TableState(group, {GroupElement(z, f): v for z, v in zip(keys, values)})
-    ball = enumerate_ball(group, 5)
-    gram, _ = _gram(phi, ball)
-    assert np.array_equal(gram, _gram_double_loop(phi, ball))
+    near = GroupElement((1,), f)
+    for key in (10 ** 12, 2 ** 63 - 1, -2 ** 63, 2 ** 70, -2 ** 70):
+        far = GroupElement((key,), f)
+        phi = TableState(group, {far: 0.25, group.inv(far): 0.25, near: 0.125,
+                                 group.inv(near): 0.125})
+        with pytest.raises(ResourceError, match="capped at"):
+            pd_check(phi, enumerate_ball(group, 5))
 
 
-def test_gram_of_a_table_looks_up_one_row_per_key(z_group, monkeypatch):
-    phi = VectorState(z_group, {GroupElement((0,)): 0.6, GroupElement((1,)): 0.48j,
-                                GroupElement((3,)): 0.64})
-    ball = enumerate_ball(z_group, 150)
-    queried = []
-    find = RowIndex.find
+# groups with the radii of the Gram matrices that bound their certificates
+_CERTIFIED_GROUPS = {
+    "z": (FreeAbelian(1), (3, 10, 20)),
+    "z2": (FreeAbelian(2), (2, 4)),
+    "zxz2": (ProductZFinite(FiniteGroupTable.cyclic(2)), (3, 8)),
+    "zxs3": (ProductZFinite(FiniteGroupTable.symmetric(3)), (2, 4)),
+    "dihedral": (InfiniteDihedral(), (5, 12)),
+}
 
-    def counting_find(index, rows):
-        queried.append(rows.size // rows.shape[-1])
-        return find(index, rows)
 
-    monkeypatch.setattr(RowIndex, "find", counting_find)
-    _gram(phi, ball)
-    assert len(ball) == 301
-    assert 0 < sum(queried) <= len(ball) * len(phi.table)
+@st.composite
+def hermitian_tables(draw):
+    """A group, its radii, and a Hermitian table on ball(2): explicit, or a vector state's."""
+    group, radii = _CERTIFIED_GROUPS[draw(st.sampled_from(sorted(_CERTIFIED_GROUPS)))]
+    parts = st.floats(-1.0, 1.0)
+    if draw(st.booleans()):
+        support = draw(st.lists(st.sampled_from(enumerate_ball(group, 1).elements),
+                                min_size=1, max_size=4, unique=True))
+        xi = np.array([complex(draw(parts), draw(parts)) for _ in support])
+        if np.linalg.norm(xi) < 1e-3:
+            xi[0] = 1.0
+        return group, radii, VectorState(group, dict(zip(support, xi / np.linalg.norm(xi))))
+    keys = draw(st.lists(st.sampled_from(enumerate_ball(group, 2).elements[1:]),
+                         min_size=1, max_size=6, unique=True))
+    scale = draw(st.sampled_from([0.05, 0.2, 0.5]))
+    table = {}
+    for g in keys:
+        v = scale * complex(draw(parts), draw(parts))
+        inverse = group.inv(g)
+        table[g] = v.real if inverse == g else v
+        table[inverse] = table[g].conjugate()
+    return group, radii, TableState(group, table)
+
+
+@settings(deadline=None, max_examples=60, suppress_health_check=[HealthCheck.too_slow])
+@given(hermitian_tables())
+def test_certificate_bounds_every_truncated_gram(case):
+    group, radii, phi = case
+    result = pd_check(phi, enumerate_ball(group, 1))
+    if not result.passed:
+        assert result.min_eigenvalue < -_slack(result)
+    for radius in radii:
+        gram = _gram_double_loop(phi, enumerate_ball(group, radius))
+        assert_bounds_the_gram(result, gram)
 
 
 class TestTableState:
@@ -353,10 +403,44 @@ class TestPdCheck:
         phi = TableState(z_group, {GroupElement((k,)): v for k, v in entries.items()})
         assert not pd_check(phi, enumerate_ball(z_group, 3)).passed
 
-    def test_cap(self, z2_group):
-        phi = TraceState(z2_group)
-        with pytest.raises(ResourceError):
-            pd_check(phi, enumerate_ball(z2_group, 40))
+    def test_cap(self, z_group, monkeypatch):
+        # the grid of a key at k has the least power of two >= 16 k points,
+        # and the zeros of the symbol 1 + cos(4 theta) need 80 more on Z; on
+        # Z x S3, where each point has 36 entries, 1 + cos(theta) needs 22 more
+        def table(k):
+            return TableState(z_group, {GroupElement((k,)): 0.5, GroupElement((-k,)): 0.5})
+
+        ball = enumerate_ball(z_group, 1)
+        monkeypatch.setattr(states, "_PD_MAX_ENTRIES", 144)
+        assert pd_check(table(4), ball).passed
+        monkeypatch.setattr(states, "_PD_MAX_ENTRIES", 143)
+        with pytest.raises(ResourceError, match="144 points of a 1 x 1 symbol.*capped at 143"):
+            pd_check(table(4), ball)
+        monkeypatch.setattr(states, "_PD_MAX_ENTRIES", 127)
+        with pytest.raises(ResourceError, match="needs 128 points"):
+            pd_check(table(5), ball)
+        zxs3 = ProductZFinite(FiniteGroupTable.symmetric(3))
+        s = 2 ** -0.5
+        phi = VectorState(zxs3, {zxs3.identity: s, GroupElement((1,), 0): s})
+        monkeypatch.setattr(states, "_PD_MAX_ENTRIES", 38 * 36)
+        assert pd_check(phi, enumerate_ball(zxs3, 1)).passed
+        monkeypatch.setattr(states, "_PD_MAX_ENTRIES", 38 * 36 - 1)
+        with pytest.raises(ResourceError, match="38 points of a 6 x 6 symbol"):
+            pd_check(phi, enumerate_ball(zxs3, 1))
+
+    @pytest.mark.parametrize("radius", [5, 10, 20, 40])
+    def test_table_positive_on_small_balls_fails(self, z_group, radius):
+        # symbol 1 + cos(theta) - 0.002 cos(2 theta), -0.002 at theta = pi;
+        # the Gram matrix of ball(r) stays positive definite up to r = 20
+        phi = TableState(z_group, {GroupElement((k,)): v for k, v in
+                                   ((1, 0.5), (-1, 0.5), (2, -0.001), (-2, -0.001))})
+        ball = enumerate_ball(z_group, radius)
+        result = pd_check(phi, ball)
+        assert not result.passed
+        assert result.min_eigenvalue == pytest.approx(-0.002, abs=1e-15)
+        assert result.min_eigenvalue < -_slack(result)
+        if radius <= 20:
+            assert np.linalg.eigvalsh(_gram_double_loop(phi, ball))[0] > 0
 
 
 class TestKappaBounds:
