@@ -22,24 +22,31 @@ operators compute with: an int64 row (z_1, ..., z_d) for Z^d and (z, f) for
 Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
 two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
 broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
-in a fixed set of rows, by keys whose byte order is the rows' lexicographic order.
-Elements may have coordinates of any size.  ``to_rows``, the one checked
-entry to the row form, decides their rows, saturating a coordinate beyond
-int64 to the nearest int64 limit.  Ball coordinates stay below 2^61 (see
-``to_rows``), so such a row lies in no ball.
+in any fixed set of rows, by keys whose byte order is the rows' lexicographic
+order.  Elements may have coordinates of any size.  ``to_rows``, the one
+checked entry to the row form, decides their rows, saturating a coordinate
+beyond int64 to the nearest int64 limit.  Ball coordinates stay below 2^61
+(see ``to_rows``), so such a row lies in no ball.
 
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
 f != e on Z x F; L(m, s) = |m| + s on the dihedral group.
-``default_ball_sizes`` gives the exact ball sizes and ``default_ball`` the
-rows and lengths of a ball, the rows in lexicographic order.
+``default_ball_sizes`` gives the exact ball sizes.  ``default_ball`` lists
+the rows of a ball in ball order, by (length, row), shell by shell from the
+closed form, so nothing is sorted: each l1 sphere of Z^d in lexicographic
+order; (-k, F), (k, F) on Z x F, with (0, f != e) between (-2, F) and (2, F);
+(-k, 0), (-(k-1), 1), (k-1, 1), (k, 0) on the dihedral group.
+``default_index`` inverts that listing: a row's ball position is the size of
+the ball one shell in, plus its rank in its shell, both from the closed form.
+It is exact for every int64 row: the bounds are checked before any |x| or
+sum is formed, so nothing wraps, and every size it forms is at most the size
+of the ball, which the ball cap keeps below 2^30.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
@@ -196,9 +203,19 @@ class Group:
                        prepend=0)
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and word lengths of the default ball of the given radius.
+        """Rows and word lengths of the default ball of the given radius, in ball order.
 
-        The rows come in strictly increasing lexicographic order.
+        The rows come in strictly increasing (length, row) order, shell by
+        shell from the closed form, and ``default_index`` gives each row's
+        position without a search.
+        """
+        raise NotImplementedError
+
+    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
+        """Position in default_ball(radius) of each row of a (..., row_width) int64 array.
+
+        -1 for a row outside the ball.  Exact for every int64 row while
+        |B(radius)| fits int64, as it does for every ball under the cap.
         """
         raise NotImplementedError
 
@@ -275,6 +292,22 @@ class Group:
 _MAX_RANK = 1024
 
 
+def _l1_ball_sizes(dims, radius):
+    """|B(radius)| of the l1 ball in Z^dims, for ints or broadcastable int64 arrays.
+
+    sum_i 2^i C(d, i) C(r, i), the points with i nonzero coordinates; i stops
+    at min(d, r), so on arrays every term, and every factor formed on the
+    way, is at most the largest size.  Ints give exact Python ints.
+    """
+    total = 1 + 0 * dims * radius  # an array when either is one
+    binom_d, binom_r = 1 + 0 * dims, 1 + 0 * radius
+    for i in range(1, int(min(np.max(dims), np.max(radius))) + 1):
+        binom_d = binom_d * (dims - (i - 1)) // i  # C(d, i), 0 for d < i
+        binom_r = binom_r * (radius - (i - 1)) // i
+        total = total + 2 ** i * binom_d * binom_r
+    return total
+
+
 class FreeAbelian(Group):
     family = "free_abelian"
 
@@ -297,35 +330,73 @@ class FreeAbelian(Group):
         return 2 if self.rank == 1 else None
 
     def default_ball_sizes(self, radius):
-        # sum_i 2^i C(d, i) C(r, i): the points with i nonzero coordinates;
-        # i stops at r, so on arrays every term is at most the largest size
-        total = binom = 1 + 0 * radius  # an array when radius is one
-        for i in range(1, min(self.rank, int(np.max(radius))) + 1):
-            binom = binom * (radius - (i - 1)) // i  # C(r, i), 0 for r < i
-            total = total + 2 ** i * math.comb(self.rank, i) * binom
-        return total
+        return _l1_ball_sizes(self.rank, radius)
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        # one coordinate at a time: each prefix with l1 norm u is followed by
-        # every x with |x| <= radius - u; a prefix is its parent prefix and its
-        # last x, and the rows are filled in from the last coordinate back
-        used = np.zeros(1, dtype=np.int64)
+        # one tree per sphere, k = 0..radius: a node is a prefix with the l1
+        # norm its sphere still needs, its budget; its children are the next
+        # coordinates x, |x| <= budget, in increasing order.  So the leaves
+        # come sphere by sphere, each in lexicographic order.  A prefix is
+        # its parent prefix and its last x; the rows are filled in from the
+        # last coordinate back, which leaves each row at its root, k.  take,
+        # because numpy's fancy indexing gathers several times slower
+        budget = np.arange(radius + 1, dtype=np.int64)
         steps = []
-        for _ in range(self.rank):
-            budget = radius - used
+        for _ in range(self.rank - 1):
             counts = 2 * budget + 1
-            parent = np.repeat(np.arange(used.size), counts)
-            zero = np.cumsum(counts) - counts + budget  # position of each parent's x = 0
-            x = np.arange(parent.size, dtype=np.int64) - zero[parent]
+            parent = np.repeat(np.arange(budget.size, dtype=np.int64), counts)
+            first = np.cumsum(counts) - counts  # position of each parent's first child
+            x = np.arange(parent.size, dtype=np.int64) - (first + budget).take(parent)
             steps.append((parent, x))
-            used = used[parent] + np.abs(x)
-        rows = np.empty((used.size, self.rank), dtype=np.int64)
-        at = slice(None)
-        for i in reversed(range(self.rank)):
+            budget = budget.take(parent) - np.abs(x)
+        # the last coordinate is -budget and +budget, or 0 alone
+        keep = np.ones((budget.size, 2), dtype=bool)
+        keep[:, 1] = budget > 0
+        keep = keep.ravel()
+        x = np.stack([-budget, budget], axis=-1).ravel()[keep]
+        at = np.flatnonzero(keep) >> 1  # the parent of each leaf
+        rows = np.empty((x.size, self.rank), dtype=np.int64)
+        rows[:, -1] = x
+        for i in reversed(range(self.rank - 1)):
             parent, x = steps[i]
-            rows[:, i] = x[at]
-            at = parent[at]
-        return rows, used
+            rows[:, i] = x.take(at)
+            at = parent.take(at)
+        return rows, at
+
+    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
+        # position = |B(k - 1)| + the lexicographic rank of the row in the
+        # sphere of radius k = |row|_1.  With b of the norm still to place at
+        # coordinate x, and m coordinates after it, the sphere rows that agree
+        # up to x and are smaller there number |B_m(b - |x| - 1)| for x <= 0
+        # and |B_m(b)| + |B_m(b - 1)| - |B_m(b - x)| for x > 0 (B_m: the l1
+        # ball of Z^m, B_0(j) = 1 for j >= 0, B(-1) empty)
+        d = self.rank
+        # clipped first, so |x| and the sums cannot wrap; a clipped coordinate
+        # still lies outside, and a row outside is read as the identity
+        x = np.clip(rows, -radius - 1, radius + 1)
+        ax = np.abs(x)
+        norm = np.einsum("...i->...", ax)  # numpy's sum over a short last axis is slower
+        inside = norm <= radius
+        budget = norm * inside
+        width = int(budget.max(initial=0)) + 2
+        # sizes[m * width + j + 1] = |B_m(j)|, m = 0..d, j = -1..width - 2
+        sizes = np.zeros((d + 1, width), dtype=np.int64)
+        sizes[:, 1:] = _l1_ball_sizes(np.arange(d + 1, dtype=np.int64)[:, None],
+                                      np.arange(width - 1, dtype=np.int64))
+        sizes = sizes.ravel()
+        pos = sizes.take(d * width + budget)
+        # one coordinate at a time, until every row has placed its norm: each
+        # later coordinate is 0 and adds |B_m(-1)| = 0
+        for i in range(d):
+            if not budget.any():
+                break
+            at = (d - 1 - i) * width + budget  # m * width + b
+            low = at - ax[..., i] * inside  # m * width + b - |x|
+            pos += np.where(x[..., i] * inside > 0,
+                            sizes.take(at + 1) + sizes.take(at) - sizes.take(low + 1),
+                            sizes.take(low))
+            budget = budget - ax[..., i] * inside
+        return np.where(inside, pos, -1)
 
     def check(self, a: GroupElement) -> None:
         if a.f is not None or len(a.z) != self.rank:
@@ -349,8 +420,10 @@ class _ZSemidirectFinite(Group):
 
     (m, f)(m', f') = (m + sigma(f) m', f f') and (m, f)^-1 = (-sigma(f) m, f^-1).
     The default shell bound is 2|F|, the degree of the extension (Z x F
-    exceeds it at shell 2 alone, with 3|F| - 1 elements); each family gives
-    the closed-form ``_default_lengths`` of the grid of ``default_ball``.
+    exceeds it at shell 2 alone, with 3|F| - 1 elements).  Each family gives
+    the closed form of its default ball: its rows in ball order
+    (``_default_rows``), the word length of a row (``_default_lengths``) and
+    a row's rank in its shell (``_shell_rank``).
     """
 
     def __init__(self, finite: FiniteGroupTable, sigma: tuple[int, ...],
@@ -367,12 +440,21 @@ class _ZSemidirectFinite(Group):
         return 2 * self.finite.order
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        order = self.finite.order
-        m = np.repeat(np.arange(-radius, radius + 1, dtype=np.int64), order)
-        f = np.tile(np.arange(order, dtype=np.int64), 2 * radius + 1)
+        rows = self._default_rows(radius)
+        return rows, self._default_lengths(rows[:, 0], rows[:, 1])
+
+    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
+        # position = |B(L - 1)| + the row's rank in its shell (_shell_rank)
+        m, f = rows[..., 0], rows[..., 1]
+        # bounds first, so |m| cannot wrap; a row outside is read as the identity
+        inside = (m >= -radius) & (m <= radius) & (f >= 0) & (f < self.finite.order)
+        m = np.where(inside, m, 0)
+        f = np.where(inside, f, self.finite.identity_index)
         lengths = self._default_lengths(m, f)
-        keep = lengths <= radius
-        return np.stack([m[keep], f[keep]], axis=-1), lengths[keep]
+        inside &= lengths <= radius
+        start = np.where(lengths > 0, self.default_ball_sizes(lengths - 1), 0)
+        rank = self._shell_rank(m, f, self.default_ball_sizes(lengths) - start)
+        return np.where(inside, start + rank, -1)
 
     def check(self, a: GroupElement) -> None:
         if a.f is None or len(a.z) != 1 or not 0 <= a.f < self.finite.order:
@@ -410,10 +492,30 @@ class ProductZFinite(_ZSemidirectFinite):
         order = self.finite.order
         return order * (2 * radius + 1) - (order - 1) * (radius < 2)
 
+    def _default_rows(self, radius: int) -> np.ndarray:
+        # (0, e); then shell k >= 1 is (-k, F), (k, F), and shell 2 has
+        # (0, f != e) between (-2, F) and (2, F)
+        order, e = self.finite.order, self.finite.identity_index
+        k = np.arange(1, radius + 1, dtype=np.int64)
+        m = np.repeat(np.stack([-k, k], axis=-1).ravel(), order)
+        f = np.tile(np.arange(order, dtype=np.int64), 2 * radius)
+        shells = np.stack([m, f], axis=-1)
+        others = np.delete(np.arange(order, dtype=np.int64), e)[:(order - 1) * (radius >= 2)]
+        middle = np.stack([np.zeros_like(others), others], axis=-1)
+        at = 3 * order  # after shell 1 and (-2, F)
+        return np.concatenate([np.array([[0, e]], dtype=np.int64), shells[:at], middle,
+                               shells[at:]])
+
     def _default_lengths(self, m: np.ndarray, f: np.ndarray) -> np.ndarray:
         lengths = np.abs(m)
         lengths[(m == 0) & (f != self.finite.identity_index)] = 2
         return lengths
+
+    def _shell_rank(self, m: np.ndarray, f: np.ndarray, size: np.ndarray) -> np.ndarray:
+        # (-k, F) first, (k, F) last, and (0, f != e) between them in shell 2
+        order, e = self.finite.order, self.finite.identity_index
+        middle = np.where(f == e, 0, order + f - (f > e))
+        return np.where(m < 0, f, np.where(m > 0, size - order + f, middle))
 
 
 class InfiniteDihedral(_ZSemidirectFinite):
@@ -429,8 +531,22 @@ class InfiniteDihedral(_ZSemidirectFinite):
         # (m, 0) with |m| <= r and (m, 1) with |m| <= r - 1
         return 4 * radius + (radius == 0)
 
+    def _default_rows(self, radius: int) -> np.ndarray:
+        # (0, 0); (-1, 0), (0, 1), (1, 0); then shell k >= 2 is
+        # (-k, 0), (-(k-1), 1), (k-1, 1), (k, 0)
+        k = np.arange(2, radius + 1, dtype=np.int64)
+        m = np.stack([-k, 1 - k, k - 1, k], axis=-1).ravel()
+        f = np.tile(np.array([0, 1, 1, 0], dtype=np.int64), k.size)
+        head = np.array([[0, 0], [-1, 0], [0, 1], [1, 0]], dtype=np.int64)
+        return np.concatenate([head[:1 + 3 * min(radius, 1)], np.stack([m, f], axis=-1)])
+
     def _default_lengths(self, m: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.abs(m) + f
+
+    def _shell_rank(self, m: np.ndarray, f: np.ndarray, size: np.ndarray) -> np.ndarray:
+        # in shell k >= 2, m < 0 at ranks 0 (f = 0) and 1 (f = 1), m > 0 at
+        # 2 (f = 1) and 3 (f = 0); shell 1 has (0, 1) at rank 1
+        return np.where(m > 0, size - 1 - f, f)
 
 
 # ---------------------------------------------------------------------------
@@ -458,24 +574,13 @@ class RowIndex:
 
     Rows are compared by their keys (see _row_keys), so the lookup is exact
     for every int64 coordinate (no mixed-radix packing that could overflow).
-    The constructor sorts the keys once; ``lexicographic`` takes rows that
-    are already in order and sorts nothing.
+    The constructor sorts the keys once.
     """
 
     def __init__(self, rows: np.ndarray):
         keys = _row_keys(rows)
         self._order = np.argsort(keys, kind="stable")
         self._sorted = keys[self._order]
-
-    @classmethod
-    def lexicographic(cls, rows: np.ndarray, positions: np.ndarray) -> "RowIndex":
-        """The index of rows in strictly increasing lexicographic order, without a sort.
-
-        find reports positions[p] for a match of rows[p].
-        """
-        index = cls.__new__(cls)
-        index._order, index._sorted = positions, _row_keys(rows)
-        return index
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row of a (..., k) array in the fixed rows, -1 where absent."""

@@ -52,27 +52,28 @@ def _outside_sum(phi: StateRep, psi: StateRep, ball: Ball) -> float:
     return phi.outside_bound(ball) + psi.outside_bound(ball)
 
 
-def _sup_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
+def _ratios(c: np.ndarray, ball: Ball) -> np.ndarray:
+    """|c_g| / L(g) over the ball without the identity (row 0)."""
+    return np.abs(c[1:]) / ball.lengths[1:]
+
+
+def _sup_bracket(ratios: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_inf needs ball radius >= 1")
-    lengths = ball.lengths
-    ratios = np.abs(c[1:]) / lengths[1:]
     best = int(np.argmax(ratios))
     lo = float(ratios[best])
     tail = outside / (ball.radius + 1)
     return MetricBracket(lo, max(lo, tail), tail, {
         "argmax": ball.group.from_rows(ball.rows[best + 1])[0],
-        "argmax_length": int(lengths[best + 1]),
+        "argmax_length": int(ball.lengths[best + 1]),
     })
 
 
-def _l2_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
+def _l2_bracket(ratios: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_2 needs ball radius >= 1")
     bound = ball.group.shell_bound
-    lengths = ball.lengths
-    weights = (np.abs(c[1:]) / lengths[1:]) ** 2
-    partials = np.sqrt(np.cumsum(np.bincount(lengths[1:], weights, ball.radius + 1)))
+    partials = np.sqrt(np.cumsum(np.bincount(ball.lengths[1:], ratios ** 2, ball.radius + 1)))
     lo = float(partials[-1])
     diagnostics = {"partial_by_radius": partials.tolist(), "shell_bound": bound}
     if bound is None:
@@ -84,7 +85,8 @@ def _l2_bracket(c: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
 
 def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Sup metric, exact on the ball; the tail uses |c_g| <= e_phi + e_psi and L >= r+1 outside."""
-    return _sup_bracket(delta_coeffs(phi, psi, ball), ball, _outside_sum(phi, psi, ball))
+    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
+    return _sup_bracket(ratios, ball, _outside_sum(phi, psi, ball))
 
 
 def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
@@ -93,15 +95,16 @@ def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     Without one the upper endpoint is infinite and the diagnostics record the
     partial sums across sub-radii as divergence evidence.
     """
-    return _l2_bracket(delta_coeffs(phi, psi, ball), ball, _outside_sum(phi, psi, ball))
+    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
+    return _l2_bracket(ratios, ball, _outside_sum(phi, psi, ball))
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Certified enclosure of the Connes metric: [d_inf.lo, d_2.hi]."""
-    c = delta_coeffs(phi, psi, ball)
+    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
     outside = _outside_sum(phi, psi, ball)
-    lower = _sup_bracket(c, ball, outside)
-    upper = _l2_bracket(c, ball, outside)
+    lower = _sup_bracket(ratios, ball, outside)
+    upper = _l2_bracket(ratios, ball, outside)
     return MetricBracket(lower.lo, upper.hi, upper.tail_bound,
                          {"d_inf": lower, "d_2": upper})
 

@@ -114,6 +114,7 @@ class FiniteState(StateRep):
         self.table = table
         self._rows = group.to_rows(table)
         self._values = np.array(list(table.values()), dtype=complex)
+        self._found = None  # (ball, _positions(ball)) of the last ball looked up
 
     def coeff(self, g: GroupElement) -> complex:
         self.group.check(g)
@@ -124,7 +125,7 @@ class FiniteState(StateRep):
 
         Each key is looked up in the ball, not each ball row in the table.
         """
-        pos = ball.find_rows(self._rows)
+        pos = self._positions(ball)
         hit = pos >= 0
         out = np.zeros(len(ball), dtype=complex)
         out[pos[hit]] = self._values[hit]
@@ -132,8 +133,14 @@ class FiniteState(StateRep):
 
     def outside_bound(self, ball: Ball) -> float:
         """max(1, |value|) over the keys outside the ball."""
-        outside = self._values[ball.find_rows(self._rows) < 0]
+        outside = self._values[self._positions(ball) < 0]
         return float(np.abs(outside).max(initial=1.0))
+
+    def _positions(self, ball: Ball) -> np.ndarray:
+        """Ball index of each key, -1 outside; the lookup on the last ball is kept."""
+        if self._found is None or self._found[0] is not ball:
+            self._found = (ball, ball.find_rows(self._rows))
+        return self._found[1]
 
 
 class TraceState(FiniteState):

@@ -9,21 +9,23 @@ row 0, and the exact length of each.  Rows are looked up exactly with
 A group whose generating set equals its family's default set, in any order,
 has its ball built from the closed form of L (``Group.default_ball``), and
 its cap checked against the exact ball sizes before any row exists.  The
-closed form lists its rows in lexicographic order, so one stable sort by
-length gives the ball order, and the rows' lookup index is that
-lexicographic list with the inverse permutation: no row key is sorted.  Every
-other generating set has no known closed form, so ``_search_ball`` finds
-its shells by multiplying whole shells with the family's ``mul_rows``: the
-generators were checked when the group was built, so every product of ball
-rows belongs to the group.  The search also runs on default sets, as the
-tests' oracle for the closed forms.
+closed form lists the rows already in ball order, shell by shell, and a
+row's position is computed from the same closed form
+(``Group.default_index``): such a ball sorts nothing and builds no lookup
+table.  Every other generating set has no known closed form, so
+``_search_ball`` finds its shells by multiplying whole shells with the
+family's ``mul_rows``: the generators were checked when the group was built,
+so every product of ball rows belongs to the group.  Its rows are looked up
+by a sorted-key search (``groups.RowIndex``), built on the first lookup.
+The search also runs on default sets, as the tests' oracle for the closed
+forms.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 import numpy as np
@@ -73,14 +75,14 @@ class Ball:
         return tuple(self.group.from_rows(self.rows))
 
     @cached_property
-    def _row_index(self) -> RowIndex:
-        # a searched ball sorts its row keys on its first lookup; enumerate_ball
-        # sets the index of a closed-form ball
-        return RowIndex(self.rows)
+    def _find(self):
+        # a searched or hand-built ball sorts its row keys on its first
+        # lookup; enumerate_ball sets the closed form of a default ball
+        return RowIndex(self.rows).find
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
-        return self._row_index.find(rows)
+        return self._find(rows)
 
     def index(self, g: GroupElement) -> int:
         idx = int(self.find_rows(self.group.to_rows([g]))[0])
@@ -128,13 +130,8 @@ def enumerate_ball(group: Group, radius: int,
             else:
                 lo = mid
         raise _cap_error(cap, hi)
-    rows, lengths = group.default_ball(radius)
-    order = np.argsort(lengths, kind="stable")
-    # take, because numpy's fancy indexing gathers (n, k) rows about ten times slower
-    ball = Ball(group, radius, rows.take(order, axis=0), lengths[order])
-    positions = np.empty_like(order)
-    positions[order] = np.arange(len(order))
-    ball._row_index = RowIndex.lexicographic(rows, positions)
+    ball = Ball(group, radius, *group.default_ball(radius))
+    ball._find = partial(group.default_index, radius=radius)
     return ball
 
 

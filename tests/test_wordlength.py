@@ -1,3 +1,4 @@
+import functools
 import itertools
 import tracemalloc
 
@@ -162,10 +163,57 @@ DEFAULT_GROUPS = {  # every family with its default generators
     "zxz3": ProductZFinite(FiniteGroupTable.cyclic(3)),
     "zxs3": ProductZFinite(S3),
     "zx1": ProductZFinite(FiniteGroupTable.from_table([[0]])),
+    # Z3 with its identity at index 2 (i stands for i + 1 mod 3)
+    "zxz3_e2": ProductZFinite(FiniteGroupTable.from_table(
+        [[(i + j + 1) % 3 for j in range(3)] for i in range(3)])),
     "dihedral": InfiniteDihedral(),
 }
 # the balls of the brackets benchmark
 BENCHMARK_BALLS = [("z1", 10_000), ("z2", 150), ("zxs3", 2000), ("dihedral", 5000)]
+
+
+# every default ball of TestClosedForms.test_matches_the_search, and the benchmark's
+INDEX_BALLS = [*((name, r) for name in sorted(DEFAULT_GROUPS) for r in range(13)),
+               *BENCHMARK_BALLS]
+INT64_EXTREMES = [2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63]
+
+
+@functools.lru_cache(maxsize=None)
+def sorted_index(name, radius):
+    """The default ball's rows, and a RowIndex that sorts their keys."""
+    rows, _ = DEFAULT_GROUPS[name].default_ball(radius)
+    return rows, RowIndex(rows)
+
+
+@st.composite
+def index_probes(draw):
+    """A default ball's group and radius, its sorted index, and probe arrays of rows.
+
+    The probes are ball rows, their products with the generators (so rows
+    just outside the ball), rows of arbitrary int64 coordinates (with
+    +-(2^63 - 1), -2^63 and a box just around the ball drawn often) and the
+    products of valid such rows with ball rows, both ways round, which wrap
+    past int64 at the extremes.
+    """
+    name, radius = draw(st.sampled_from(INDEX_BALLS))
+    group = DEFAULT_GROUPS[name]
+    rows, index = sorted_index(name, radius)
+    k = group.row_width
+    coordinate = st.one_of(st.integers(-radius - 2, radius + 2),
+                           st.sampled_from(INT64_EXTREMES), st.integers(-2 ** 63, 2 ** 63 - 1))
+    picks = rows[draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=12))]
+    near = group.mul_rows(picks[:, None, :], group.to_rows(group.generators))
+    free = np.array(draw(st.lists(st.tuples(*[coordinate] * k), max_size=12)),
+                    dtype=np.int64).reshape(-1, k)
+    if isinstance(group, FreeAbelian):
+        valid = free
+    else:  # a finite part inside the table, so that the rows can be multiplied
+        order = group.finite.order
+        valid = np.array(draw(st.lists(st.tuples(coordinate, st.integers(0, order - 1)),
+                                       max_size=12)), dtype=np.int64).reshape(-1, k)
+    return group, radius, index, [picks, near, free, valid,
+                                  group.mul_rows(valid[:, None, :], picks),
+                                  group.mul_rows(picks[:, None, :], valid)]
 
 
 def assert_same_ball(a, b):
@@ -208,15 +256,33 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
     def test_default_ball_rows_are_lexicographic(self, name):
+        # in strictly increasing lexicographic order of (length, row), the
+        # ball order, with no sort to put them there
         group = DEFAULT_GROUPS[name]
         for radius in [*range(13), *(r for ball, r in BENCHMARK_BALLS if ball == name)]:
-            rows, _ = group.default_ball(radius)
-            before, after = rows[:-1], rows[1:]
+            rows, lengths = group.default_ball(radius)
+            keys = np.column_stack([lengths, rows])
+            before, after = keys[:-1], keys[1:]
             differs = before != after
             first = np.argmax(differs, axis=1)  # the first coordinate where they differ
             pairs = np.arange(len(first))
             assert differs.any(axis=1).all()
             assert (after[pairs, first] > before[pairs, first]).all()
+
+    def test_default_index_inverts_default_ball(self):
+        for name, radius in INDEX_BALLS:
+            rows, _ = DEFAULT_GROUPS[name].default_ball(radius)
+            found = DEFAULT_GROUPS[name].default_index(rows, radius)
+            assert found.tolist() == list(range(len(rows))), (name, radius)
+
+    @settings(deadline=None, max_examples=300)
+    @given(index_probes())
+    def test_default_index_matches_a_sorted_index(self, case):
+        group, radius, index, probes = case
+        for rows in probes:
+            found = group.default_index(rows, radius)
+            assert found.dtype == np.int64 and found.shape == rows.shape[:-1]
+            assert found.tolist() == index.find(rows).tolist()
 
     @pytest.mark.parametrize("spec,s,s_inv", [
         ({"family": "free_abelian", "rank": 1}, [1], [-1]),
