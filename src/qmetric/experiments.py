@@ -24,7 +24,7 @@ from .metrics import connes_bracket, connes_heuristic, d_2
 from .opalgebra import AlgebraElement
 from .states import (CharacterState, DensityState, StateRep, _decode_real, kappa_bounds,
                      state_from_json)
-from .wordlength import Ball, enumerate_ball, growth_fit, square_sum_evidence
+from .wordlength import Ball, enumerate_ball, growth_fit
 
 ORDER_TOL = 1e-9
 HEURISTIC_SLACK = 1e-6
@@ -243,8 +243,8 @@ def run_summable(config: dict) -> Report:
     _check_config(config, "summable")
     group = _get_group(config)
     ball = enumerate_ball(group, _get_positive_int(config))
-    partial, tail = square_sum_evidence(ball)
     rows = [[row[0], row[3], row[4]] for row in _ball_rows(ball) if row[0] >= 1]
+    partial, tail = rows[-1][1:]
     meta = _base_meta(config, family=group.family, partial=partial, tail_bound=tail)
     passed = True
     if config.get("require_exceeds") is not None:

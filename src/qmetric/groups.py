@@ -12,21 +12,18 @@ sigma: F -> Aut(Z) = {+-1}: (m, f)(m', f') = (m + sigma(f) m', f f'), with
 sigma = 1 on Z x F and sigma(1) = -1 on Z_2.  Their default shell bound is
 2|F|, the degree of the extension.
 
-Elements are canonical named tuples, so structural equality coincides with
-group equality and elements can be used as dictionary keys.  The public
-``mul`` and ``inv`` check their arguments and then call the family's raw
-``_mul``/``_inv``.
-
-The same elements also have a row form, the one that balls, states and
-operators compute with: an int64 row (z_1, ..., z_d) for Z^d and (z, f) for
-Z x F and the dihedral group.  ``to_rows``/``from_rows`` convert between the
-two forms, each family's ``mul_rows``/``inv_rows`` multiply and invert
-broadcastable (..., k) arrays of rows, and ``RowIndex`` looks rows up exactly
-in any fixed set of rows, by keys whose byte order is the rows' lexicographic
-order.  Elements may have coordinates of any size.  ``to_rows``, the one
-checked entry to the row form, decides their rows, saturating a coordinate
-beyond int64 to the nearest int64 limit.  Ball coordinates stay below 2^61
-(see ``to_rows``), so such a row lies in no ball.
+Elements are canonical named tuples of Python ints, so structural equality
+coincides with group equality and elements can be used as dictionary keys.
+Each family states its law once, on rows (z_1, ..., z_d) of Z^d and (z, f)
+of Z x F and the dihedral group: ``mul_rows``/``inv_rows`` multiply and
+invert broadcastable (..., k) arrays of rows.  Exact rows (``_exact_rows``,
+object arrays of the Python ints) give exact products at any size; ``mul``,
+``inv`` and the algebra's products use them.  Balls and operators use int64
+rows (``to_rows``), which saturate a coordinate beyond int64 to the nearest
+int64 limit; ball coordinates stay below 2^61 (see ``to_rows``), so such a
+row lies in no ball.  Both entries check each element, and ``from_rows``
+inverts either.  ``RowIndex`` looks int64 rows up exactly in any fixed set
+of rows, by keys whose byte order is the rows' lexicographic order.
 
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
@@ -47,7 +44,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import operator
 from dataclasses import dataclass
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -64,6 +60,13 @@ class GroupElement(NamedTuple):
 
 
 _INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _ints(values: Sequence) -> bool:
+    """Whether every value is an int but not a bool (so no float or numpy integer either)."""
+    # the set of types takes one pass in C; a value-by-value search only if it is not {int}
+    return set(map(type, values)) <= {int} or not any(
+        isinstance(x, bool) or not isinstance(x, int) for x in values)
 
 
 # ---------------------------------------------------------------------------
@@ -223,27 +226,29 @@ class Group:
         raise NotImplementedError
 
     def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        self.check(a)
-        self.check(b)
-        return self._mul(a, b)
+        rows = self._exact_rows([a, b])
+        return self.from_rows(self.mul_rows(rows[0], rows[1]))[0]
 
     def inv(self, a: GroupElement) -> GroupElement:
-        self.check(a)
-        return self._inv(a)
-
-    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        raise NotImplementedError
-
-    def _inv(self, a: GroupElement) -> GroupElement:
-        raise NotImplementedError
+        return self.from_rows(self.inv_rows(self._exact_rows([a])))[0]
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Products of broadcastable int64 row arrays of shape (..., row_width)."""
+        """Products of broadcastable row arrays of shape (..., row_width), int64 or exact."""
         raise NotImplementedError
 
     def inv_rows(self, a: np.ndarray) -> np.ndarray:
-        """Inverses of an int64 row array of shape (..., row_width)."""
+        """Inverses of a row array of shape (..., row_width), int64 or exact."""
         raise NotImplementedError
+
+    def _exact_rows(self, elements: Iterable[GroupElement]) -> np.ndarray:
+        """Elements as an (n, row_width) object array of Python ints, each checked: exact rows."""
+        flat = []
+        for g in elements:
+            self.check(g)
+            flat.append(g.z if g.f is None else g.z + (g.f,))
+        # fromiter, because np.array discovers the shape of nested tuples slowly
+        return np.fromiter(itertools.chain.from_iterable(flat), dtype=object,
+                           count=len(flat) * self.row_width).reshape(len(flat), self.row_width)
 
     def to_rows(self, elements: Iterable[GroupElement]) -> np.ndarray:
         """Elements as an (n, row_width) int64 array, each checked (GroupError if foreign).
@@ -256,15 +261,10 @@ class Group:
         a product of a ball row with any int64 row is either exact or wraps to
         a coordinate of magnitude above 2^62, and then lies in no ball either.
         """
-        flat = []
-        for g in elements:
-            self.check(g)
-            flat.append(g.z if g.f is None else g.z + (g.f,))
-        rows = np.array(flat, dtype=object).reshape(len(flat), self.row_width)
-        return rows.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
+        return self._exact_rows(elements).clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
 
     def from_rows(self, rows: np.ndarray) -> list[GroupElement]:
-        """Inverse of to_rows on elements within int64: elements with Python int coordinates."""
+        """Elements with Python int coordinates: inverts _exact_rows, and to_rows within int64."""
         flat = np.asarray(rows).reshape(-1, self.row_width).tolist()
         if self.identity.f is None:
             return [GroupElement(tuple(r)) for r in flat]
@@ -276,6 +276,8 @@ class Group:
         gens = set(self.generators)
         for g in self.generators:
             self.check(g)
+            if self._default_generators:
+                continue  # a member equal to a default generator is one; they are valid
             if g == self.identity:
                 raise GroupError("generating set contains the identity")
             if max(g.z) > _MAX_GENERATOR_COORD or min(g.z) < -_MAX_GENERATOR_COORD:
@@ -399,14 +401,8 @@ class FreeAbelian(Group):
         return np.where(inside, pos, -1)
 
     def check(self, a: GroupElement) -> None:
-        if a.f is not None or len(a.z) != self.rank:
+        if a.f is not None or len(a.z) != self.rank or not _ints(a.z):
             raise GroupError(f"element {a} does not belong to free_abelian(rank={self.rank})")
-
-    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement(tuple(map(operator.add, a.z, b.z)))
-
-    def _inv(self, a: GroupElement) -> GroupElement:
-        return GroupElement(tuple(map(operator.neg, a.z)))
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return a + b
@@ -430,7 +426,6 @@ class _ZSemidirectFinite(Group):
                  default: list[GroupElement], generators: Optional[Iterable[GroupElement]]):
         self.finite = finite
         self.law = (self.family, finite)
-        self._sigma = sigma  # Python ints: element coordinates may exceed int64
         self._sigma_rows = np.array(sigma, dtype=np.int64)
         self._table = np.array(finite.table, dtype=np.int64)
         self._inverse = np.array(finite.inverse, dtype=np.int64)
@@ -457,23 +452,24 @@ class _ZSemidirectFinite(Group):
         return np.where(inside, start + rank, -1)
 
     def check(self, a: GroupElement) -> None:
-        if a.f is None or len(a.z) != 1 or not 0 <= a.f < self.finite.order:
+        if (a.f is None or len(a.z) != 1 or not _ints((*a.z, a.f))
+                or not 0 <= a.f < self.finite.order):
             raise GroupError(
                 f"element {a} does not belong to {self.family} (|F|={self.finite.order})")
 
-    def _mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        return GroupElement((a.z[0] + self._sigma[a.f] * b.z[0],), self.finite.table[a.f][b.f])
-
-    def _inv(self, a: GroupElement) -> GroupElement:
-        return GroupElement((-self._sigma[a.f] * a.z[0],), self.finite.inverse[a.f])
-
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        m = a[..., 0] + self._sigma_rows[a[..., 1]] * b[..., 0]
-        return np.stack([m, self._table[a[..., 1], b[..., 1]]], axis=-1)
+        # exact rows index the tables by an int64 copy of f, int64 rows by f
+        # itself.  The dtype is given because the columns of single rows are
+        # numpy scalars, which np.stack would widen to float64 beyond int64
+        f = a[..., 1].astype(np.int64, copy=False)
+        m = a[..., 0] + self._sigma_rows[f] * b[..., 0]
+        return np.stack([m, self._table[f, b[..., 1].astype(np.int64, copy=False)]], axis=-1,
+                        dtype=np.result_type(a, b))
 
     def inv_rows(self, a: np.ndarray) -> np.ndarray:
-        m = -self._sigma_rows[a[..., 1]] * a[..., 0]
-        return np.stack([m, self._inverse[a[..., 1]]], axis=-1)
+        f = a[..., 1].astype(np.int64, copy=False)
+        return np.stack([-self._sigma_rows[f] * a[..., 0], self._inverse[f]], axis=-1,
+                        dtype=a.dtype)
 
 
 class ProductZFinite(_ZSemidirectFinite):
@@ -595,10 +591,7 @@ class RowIndex:
 
 def _element_shape(data, free_abelian: bool) -> GroupElement:
     """The element an encoding names, unchecked: [m1,...,mn] on Z^n, [m, f_index] otherwise."""
-    # the set of coordinate types takes one pass in C; only a list with a type
-    # other than int is searched coordinate by coordinate
-    if not isinstance(data, (list, tuple)) or (not set(map(type, data)) <= {int} and any(
-            isinstance(x, bool) or not isinstance(x, int) for x in data)):
+    if not isinstance(data, (list, tuple)) or not _ints(data):
         raise ConfigError(f"element {data!r} is not a list of integers")
     if free_abelian:
         return GroupElement(tuple(data))

@@ -19,11 +19,13 @@ builds none (a bracket, a ball) does not pay for its import.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
+from .errors import BallRadiusError
 from .groups import Group, GroupElement
 from .wordlength import Ball
 
@@ -45,10 +47,6 @@ class AlgebraElement:
     def lam(cls, g: GroupElement, coeff: Complexish = 1.0) -> "AlgebraElement":
         return cls({g: coeff})
 
-    @property
-    def support(self) -> list[GroupElement]:
-        return list(self.coeffs)
-
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
 
@@ -61,18 +59,19 @@ class AlgebraElement:
 
 
 def conv_mul(group: Group, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    """Convolution product: (ab)(k) = sum over gh = k of alpha_g beta_h."""
+    """Convolution product: (ab)(k) = sum over gh = k of alpha_g beta_h, by g, then by h."""
+    grid = group.mul_rows(group._exact_rows(a.coeffs)[:, None, :], group._exact_rows(b.coeffs))
     out: dict[GroupElement, complex] = {}
-    for g, ag in a.coeffs.items():
-        for h, bh in b.coeffs.items():
-            k = group.mul(g, h)
-            out[k] = out.get(k, 0.0) + ag * bh
+    for k, (ag, bh) in zip(group.from_rows(grid),
+                           itertools.product(a.coeffs.values(), b.coeffs.values())):
+        out[k] = out.get(k, 0.0) + ag * bh
     return AlgebraElement(out)
 
 
 def star(group: Group, a: AlgebraElement) -> AlgebraElement:
     """Adjoint: a*(g) = conj(alpha(g^-1))."""
-    return AlgebraElement({group.inv(g): ag.conjugate() for g, ag in a.coeffs.items()})
+    inverses = group.from_rows(group.inv_rows(group._exact_rows(a.coeffs)))
+    return AlgebraElement({g: ag.conjugate() for g, ag in zip(inverses, a.coeffs.values())})
 
 
 def trace_coeff(group: Group, a: AlgebraElement) -> complex:
@@ -165,9 +164,6 @@ class NormEstimate:
     converged: bool
     iterations: int
     residual: float
-
-    def __float__(self) -> float:
-        return self.value
 
 
 # a cold solve costs less by LAPACK up to about this many columns and less by
@@ -349,12 +345,24 @@ def norm_lower(T: TruncatedOperator, tol: float = 1e-9,
     return NormEstimate(sigma, converged, iterations, residual)
 
 
+def _support_lengths(a: AlgebraElement, ball: Ball) -> list[int]:
+    """L(g) of each g in a's support, in its order; BallRadiusError names the first outside."""
+    pos = ball.find_rows(ball.group.to_rows(a.coeffs))
+    outside = np.flatnonzero(pos < 0)
+    if outside.size:
+        g = list(a.coeffs)[outside[0]]
+        raise BallRadiusError(f"element {g} lies outside the enumerated ball; "
+                              f"requires radius >= {ball.radius + 1}")
+    return ball.lengths[pos].tolist()
+
+
 def commutator_norm_upper_l1(a: AlgebraElement, ball: Ball) -> float:
     """Certified upper bound sum |alpha_g| L(g) for the commutator norm."""
-    return float(sum(abs(ag) * ball.length(g) for g, ag in a.coeffs.items()))
+    lengths = _support_lengths(a, ball)
+    return float(sum(abs(ag) * n for ag, n in zip(a.coeffs.values(), lengths)))
 
 
 def lemma2_lower(a: AlgebraElement, ball: Ball) -> float:
     """Certified lower bound (sum |alpha_g|^2 L(g)^2)^(1/2) for the commutator norm."""
-    return float(np.sqrt(sum((abs(ag) * ball.length(g)) ** 2
-                             for g, ag in a.coeffs.items())))
+    lengths = _support_lengths(a, ball)
+    return float(np.sqrt(sum((abs(ag) * n) ** 2 for ag, n in zip(a.coeffs.values(), lengths))))

@@ -183,7 +183,8 @@ class DensityState(FiniteState):
         if not np.isfinite(total):
             raise StateError("density generator b must have a finite tau(b*b)")
         self.rho = bb.scaled(1.0 / total.real)
-        super().__init__(group, {group.inv(g): v for g, v in self.rho.coeffs.items()})
+        inverses = group.from_rows(group.inv_rows(group._exact_rows(self.rho.coeffs)))
+        super().__init__(group, dict(zip(inverses, self.rho.coeffs.values())))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import BallRadiusError, ResourceError
+from .errors import ResourceError
 from .groups import Group, GroupElement, RowIndex
 
 DEFAULT_MAX_BALL = 200_000
@@ -83,17 +83,6 @@ class Ball:
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
         return self._find(rows)
-
-    def index(self, g: GroupElement) -> int:
-        idx = int(self.find_rows(self.group.to_rows([g]))[0])
-        if idx < 0:
-            raise BallRadiusError(
-                f"element {g} lies outside the enumerated ball; "
-                f"requires radius >= {self.radius + 1}")
-        return idx
-
-    def length(self, g: GroupElement) -> int:
-        return int(self.lengths[self.index(g)])
 
     @property
     def shell_sizes(self) -> np.ndarray:

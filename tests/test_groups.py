@@ -9,6 +9,7 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite,
                             builtin_finite_table, decode_element,
                             group_from_json)
+from qmetric.states import TableState
 
 from conftest import random_element, z26_not_associative
 
@@ -196,6 +197,39 @@ class TestInv:
             a = random_element(rng, group)
             assert group.inv(group.inv(a)) == a
             assert group.mul(a, group.inv(a)) == group.identity
+
+
+# coordinates that are not Python ints, on Z, Z^2 and the dihedral group
+NOT_INTS = {
+    "z_float": ("z", GroupElement((1.5,))),
+    "z_whole_float": ("z", GroupElement((1.0,))),
+    "z_bool": ("z", GroupElement((True,))),
+    "z2_float": ("z2", GroupElement((0, 2.0))),
+    "z2_bool": ("z2", GroupElement((False, 1))),
+    "z2_numpy_int": ("z2", GroupElement((np.int64(1), 0))),
+    "dihedral_float_m": ("dihedral", GroupElement((0.5,), 0)),
+    "dihedral_float_f": ("dihedral", GroupElement((1,), 1.0)),
+    "dihedral_bool_f": ("dihedral", GroupElement((1,), True)),
+}
+
+
+class TestCheck:
+    @pytest.mark.parametrize("case", sorted(NOT_INTS))
+    def test_coordinates_must_be_ints(self, case, z_group, z2_group, dihedral):
+        name, bad = NOT_INTS[case]
+        group = {"z": z_group, "z2": z2_group, "dihedral": dihedral}[name]
+        calls = [lambda: group.check(bad), lambda: group.mul(bad, group.identity),
+                 lambda: group.mul(group.identity, bad), lambda: group.inv(bad),
+                 lambda: group.to_rows([group.identity, bad]),
+                 lambda: TableState(group, {bad: 0.3})]
+        for call in calls:
+            with pytest.raises(GroupError, match="does not belong to"):
+                call()
+
+    def test_a_float_key_is_not_read_as_its_integer_part(self, z_group):
+        # (1.5,) once became row 1, so its value was read at the element 1
+        with pytest.raises(GroupError, match=r"z=\(1\.5,\)"):
+            TableState(z_group, {GroupElement((1.5,)): 0.3})
 
 
 class TestConstruction:

@@ -12,9 +12,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qmetric.errors import GroupError
-from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
-from qmetric.opalgebra import AlgebraElement, commutator_matrix, commutator_triplets
+from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_triplets,
+                               lemma2_lower)
 from qmetric.states import FiniteState, TableState
 from qmetric.wordlength import enumerate_ball
 
@@ -40,27 +41,88 @@ def elements(group, coords=coordinates):
     return st.builds(lambda z, f: GroupElement((z,), f), coords, st.integers(0, order - 1))
 
 
+# coordinates within int64 and beyond it, up to +-2^80
+wide_coordinates = st.one_of(coordinates, st.integers(-2 ** 80, 2 ** 80),
+                             st.sampled_from([2 ** 63 - 1, -2 ** 63, 2 ** 63, -2 ** 63 - 1]))
+
+
 @st.composite
 def group_and_pairs(draw):
     name = draw(st.sampled_from(sorted(GROUPS)))
     group = GROUPS[name]
-    pairs = draw(st.lists(st.tuples(elements(group), elements(group)), min_size=1, max_size=20))
+    pairs = draw(st.lists(st.tuples(elements(group, wide_coordinates),
+                                    elements(group, wide_coordinates)),
+                          min_size=1, max_size=20))
     return group, pairs
+
+
+def reference_mul(group, x, y):
+    """(m, f)(m', f') = (m + sigma(f) m', f f'), written out for each family."""
+    if isinstance(group, FreeAbelian):
+        return GroupElement(tuple(p + q for p, q in zip(x.z, y.z)))
+    if isinstance(group, InfiniteDihedral):
+        return GroupElement((x.z[0] + (-1) ** x.f * y.z[0],), x.f ^ y.f)
+    return GroupElement((x.z[0] + y.z[0],), group.finite.table[x.f][y.f])
+
+
+def reference_inv(group, x):
+    if isinstance(group, FreeAbelian):
+        return GroupElement(tuple(-p for p in x.z))
+    if isinstance(group, InfiniteDihedral):
+        return GroupElement((-(-1) ** x.f * x.z[0],), x.f)
+    return GroupElement((-x.z[0],), group.finite.inverse[x.f])
+
+
+def fits_int64(g):
+    return all(-2 ** 63 <= c < 2 ** 63 for c in g.z)
 
 
 @settings(deadline=None)
 @given(group_and_pairs())
 def test_mul_rows_and_inv_rows_match_elementwise(case):
     group, pairs = case
-    a = group.to_rows([x for x, _ in pairs])
-    b = group.to_rows([y for _, y in pairs])
-    assert a.dtype == np.int64 and a.shape == (len(pairs), group.row_width)
-    assert group.from_rows(group.mul_rows(a, b)) == [group.mul(x, y) for x, y in pairs]
-    assert group.from_rows(group.inv_rows(a)) == [group.inv(x) for x, _ in pairs]
+    xs, ys = [x for x, _ in pairs], [y for _, y in pairs]
+    products = [reference_mul(group, x, y) for x, y in pairs]
+    inverses = [reference_inv(group, x) for x in xs]
+    # elements, and exact rows, multiply exactly at every size, to Python ints
+    assert [group.mul(x, y) for x, y in pairs] == products
+    assert [group.inv(x) for x in xs] == inverses
+    a, b = group._exact_rows(xs), group._exact_rows(ys)
+    assert a.dtype == object and a.shape == (len(pairs), group.row_width)
+    assert group.from_rows(group.mul_rows(a, b)) == products
+    assert group.from_rows(group.inv_rows(a)) == inverses
+    # a single row's columns are numpy scalars; its product stays exact too
+    single = group.from_rows(group.mul_rows(a[0], b[0])) + group.from_rows(group.inv_rows(a[0]))
+    assert single == [products[0], inverses[0]]
+    out = [group.mul(x, y) for x, y in pairs] + single
+    assert {type(c) for g in out for c in (*g.z, g.f) if c is not None} == {int}
     # one row against many broadcasts like the Gram and translation loops use it
-    first = pairs[0][0]
-    assert group.from_rows(group.mul_rows(a[0], b)) == [group.mul(first, y) for _, y in pairs]
-    assert group.from_rows(a) == [x for x, _ in pairs]
+    assert group.from_rows(group.mul_rows(a[0], b)) == [reference_mul(group, xs[0], y)
+                                                         for y in ys]
+    assert group.from_rows(a) == xs
+    # int64 rows give the same law wherever the factors and the result fit int64
+    a, b = group.to_rows(xs), group.to_rows(ys)
+    assert a.dtype == np.int64 and a.shape == (len(pairs), group.row_width)
+    for x, y, p, i, row_p, row_i in zip(xs, ys, products, inverses,
+                                        group.from_rows(group.mul_rows(a, b)),
+                                        group.from_rows(group.inv_rows(a))):
+        if fits_int64(x) and fits_int64(y) and fits_int64(p):
+            assert row_p == p
+        if fits_int64(x) and fits_int64(i):
+            assert row_i == i
+
+
+def test_no_family_has_a_second_law():
+    # Group.mul and Group.inv go through mul_rows and inv_rows on exact rows
+    def subclasses(cls):
+        return [cls] + [c for sub in cls.__subclasses__() for c in subclasses(sub)]
+
+    families = subclasses(Group)
+    assert {FreeAbelian, ProductZFinite, InfiniteDihedral} < set(families)
+    for cls in families:
+        defined = {"mul", "inv", "_mul", "_inv"} & vars(cls).keys()
+        assert defined == ({"mul", "inv"} if cls is Group else set()), cls
+    assert not any(hasattr(group, "_sigma") for group in GROUPS.values())
 
 
 @settings(deadline=None)
@@ -199,7 +261,7 @@ def test_foreign_elements_are_refused_where_they_become_rows(foreign):
     with pytest.raises(GroupError, match="does not belong to product_z_finite"):
         group.to_rows([group.identity, foreign])
     with pytest.raises(GroupError):
-        ball.index(foreign)
+        lemma2_lower(AlgebraElement({foreign: 1.0}), ball)
     with pytest.raises(GroupError):
         TableState(group, {foreign: 0.5})
     with pytest.raises(GroupError):

@@ -13,10 +13,18 @@ from qmetric.experiments import run_dist, run_summable
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex)
 from qmetric.metrics import connes_bracket
-from qmetric.opalgebra import AlgebraElement, commutator_matrix
+from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_norm_upper_l1,
+                               lemma2_lower)
 from qmetric.states import DensityState, TraceState, pd_check
 from qmetric.wordlength import (_search_ball, enumerate_ball, growth_fit, max_ball_elements,
                                 square_sum_evidence)
+
+
+def length(ball, g):
+    """L(g) from the ball's rows: one lookup of g's row."""
+    i = int(ball.find_rows(ball.group.to_rows([g]))[0])
+    assert i >= 0, f"{g} is outside the ball"
+    return int(ball.lengths[i])
 
 
 def brute_force_lengths(group, radius):
@@ -40,7 +48,7 @@ class TestEnumerateBall:
         ball = enumerate_ball(z_group, 3)
         assert len(ball) == 7
         assert ball.shell_sizes.tolist() == [1, 2, 2, 2]
-        assert ball.length(GroupElement((-3,))) == 3
+        assert length(ball, GroupElement((-3,))) == 3
 
     def test_z2_reference_sizes(self, z2_group):
         ball = enumerate_ball(z2_group, 2)
@@ -54,7 +62,7 @@ class TestEnumerateBall:
 
     def test_dihedral_reference_length(self, dihedral):
         ball = enumerate_ball(dihedral, 4)
-        assert ball.length(GroupElement((2,), 1)) == 3
+        assert length(ball, GroupElement((2,), 1)) == 3
 
     def test_dihedral_shells(self, dihedral):
         # shells have exactly 4 elements from radius 2 onwards
@@ -356,11 +364,11 @@ class TestLengthAxioms:
                  "dihedral": dihedral}[family]
         ball = enumerate_ball(group, 6)
         inner = [g for g, ln in zip(ball.elements, ball.lengths) if ln <= 3]
-        assert ball.length(group.identity) == 0
+        assert length(ball, group.identity) == 0
         for g in inner:
-            assert ball.length(group.inv(g)) == ball.length(g)
+            assert length(ball, group.inv(g)) == length(ball, g)
         for g, h in itertools.product(inner, inner):
-            assert ball.length(group.mul(g, h)) <= ball.length(g) + ball.length(h)
+            assert length(ball, group.mul(g, h)) <= length(ball, g) + length(ball, h)
 
     def test_only_identity_has_length_zero(self, dihedral):
         ball = enumerate_ball(dihedral, 3)
@@ -368,15 +376,22 @@ class TestLengthAxioms:
 
 
 class TestBallAccess:
+    """Lookups of elements: find_rows on their rows, and the certified bounds that use it."""
+
     def test_out_of_ball_raises_with_radius(self, z_group):
         ball = enumerate_ball(z_group, 3)
-        with pytest.raises(BallRadiusError, match="radius >= 4"):
-            ball.length(GroupElement((4,)))
+        # the first coefficient outside the ball is named, not the farthest
+        a = AlgebraElement({GroupElement((1,)): 1.0, GroupElement((4,)): 1.0,
+                            GroupElement((9,)): 1.0})
+        for bound in (lemma2_lower, commutator_norm_upper_l1):
+            with pytest.raises(BallRadiusError, match=r"element GroupElement\(z=\(4,\), "
+                               r"f=None\) lies outside the enumerated ball; "
+                               r"requires radius >= 4$"):
+                bound(a, ball)
 
     def test_index_round_trip(self, z_x_z2):
         ball = enumerate_ball(z_x_z2, 4)
-        for i, el in enumerate(ball.elements):
-            assert ball.index(el) == i
+        assert ball.find_rows(z_x_z2.to_rows(ball.elements)).tolist() == list(range(len(ball)))
 
     def test_rows_hold_the_l1_lengths(self, z2_group):
         ball = enumerate_ball(z2_group, 2)
@@ -387,15 +402,16 @@ class TestBallAccess:
         for group, far in ((z_group, GroupElement((10 ** 20,))),
                            (z_x_z2, GroupElement((-10 ** 20,), 1))):
             ball = enumerate_ball(group, 3)
-            with pytest.raises(BallRadiusError, match="radius >= 4"):
-                ball.index(far)
-            with pytest.raises(BallRadiusError, match="radius >= 4"):
-                ball.length(far)
+            assert ball.find_rows(group.to_rows([far])).tolist() == [-1]
+            for bound in (lemma2_lower, commutator_norm_upper_l1):
+                with pytest.raises(BallRadiusError, match="radius >= 4"):
+                    bound(AlgebraElement({group.identity: 1.0, far: 1.0}), ball)
 
     def test_foreign_element_rejected(self, z_group):
         ball = enumerate_ball(z_group, 3)
-        with pytest.raises(GroupError):
-            ball.index(GroupElement((0,), 1))
+        for bound in (lemma2_lower, commutator_norm_upper_l1):
+            with pytest.raises(GroupError):
+                bound(AlgebraElement.lam(GroupElement((0,), 1)), ball)
 
 
 class TestResourceCap:
