@@ -9,17 +9,21 @@ group from the Fourier symbol of the coefficients.
 """
 
 from qmetric import (AlgebraElement, DensityState, GroupElement, TableState, TraceState,
-                     d_2, enumerate_ball, kappa_bounds, pd_check)
+                     conv_mul, d_2, enumerate_ball, kappa_bounds, pd_check, star, trace_coeff)
 from qmetric.groups import FreeAbelian
 
 z = FreeAbelian(1)
 ball = enumerate_ball(z, 100)
 
 print("rho from b = lam_0 + lam_1: density (2 lam_0 + lam_1 + lam_-1)/2")
-phi = DensityState(z, AlgebraElement({GroupElement((0,)): 1.0,
-                                      GroupElement((1,)): 1.0}))
+b = AlgebraElement({GroupElement((0,)): 1.0, GroupElement((1,)): 1.0})
+phi = DensityState(z, b)
+bb = conv_mul(z, star(z, b), b)
+rho = bb.scaled(1.0 / trace_coeff(z, bb).real)
 for m in (-2, -1, 0, 1, 2):
-    print(f"  phi(lam_{m:+d}) = {phi.coeff(GroupElement((m,))).real:+.4f}")
+    lam = AlgebraElement.lam(GroupElement((m,)))
+    print(f"  phi(lam_{m:+d}) = {phi.coeff(GroupElement((m,))).real:+.4f}"
+          f" = trace(rho lam_{m:+d}) = {trace_coeff(z, conv_mul(z, rho, lam)).real:+.4f}")
 
 kb = kappa_bounds(phi, ball)
 print(f"\nkappa bracket: [{kb.kappa_lower:.6f}, {kb.kappa_upper:.6f}]")

@@ -33,11 +33,14 @@ the rows of a ball in ball order, by (length, row), shell by shell from the
 closed form, so nothing is sorted: each l1 sphere of Z^d in lexicographic
 order; (-k, F), (k, F) on Z x F, with (0, f != e) between (-2, F) and (2, F);
 (-k, 0), (-(k-1), 1), (k-1, 1), (k, 0) on the dihedral group.
-``default_index`` inverts that listing: a row's ball position is the size of
+``default_lengths`` gives the word length of any row of such a ball, and
+``default_indexer`` inverts the listing: a row's ball position is the size of
 the ball one shell in, plus its rank in its shell, both from the closed form.
 It is exact for every int64 row: the bounds are checked before any |x| or
 sum is formed, so nothing wraps, and every size it forms is at most the size
-of the ball, which the ball cap keeps below 2^30.
+of the ball, which the ball cap keeps below 2^30.  A ball keeps one
+lookup, and with it what one lookup builds (the l1 ball sizes of Z^d) for
+the next.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -209,15 +212,20 @@ class Group:
         """Rows and word lengths of the default ball of the given radius, in ball order.
 
         The rows come in strictly increasing (length, row) order, shell by
-        shell from the closed form, and ``default_index`` gives each row's
+        shell from the closed form, and ``default_indexer`` gives each row's
         position without a search.
         """
         raise NotImplementedError
 
-    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
-        """Position in default_ball(radius) of each row of a (..., row_width) int64 array.
+    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
+        """Word length of each row of a (..., row_width) int64 array of default-ball rows."""
+        raise NotImplementedError
 
-        -1 for a row outside the ball.  Exact for every int64 row while
+    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
+        """Lookup of default_ball(radius): each row's position in it, or -1 outside.
+
+        The lookup takes a (..., row_width) int64 array and keeps what one
+        call builds for the next.  Exact for every int64 row while
         |B(radius)| fits int64, as it does for every ball under the cap.
         """
         raise NotImplementedError
@@ -261,7 +269,12 @@ class Group:
         a product of a ball row with any int64 row is either exact or wraps to
         a coordinate of magnitude above 2^62, and then lies in no ball either.
         """
-        return self._exact_rows(elements).clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
+        return self._saturated(self._exact_rows(elements))
+
+    @staticmethod
+    def _saturated(exact: np.ndarray) -> np.ndarray:
+        """Exact rows as int64 rows, a coordinate beyond int64 saturated (see to_rows)."""
+        return exact.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
 
     def from_rows(self, rows: np.ndarray) -> list[GroupElement]:
         """Elements with Python int coordinates: inverts _exact_rows, and to_rows within int64."""
@@ -365,7 +378,10 @@ class FreeAbelian(Group):
             at = parent.take(at)
         return rows, at
 
-    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
+    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
+        return np.einsum("...i->...", np.abs(rows))  # numpy's sum over a short last axis is slower
+
+    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
         # position = |B(k - 1)| + the lexicographic rank of the row in the
         # sphere of radius k = |row|_1.  With b of the norm still to place at
         # coordinate x, and m coordinates after it, the sphere rows that agree
@@ -373,32 +389,43 @@ class FreeAbelian(Group):
         # and |B_m(b)| + |B_m(b - 1)| - |B_m(b - x)| for x > 0 (B_m: the l1
         # ball of Z^m, B_0(j) = 1 for j >= 0, B(-1) empty)
         d = self.rank
-        # clipped first, so |x| and the sums cannot wrap; a clipped coordinate
-        # still lies outside, and a row outside is read as the identity
-        x = np.clip(rows, -radius - 1, radius + 1)
-        ax = np.abs(x)
-        norm = np.einsum("...i->...", ax)  # numpy's sum over a short last axis is slower
-        inside = norm <= radius
-        budget = norm * inside
-        width = int(budget.max(initial=0)) + 2
-        # sizes[m * width + j + 1] = |B_m(j)|, m = 0..d, j = -1..width - 2
-        sizes = np.zeros((d + 1, width), dtype=np.int64)
-        sizes[:, 1:] = _l1_ball_sizes(np.arange(d + 1, dtype=np.int64)[:, None],
-                                      np.arange(width - 1, dtype=np.int64))
-        sizes = sizes.ravel()
-        pos = sizes.take(d * width + budget)
-        # one coordinate at a time, until every row has placed its norm: each
-        # later coordinate is 0 and adds |B_m(-1)| = 0
-        for i in range(d):
-            if not budget.any():
-                break
-            at = (d - 1 - i) * width + budget  # m * width + b
-            low = at - ax[..., i] * inside  # m * width + b - |x|
-            pos += np.where(x[..., i] * inside > 0,
-                            sizes.take(at + 1) + sizes.take(at) - sizes.take(low + 1),
-                            sizes.take(low))
-            budget = budget - ax[..., i] * inside
-        return np.where(inside, pos, -1)
+        # table[m, j + 1] = |B_m(j)|, m = 0..d, j = -1..width - 2, widened
+        # only when a lookup reaches past it
+        table = np.zeros((d + 1, 0), dtype=np.int64)
+
+        def index(rows: np.ndarray) -> np.ndarray:
+            nonlocal table
+            # clipped first, so |x| and the sums cannot wrap; a clipped coordinate
+            # still lies outside, and a row outside is read as the identity
+            x = np.clip(rows, -radius - 1, radius + 1)
+            ax = np.abs(x)
+            norm = np.einsum("...i->...", ax)
+            inside = norm <= radius
+            budget = norm * inside
+            top = int(budget.max(initial=0))
+            current = table  # read once, so width and sizes agree
+            if current.shape[1] < top + 2:
+                current = np.zeros((d + 1, top + 2), dtype=np.int64)
+                current[:, 1:] = _l1_ball_sizes(np.arange(d + 1, dtype=np.int64)[:, None],
+                                                np.arange(top + 1, dtype=np.int64))
+                table = current
+            width = current.shape[1]
+            sizes = current.ravel()
+            pos = sizes.take(d * width + budget)
+            # one coordinate at a time, until every row has placed its norm: each
+            # later coordinate is 0 and adds |B_m(-1)| = 0
+            for i in range(d):
+                if not budget.any():
+                    break
+                at = (d - 1 - i) * width + budget  # m * width + b
+                low = at - ax[..., i] * inside  # m * width + b - |x|
+                pos += np.where(x[..., i] * inside > 0,
+                                sizes.take(at + 1) + sizes.take(at) - sizes.take(low + 1),
+                                sizes.take(low))
+                budget = budget - ax[..., i] * inside
+            return np.where(inside, pos, -1)
+
+        return index
 
     def check(self, a: GroupElement) -> None:
         if a.f is not None or len(a.z) != self.rank or not _ints(a.z):
@@ -418,8 +445,8 @@ class _ZSemidirectFinite(Group):
     The default shell bound is 2|F|, the degree of the extension (Z x F
     exceeds it at shell 2 alone, with 3|F| - 1 elements).  Each family gives
     the closed form of its default ball: its rows in ball order
-    (``_default_rows``), the word length of a row (``_default_lengths``) and
-    a row's rank in its shell (``_shell_rank``).
+    (``_default_rows``), the word length of (m, f) (``_default_lengths``,
+    behind ``default_lengths``) and a row's rank in its shell (``_shell_rank``).
     """
 
     def __init__(self, finite: FiniteGroupTable, sigma: tuple[int, ...],
@@ -436,9 +463,15 @@ class _ZSemidirectFinite(Group):
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
         rows = self._default_rows(radius)
-        return rows, self._default_lengths(rows[:, 0], rows[:, 1])
+        return rows, self.default_lengths(rows)
 
-    def default_index(self, rows: np.ndarray, radius: int) -> np.ndarray:
+    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
+        return self._default_lengths(rows[..., 0], rows[..., 1])
+
+    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
+        return functools.partial(self._locate, radius=radius)
+
+    def _locate(self, rows: np.ndarray, radius: int) -> np.ndarray:
         # position = |B(L - 1)| + the row's rank in its shell (_shell_rank)
         m, f = rows[..., 0], rows[..., 1]
         # bounds first, so |m| cannot wrap; a row outside is read as the identity
@@ -503,9 +536,7 @@ class ProductZFinite(_ZSemidirectFinite):
                                shells[at:]])
 
     def _default_lengths(self, m: np.ndarray, f: np.ndarray) -> np.ndarray:
-        lengths = np.abs(m)
-        lengths[(m == 0) & (f != self.finite.identity_index)] = 2
-        return lengths
+        return np.where((m == 0) & (f != self.finite.identity_index), 2, np.abs(m))
 
     def _shell_rank(self, m: np.ndarray, f: np.ndarray, size: np.ndarray) -> np.ndarray:
         # (-k, F) first, (k, F) last, and (0, f != e) between them in shell 2

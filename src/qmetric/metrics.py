@@ -6,6 +6,15 @@ Two metrics are computed exactly on a ball with rigorous tails:
 * d_2:   the l2 analogue, finite whenever shells are boundedly sized,
 
 with tails from the states' outside bounds (``StateRep.outside_bound``).
+Both are computed from (row, L(g), c_g) over the ball positions where c may
+be nonzero, in ball order (``_differences``): for two finitely supported
+states (``FiniteState``) c vanishes off the union of their keys, so those
+are the positions, and the ball's rows need not exist; for any other pair
+every position is.  The endpoints, tails and diagnostics do not depend on
+which: the sup is order-free, the l2 shells add their terms in ball order
+and dropping exact zeros changes no partial sum, and the d_inf argmax is
+the first maximum in ball order, or ball position 1 (the least generator)
+when every ratio is 0.
 
 They enclose the Connes metric d (sup of |phi(a) - psi(a)| over a with
 commutator norm <= 1): d_inf <= d <= d_2.  The bracket is the only certified
@@ -24,7 +33,7 @@ import numpy as np
 
 from .groups import Group
 from .opalgebra import _top_singular, commutator_triplets
-from .states import StateRep
+from .states import FiniteState, StateRep
 from .wordlength import Ball, enumerate_ball
 
 
@@ -52,28 +61,52 @@ def _outside_sum(phi: StateRep, psi: StateRep, ball: Ball) -> float:
     return phi.outside_bound(ball) + psi.outside_bound(ball)
 
 
-def _ratios(c: np.ndarray, ball: Ball) -> np.ndarray:
-    """|c_g| / L(g) over the ball without the identity (row 0)."""
-    return np.abs(c[1:]) / ball.lengths[1:]
+def _differences(phi: StateRep, psi: StateRep, ball: Ball
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, lengths, c) at the ball positions, in ball order, where c_g may be nonzero.
+
+    The identity is left out.  For two FiniteStates the positions are the
+    union of their keys' positions, and c is each state's value there, or 0,
+    subtracted as delta_coeffs subtracts; for any other pair they are every
+    position of the ball.  GroupError for a foreign law.
+    """
+    if not (isinstance(phi, FiniteState) and isinstance(psi, FiniteState)):
+        c = delta_coeffs(phi, psi, ball)
+        return ball.rows[1:], ball.lengths[1:], c[1:]
+    phi.check_ball(ball)
+    psi.check_ball(ball)
+    found = np.concatenate([phi._positions(ball), psi._positions(ball)])
+    hit = found > 0  # in the ball, and not the identity
+    positions, first, slot = np.unique(found[hit], return_index=True, return_inverse=True)
+    rows = np.concatenate([phi._rows, psi._rows])[hit][first]
+    # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
+    side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
+    terms = np.zeros((2, len(positions)), dtype=complex)
+    terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
+    return rows, ball.lengths_at(positions, rows), terms[0] - terms[1]
 
 
-def _sup_bracket(ratios: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
+def _sup_bracket(rows: np.ndarray, lengths: np.ndarray, ratios: np.ndarray, ball: Ball,
+                 outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_inf needs ball radius >= 1")
-    best = int(np.argmax(ratios))
-    lo = float(ratios[best])
+    lo = float(ratios.max(initial=0.0))
+    if lo > 0:
+        best = int(np.argmax(ratios))
+        argmax, length = ball.group.from_rows(rows[best])[0], int(lengths[best])
+    else:
+        # every ratio is 0, and the first in ball order is at position 1, the least generator
+        argmax, length = min(ball.group.generators), 1
     tail = outside / (ball.radius + 1)
-    return MetricBracket(lo, max(lo, tail), tail, {
-        "argmax": ball.group.from_rows(ball.rows[best + 1])[0],
-        "argmax_length": int(ball.lengths[best + 1]),
-    })
+    return MetricBracket(lo, max(lo, tail), tail, {"argmax": argmax, "argmax_length": length})
 
 
-def _l2_bracket(ratios: np.ndarray, ball: Ball, outside: float) -> MetricBracket:
+def _l2_bracket(lengths: np.ndarray, ratios: np.ndarray, ball: Ball,
+                outside: float) -> MetricBracket:
     if ball.radius < 1:
         raise ValueError("d_2 needs ball radius >= 1")
     bound = ball.group.shell_bound
-    partials = np.sqrt(np.cumsum(np.bincount(ball.lengths[1:], ratios ** 2, ball.radius + 1)))
+    partials = np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, ball.radius + 1)))
     lo = float(partials[-1])
     diagnostics = {"partial_by_radius": partials.tolist(), "shell_bound": bound}
     if bound is None:
@@ -85,8 +118,8 @@ def _l2_bracket(ratios: np.ndarray, ball: Ball, outside: float) -> MetricBracket
 
 def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Sup metric, exact on the ball; the tail uses |c_g| <= e_phi + e_psi and L >= r+1 outside."""
-    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
-    return _sup_bracket(ratios, ball, _outside_sum(phi, psi, ball))
+    rows, lengths, c = _differences(phi, psi, ball)
+    return _sup_bracket(rows, lengths, np.abs(c) / lengths, ball, _outside_sum(phi, psi, ball))
 
 
 def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
@@ -95,16 +128,17 @@ def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     Without one the upper endpoint is infinite and the diagnostics record the
     partial sums across sub-radii as divergence evidence.
     """
-    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
-    return _l2_bracket(ratios, ball, _outside_sum(phi, psi, ball))
+    _, lengths, c = _differences(phi, psi, ball)
+    return _l2_bracket(lengths, np.abs(c) / lengths, ball, _outside_sum(phi, psi, ball))
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
     """Certified enclosure of the Connes metric: [d_inf.lo, d_2.hi]."""
-    ratios = _ratios(delta_coeffs(phi, psi, ball), ball)
+    rows, lengths, c = _differences(phi, psi, ball)
+    ratios = np.abs(c) / lengths
     outside = _outside_sum(phi, psi, ball)
-    lower = _sup_bracket(ratios, ball, outside)
-    upper = _l2_bracket(ratios, ball, outside)
+    lower = _sup_bracket(rows, lengths, ratios, ball, outside)
+    upper = _l2_bracket(lengths, ratios, ball, outside)
     return MetricBracket(lower.lo, upper.hi, upper.tail_bound,
                          {"d_inf": lower, "d_2": upper})
 

@@ -7,12 +7,15 @@ row 0, and the exact length of each.  Rows are looked up exactly with
 ``find_rows``; ``elements`` is a view built from the rows on first use.
 
 A group whose generating set equals its family's default set, in any order,
-has its ball built from the closed form of L (``Group.default_ball``), and
-its cap checked against the exact ball sizes before any row exists.  The
-closed form lists the rows already in ball order, shell by shell, and a
-row's position is computed from the same closed form
-(``Group.default_index``): such a ball sorts nothing and builds no lookup
-table.  Every other generating set has no known closed form, so
+has its ball given by the closed form of L, and its cap checked against the
+exact ball sizes before any row exists.  Such a ball builds its rows on
+first read (``Group.default_ball``, which lists them already in ball order,
+shell by shell); its size and shell sizes, the position of a row
+(``Group.default_indexer``) and the length of a row
+(``Group.default_lengths``) come from the closed form without them.  So a
+caller that only looks rows up, such as a bracket of two finitely supported
+states, builds none, and no closed-form ball sorts anything or builds a
+lookup table.  Every other generating set has no known closed form, so
 ``_search_ball`` finds its shells by multiplying whole shells with the
 family's ``mul_rows``: the generators were checked when the group was built,
 so every product of ball rows belongs to the group.  Its rows are looked up
@@ -25,7 +28,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -58,7 +61,8 @@ def max_ball_elements() -> int:
 class Ball:
     """All elements of word length <= radius as (n, row_width) int64 rows.
 
-    Rows are sorted by (length, row), so row 0 is the identity.
+    Rows are sorted by (length, row), so row 0 is the identity and row 1 the
+    least generator.
     """
 
     group: Group
@@ -84,9 +88,47 @@ class Ball:
         """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
         return self._find(rows)
 
+    def lengths_at(self, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Word lengths at ball positions, given the rows there."""
+        return self.lengths.take(positions)
+
     @property
     def shell_sizes(self) -> np.ndarray:
         return np.bincount(self.lengths, minlength=self.radius + 1)
+
+
+class _ClosedFormBall(Ball):
+    """The ball of a default generating set: rows and lengths are built on first read.
+
+    Everything else comes from the group's closed form, and every lookup
+    goes through one ``Group.default_indexer``.
+    """
+
+    def __init__(self, group: Group, radius: int):
+        self.group, self.radius = group, radius
+        self._find = group.default_indexer(radius)
+
+    @cached_property
+    def _listing(self) -> tuple[np.ndarray, np.ndarray]:
+        return self.group.default_ball(self.radius)
+
+    @property
+    def rows(self) -> np.ndarray:
+        return self._listing[0]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        return self._listing[1]
+
+    def __len__(self) -> int:
+        return self.group.default_ball_sizes(int(self.radius))
+
+    def lengths_at(self, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        return self.group.default_lengths(rows)
+
+    @property
+    def shell_sizes(self) -> np.ndarray:
+        return self.group.default_shell_sizes(self.radius)
 
 
 def _cap_error(cap: int, radius: int) -> ResourceError:
@@ -119,9 +161,7 @@ def enumerate_ball(group: Group, radius: int,
             else:
                 lo = mid
         raise _cap_error(cap, hi)
-    ball = Ball(group, radius, *group.default_ball(radius))
-    ball._find = partial(group.default_index, radius=radius)
-    return ball
+    return _ClosedFormBall(group, radius)
 
 
 def _search_ball(group: Group, radius: int, cap: int) -> Ball:

@@ -286,6 +286,25 @@ class TestExitCodes:
         assert main(["ball", "--config", config]) == 3
         assert "resource cap" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("group", [
+        Z_GROUP, {"family": "free_abelian", "rank": 2},
+        {"family": "product_z_finite", "finite": {"name": "s3"}},
+        {"family": "infinite_dihedral"}], ids=["z", "z2", "zxs3", "dihedral"])
+    def test_ball_over_the_cap_is_three_before_any_row(self, tmp_path, monkeypatch, capsys,
+                                                       group):
+        def no_rows(self, radius):
+            raise AssertionError("built the rows of a ball over the cap")
+
+        for cls in (groups.FreeAbelian, groups.ProductZFinite, groups.InfiniteDihedral):
+            monkeypatch.setattr(cls, "default_ball", no_rows)
+        monkeypatch.delenv("QMETRIC_MAX_BALL", raising=False)
+        config = write_json(tmp_path / "c.json", {
+            "group": group, "state_a": {"kind": "trace"},
+            "state_b": {"kind": "table", "entries": []}, "radius": 10 ** 9,
+            "mode": "bracket"})
+        assert main(["dist", "--config", config]) == 3
+        assert "cap of 200000 elements at radius" in capsys.readouterr().err
+
     def test_cayley_table_over_the_cap_is_three(self, tmp_path, capsys):
         group = {"family": "product_z_finite", "finite": {"table": [[0]] * 1025}}
         config = write_json(tmp_path / "c.json", {"group": group, "radius": 1})

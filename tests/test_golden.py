@@ -7,7 +7,10 @@ Z, Z^2, Z x S3 and the infinite dihedral group, with trace, one, character,
 table, vector and density states.  The ``custom_*`` cases run ``ball`` and
 ``dist --mode bracket`` with non-default generating sets: Z^2 with +-e1, +-e2,
 +-(e1 + e2), the dihedral group generated by the reflections (0, 1) and
-(1, 1), and Z x S3 generated by +-(1, e) and two transpositions.  ``growth``
+(1, 1), and Z x S3 generated by +-(1, e) and two transpositions.  The
+``*_r<radius>`` cases run ``dist`` on the benchmark's radii (10^4 on Z, 150
+on Z^2, 2000 on Z x S3, 5000 on the dihedral group), one with a table key
+beyond the radius.  ``growth``
 (a LAPACK least-squares fit) and the heuristic (LAPACK and Lanczos) are
 left out, and characters stay on Z (one product per coefficient), so the
 references do not depend on the BLAS build.
@@ -126,6 +129,18 @@ CASES = {
     "custom_dist_zxs3_transpositions_table_density": ("dist", _dist(
         ZXS3_TRANSPOSITIONS, _table([([1, 3], 0.5, 0.0), ([-1, 4], 0.5, 0.0)]),
         _density([([0, 0], 1.0, 0.0), ([0, 3], 0.5, 0.0), ([2, 1], 0.0, 0.5)]), 5)),
+    "dist_z_density_table_r10000": ("dist", _dist(
+        Z, _density([([0], 1.0, 0.0), ([3], 0.5, -0.25), ([-2], 0.0, 0.7)]),
+        _table([([1], 0.3, 0.1), ([-1], 0.3, -0.1), ([12000], 0.2, 0.0)]), 10_000)),
+    "dist_z2_trace_density_r150": ("dist", _dist(
+        Z2, TRACE, _density([([0, 0], 1.0, 0.0), ([1, -2], 0.5, 0.5),
+                             ([3, 1], 0.0, 0.4)]), 150)),
+    "dist_zxs3_density_vector_r2000": ("dist", _dist(
+        ZXS3, _density([([0, 0], 1.0, 0.0), ([1, 3], 0.5, 0.0), ([-2, 5], 0.0, 0.6)]),
+        _vector([([0, 1], 0.6, 0.0), ([2, 4], 0.0, 0.8)]), 2000)),
+    "dist_dihedral_vector_table_r5000": ("dist", _dist(
+        DIHEDRAL, _vector([([1, 1], 0.6, 0.0), ([-3, 0], 0.0, 0.8)]),
+        _table([([2, 0], 0.4, 0.0), ([-2, 0], 0.4, 0.0), ([7, 1], 0.1, 0.1)]), 5000)),
 }
 
 

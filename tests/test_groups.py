@@ -343,7 +343,19 @@ class TestJson:
          "does not belong to product_z_finite (|F|=2)"),
         ({"family": "infinite_dihedral", "generators": [[0, 1], [1, 3]]},
          "does not belong to infinite_dihedral (|F|=2)"),
-    ], ids=["z", "zxz2", "dihedral"])
+        # the first fault of the first faulty generator, before a later foreign one
+        ({"family": "free_abelian", "rank": 1, "generators": [[2], [-2], [0], [1, 1]]},
+         "generating set contains the identity"),
+        ({"family": "product_z_finite", "finite": {"name": "s3"},
+          "generators": [[1, 0], [-1, 0], [1, 3], [-1, 3], [0, 4], [0, 6]]},
+         "missing inverse of GroupElement(z=(1,), f=3)"),
+        ({"family": "infinite_dihedral", "generators": [[0, 1], [1, 0], [2, 7]]},
+         "missing inverse of GroupElement(z=(1,), f=0)"),
+        ({"family": "free_abelian", "rank": 2,
+          "generators": [[1, 0], [-1, 0], [0, 2 ** 31 + 1], [0, -2 ** 31 - 1], [1]]},
+         "generator GroupElement(z=(0, 2147483649), f=None) has a coordinate beyond +-2^31"),
+    ], ids=["z", "zxz2", "dihedral", "identity", "zxs3-inverse", "dihedral-inverse",
+            "coordinate"])
     def test_foreign_generator_is_a_config_error(self, spec, message):
         with pytest.raises(ConfigError, match=re.escape(message)):
             group_from_json(spec)

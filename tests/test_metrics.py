@@ -13,8 +13,8 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, Infinit
 from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
 from qmetric.opalgebra import AlgebraElement, commutator_matrix
-from qmetric.states import (CharacterState, DensityState, OneState,
-                            TableState, TraceState, kappa_bounds, pd_check)
+from qmetric.states import (CharacterState, DensityState, OneState, TableState,
+                            TraceState, VectorState, kappa_bounds, pd_check)
 from qmetric.wordlength import enumerate_ball
 
 
@@ -374,3 +374,124 @@ class TestHeuristic:
         assert result.diagnostics["drift_radius"] == 24
         assert result.diagnostics["estimate_at_drift_radius"] \
             <= result.estimate + 1e-12
+
+
+# ---------------------------------------------------------------------------
+# two finite states: the bracket over their keys against the dense bracket
+# ---------------------------------------------------------------------------
+
+_PAIR_GROUPS = {
+    "z": FreeAbelian(1),
+    "z2": FreeAbelian(2),
+    "zxs3": ProductZFinite(FiniteGroupTable.symmetric(3)),
+    "dihedral": InfiniteDihedral(),
+    # no closed form: the ball is searched
+    "z2-hex": FreeAbelian(2, [*FreeAbelian(2).generators,
+                              GroupElement((1, 1)), GroupElement((-1, -1))]),
+}
+
+
+def _pair_element(draw, group, reach):
+    if isinstance(group, FreeAbelian):
+        return GroupElement(tuple(draw(st.integers(-reach, reach)) for _ in range(group.rank)))
+    order = group.finite.order
+    return GroupElement((draw(st.integers(-reach, reach)),), draw(st.integers(0, order - 1)))
+
+
+def _pair_state(draw, group, pool):
+    """A trace, table, vector or density state with keys drawn from pool."""
+    kind = draw(st.sampled_from(["trace", "table", "vector", "density"]))
+    if kind == "trace":
+        return TraceState(group)
+    keys = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4, unique=True))
+    values = [complex(draw(st.floats(0.05, 2.0)) * np.exp(1j * draw(st.floats(0.0, 6.3))))
+              for _ in keys]
+    if kind == "table":
+        return TableState(group, {g: v for g, v in zip(keys, values) if g != group.identity})
+    if kind == "vector":
+        norm = math.sqrt(sum(abs(v) ** 2 for v in values))
+        return VectorState(group, {g: v / norm for g, v in zip(keys, values)})
+    return DensityState(group, AlgebraElement(dict(zip(keys, values))))
+
+
+@st.composite
+def finite_pairs(draw):
+    """A group, a radius in 1..40 and two finite states whose keys may be shared.
+
+    Keys reach a few steps past the radius, and the identity is in the pool;
+    one pair in four is a state against itself.
+    """
+    name = draw(st.sampled_from(sorted(_PAIR_GROUPS)))
+    group = _PAIR_GROUPS[name]
+    radius = draw(st.integers(1, 40))
+    reach = draw(st.sampled_from([2, radius + 3]))
+    pool = [group.identity] + [_pair_element(draw, group, reach)
+                               for _ in range(draw(st.integers(1, 6)))]
+    pool = list(dict.fromkeys(pool))
+    phi = _pair_state(draw, group, pool)
+    psi = phi if draw(st.integers(0, 3)) == 0 else _pair_state(draw, group, pool)
+    return name, radius, phi, psi
+
+
+def dense_bracket(phi, psi, ball):
+    """The bracket from every ball position: c = phi.coeff_array - psi.coeff_array."""
+    c = phi.coeff_array(ball) - psi.coeff_array(ball)
+    c[0] = 0.0
+    ratios = np.abs(c[1:]) / ball.lengths[1:]
+    best = int(np.argmax(ratios))
+    lo = float(ratios[best])
+    outside = phi.outside_bound(ball) + psi.outside_bound(ball)
+    tail_inf = outside / (ball.radius + 1)
+    partials = np.sqrt(np.cumsum(np.bincount(ball.lengths[1:], ratios ** 2, ball.radius + 1)))
+    lo_2 = float(partials[-1])
+    bound = ball.group.shell_bound
+    tail_2 = None if bound is None else outside ** 2 * bound / ball.radius
+    hi_2 = math.inf if bound is None else float(np.sqrt(lo_2 ** 2 + tail_2))
+    return {"d_inf": (lo, max(lo, tail_inf), tail_inf,
+                      ball.group.from_rows(ball.rows[best + 1])[0],
+                      int(ball.lengths[best + 1])),
+            "d_2": (lo_2, hi_2, tail_2, partials.tobytes(), bound)}
+
+
+def _bits(value):
+    return None if value is None else np.float64(value).tobytes()
+
+
+@settings(deadline=None, max_examples=150)
+@given(finite_pairs())
+def test_finite_pairs_match_the_dense_bracket_bit_for_bit(case):
+    name, radius, phi, psi = case
+    group = _PAIR_GROUPS[name]
+    dense = enumerate_ball(group, radius)
+    assert len(dense.rows) == len(dense)  # materialised: every position is read
+    expected = dense_bracket(phi, psi, dense)
+    ball = enumerate_ball(group, radius)
+    bracket = connes_bracket(phi, psi, ball)
+    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+    lo, hi, tail, argmax, length = expected["d_inf"]
+    assert [_bits(x) for x in (lower.lo, lower.hi, lower.tail_bound)] == \
+        [_bits(x) for x in (lo, hi, tail)]
+    assert lower.diagnostics == {"argmax": argmax, "argmax_length": length}
+    lo_2, hi_2, tail_2, partials, bound = expected["d_2"]
+    assert [_bits(x) for x in (upper.lo, upper.hi, upper.tail_bound)] == \
+        [_bits(x) for x in (lo_2, hi_2, tail_2)]
+    assert np.array(upper.diagnostics["partial_by_radius"]).tobytes() == partials
+    assert upper.diagnostics["shell_bound"] == bound
+    assert (_bits(bracket.lo), _bits(bracket.hi)) == (_bits(lo), _bits(hi_2))
+    assert d_inf(phi, psi, ball) == lower and d_2(phi, psi, ball) == upper
+
+
+@pytest.mark.parametrize("name", ["z", "z2", "zxs3", "dihedral"])
+def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
+    group = _PAIR_GROUPS[name]
+    s = group.generators[0]
+    phi = DensityState(group, AlgebraElement({group.identity: 1.0, s: 0.5j}))
+    psi = TableState(group, {s: 0.25, group.inv(s): 0.25})
+
+    def no_rows(self, radius):
+        raise AssertionError("built the rows of a default ball")
+
+    for cls in (FreeAbelian, ProductZFinite, InfiniteDihedral):
+        monkeypatch.setattr(cls, "default_ball", no_rows)
+    bracket = connes_bracket(phi, psi, enumerate_ball(group, 300))
+    assert 0 < bracket.lo <= bracket.hi

@@ -280,7 +280,7 @@ class TestClosedForms:
     def test_default_index_inverts_default_ball(self):
         for name, radius in INDEX_BALLS:
             rows, _ = DEFAULT_GROUPS[name].default_ball(radius)
-            found = DEFAULT_GROUPS[name].default_index(rows, radius)
+            found = DEFAULT_GROUPS[name].default_indexer(radius)(rows)
             assert found.tolist() == list(range(len(rows))), (name, radius)
 
     @settings(deadline=None, max_examples=300)
@@ -288,9 +288,22 @@ class TestClosedForms:
     def test_default_index_matches_a_sorted_index(self, case):
         group, radius, index, probes = case
         for rows in probes:
-            found = group.default_index(rows, radius)
+            found = group.default_indexer(radius)(rows)
             assert found.dtype == np.int64 and found.shape == rows.shape[:-1]
             assert found.tolist() == index.find(rows).tolist()
+
+    @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
+    def test_a_ball_keeps_its_lookups_exact_as_they_widen(self, name):
+        # one ball looks up products of near rows, then of rows out to its
+        # edge and past it, then of near rows again
+        group = DEFAULT_GROUPS[name]
+        ball = enumerate_ball(group, 12)
+        rows = ball.rows
+        index = RowIndex(rows)
+        for radius in (2, 12, 1):
+            probe = group.mul_rows(rows[:, None, :], rows[:9])
+            probe = probe[group.default_lengths(rows) <= radius]
+            assert ball.find_rows(probe).tolist() == index.find(probe).tolist()
 
     @pytest.mark.parametrize("spec,s,s_inv", [
         ({"family": "free_abelian", "rank": 1}, [1], [-1]),
