@@ -12,7 +12,7 @@ from .errors import (BallRadiusError, ConfigError, GroupError, QmetricError,
 from .groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
                      InfiniteDihedral, ProductZFinite, builtin_finite_table,
                      decode_element, group_from_json)
-from .metrics import (HeuristicResult, MetricBracket, connes_bracket,
+from .metrics import (Bracket, HeuristicResult, MetricBracket, connes_bracket,
                       connes_heuristic, d_2, d_inf, delta_coeffs)
 from .opalgebra import (AlgebraElement, NormEstimate, TruncatedOperator,
                         commutator_matrix, commutator_norm_upper_l1, conv_mul,

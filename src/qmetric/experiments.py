@@ -268,7 +268,7 @@ def run_dist(config: dict) -> Report:
     if mode == "both" or {"trunc", "support_radius"} & config.keys():
         trunc, support_radius = _get_truncation(config)
     bracket = connes_bracket(phi, psi, enumerate_ball(group, radius))
-    lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+    lower, upper = bracket.d_inf, bracket.d_2
     heuristic = drift = None
     if mode == "both":
         result = connes_heuristic(phi, psi, group, support_radius, trunc)
@@ -293,7 +293,7 @@ def run_sandwich(config: dict) -> Report:
     all_pass = True
     for (la, phi), (lb, psi) in itertools.combinations(states, 2):
         bracket = connes_bracket(phi, psi, ball)
-        lower, upper = bracket.diagnostics["d_inf"], bracket.diagnostics["d_2"]
+        lower, upper = bracket.d_inf, bracket.d_2
         result = connes_heuristic(phi, psi, group, support_radius, trunc)
         divergent = math.isinf(upper.hi)
         ok = (lower.lo <= upper.lo + ORDER_TOL
@@ -357,7 +357,7 @@ def run_converge(config: dict) -> Report:
     monotone = True
     for n, state in sequence:
         bracket = connes_bracket(state, limit, ball)
-        hi_inf, hi_2 = bracket.diagnostics["d_inf"].hi, bracket.hi
+        hi_inf, hi_2 = bracket.d_inf.hi, bracket.hi
         monotone = monotone and hi_inf <= prev_inf + 1e-12 and hi_2 <= prev_2 + 1e-12
         prev_inf, prev_2 = hi_inf, hi_2
         rows.append([n, hi_inf, hi_2])

@@ -1,26 +1,26 @@
 """State-space metrics from length-weighted coefficient differences.
 
-Two metrics are computed exactly on a ball with rigorous tails:
+One pass over the ball (``connes_bracket``) gives two metrics, each exact on
+the ball with a rigorous tail:
 
 * d_inf: the sup of |phi(lam_g) - psi(lam_g)| / L(g) over g != e,
 * d_2:   the l2 analogue, finite whenever shells are boundedly sized,
 
 with tails from the states' outside bounds (``StateRep.outside_bound``).
-Both are computed from (row, L(g), c_g) over the ball positions where c may
-be nonzero, in ball order (``_differences``): for two finitely supported
-states (``FiniteState``) c vanishes off the union of their keys, so those
-are the positions, and the ball's rows need not exist; for any other pair
-every position is.  The endpoints, tails and diagnostics do not depend on
-which: the sup is order-free, the l2 shells add their terms in ball order
-and dropping exact zeros changes no partial sum, and the d_inf argmax is
-the first maximum in ball order, or ball position 1 (the least generator)
-when every ratio is 0.
+Its one result, a ``Bracket``, holds both as fields and encloses the Connes
+metric d (sup of |phi(a) - psi(a)| over a with commutator norm <= 1):
+d_inf.lo <= d <= d_2.hi.  The pass reads (L(g), c_g) over the ball positions
+where c may be nonzero, in ball order (``_differences``): for two finitely
+supported states (``FiniteState``) c vanishes off the union of their keys,
+so those are the positions, and the ball's rows need not exist; for any
+other pair every position is.  The endpoints and tails do not depend on
+which: the sup is order-free, and the l2 sum adds its shells in ball order,
+where exact zeros change no partial sum.
 
-They enclose the Connes metric d (sup of |phi(a) - psi(a)| over a with
-commutator norm <= 1): d_inf <= d <= d_2.  The bracket is the only certified
-output; connes_heuristic additionally ascends the ratio
-|sum alpha_g c_g| / sigma(alpha) for a point estimate of d, with every
-truncated commutator built from one triplet list and mirrored restarts skipped.
+The bracket is the only certified output; connes_heuristic additionally
+ascends the ratio |sum alpha_g c_g| / sigma(alpha) for a point estimate of
+d, with every truncated commutator built from one triplet list and mirrored
+restarts skipped.
 """
 
 from __future__ import annotations
@@ -37,14 +37,29 @@ from .states import FiniteState, StateRep
 from .wordlength import Ball, enumerate_ball
 
 
-@dataclass
+@dataclass(frozen=True)
 class MetricBracket:
-    """Certified interval [lo, hi] for a metric value, with diagnostics."""
+    """Certified interval [lo, hi] for one metric; tail_bound is None when no tail is proven."""
 
     lo: float
     hi: float
     tail_bound: Optional[float]
-    diagnostics: dict = field(default_factory=dict)
+
+
+@dataclass(frozen=True)
+class Bracket:
+    """Certified enclosure d_inf.lo <= d <= d_2.hi of the Connes metric d."""
+
+    d_inf: MetricBracket
+    d_2: MetricBracket
+
+    @property
+    def lo(self) -> float:
+        return self.d_inf.lo
+
+    @property
+    def hi(self) -> float:
+        return self.d_2.hi
 
 
 def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
@@ -56,14 +71,8 @@ def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
     return c
 
 
-def _outside_sum(phi: StateRep, psi: StateRep, ball: Ball) -> float:
-    """e_phi + e_psi, a bound on |c_g| for every g outside the ball."""
-    return phi.outside_bound(ball) + psi.outside_bound(ball)
-
-
-def _differences(phi: StateRep, psi: StateRep, ball: Ball
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(rows, lengths, c) at the ball positions, in ball order, where c_g may be nonzero.
+def _differences(phi: StateRep, psi: StateRep, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
+    """(lengths, c) at the ball positions, in ball order, where c_g may be nonzero.
 
     The identity is left out.  For two FiniteStates the positions are the
     union of their keys' positions, and c is each state's value there, or 0,
@@ -71,8 +80,7 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball
     position of the ball.  GroupError for a foreign law.
     """
     if not (isinstance(phi, FiniteState) and isinstance(psi, FiniteState)):
-        c = delta_coeffs(phi, psi, ball)
-        return ball.rows[1:], ball.lengths[1:], c[1:]
+        return ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:]
     phi.check_ball(ball)
     psi.check_ball(ball)
     found = np.concatenate([phi._positions(ball), psi._positions(ball)])
@@ -83,64 +91,44 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball
     side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
     terms = np.zeros((2, len(positions)), dtype=complex)
     terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
-    return rows, ball.lengths_at(positions, rows), terms[0] - terms[1]
+    return ball.lengths_at(positions, rows), terms[0] - terms[1]
 
 
-def _sup_bracket(rows: np.ndarray, lengths: np.ndarray, ratios: np.ndarray, ball: Ball,
-                 outside: float) -> MetricBracket:
+def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
+    """d_inf and d_2 on the ball in one pass, with their tails outside it.
+
+    Outside the ball |c_g| <= E = e_phi + e_psi and L(g) >= r + 1, so d_inf
+    gains at most E / (r + 1).  d_2's tail E^2 B / r needs an analytic
+    shell-size bound B; without one d_2.hi is infinite.  GroupError for a
+    foreign law, then ValueError for a ball of radius 0.
+    """
+    lengths, c = _differences(phi, psi, ball)
     if ball.radius < 1:
-        raise ValueError("d_inf needs ball radius >= 1")
+        raise ValueError("the bracket needs ball radius >= 1")
+    ratios = np.abs(c) / lengths
+    outside = phi.outside_bound(ball) + psi.outside_bound(ball)
     lo = float(ratios.max(initial=0.0))
-    if lo > 0:
-        best = int(np.argmax(ratios))
-        argmax, length = ball.group.from_rows(rows[best])[0], int(lengths[best])
-    else:
-        # every ratio is 0, and the first in ball order is at position 1, the least generator
-        argmax, length = min(ball.group.generators), 1
     tail = outside / (ball.radius + 1)
-    return MetricBracket(lo, max(lo, tail), tail, {"argmax": argmax, "argmax_length": length})
-
-
-def _l2_bracket(lengths: np.ndarray, ratios: np.ndarray, ball: Ball,
-                outside: float) -> MetricBracket:
-    if ball.radius < 1:
-        raise ValueError("d_2 needs ball radius >= 1")
+    lower = MetricBracket(lo, max(lo, tail), tail)
+    # np.cumsum adds the shells one by one, in order; np.sum adds pairwise and
+    # would change the last bits of the d_2 endpoints in every report
+    lo_2 = float(np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, ball.radius + 1))[-1]))
     bound = ball.group.shell_bound
-    partials = np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, ball.radius + 1)))
-    lo = float(partials[-1])
-    diagnostics = {"partial_by_radius": partials.tolist(), "shell_bound": bound}
     if bound is None:
-        return MetricBracket(lo, math.inf, None, diagnostics)
+        return Bracket(lower, MetricBracket(lo_2, math.inf, None))
     # for two states (outside = 2) this is 4.0 * bound / r, bit for bit
-    tail = outside ** 2 * bound / ball.radius
-    return MetricBracket(lo, float(np.sqrt(lo ** 2 + tail)), tail, diagnostics)
+    tail_2 = outside ** 2 * bound / ball.radius
+    return Bracket(lower, MetricBracket(lo_2, float(np.sqrt(lo_2 ** 2 + tail_2)), tail_2))
 
 
 def d_inf(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
-    """Sup metric, exact on the ball; the tail uses |c_g| <= e_phi + e_psi and L >= r+1 outside."""
-    rows, lengths, c = _differences(phi, psi, ball)
-    return _sup_bracket(rows, lengths, np.abs(c) / lengths, ball, _outside_sum(phi, psi, ball))
+    """Sup metric, exact on the ball with its tail: connes_bracket(...).d_inf."""
+    return connes_bracket(phi, psi, ball).d_inf
 
 
 def d_2(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
-    """l2 metric; certified upper bound requires an analytic shell-size bound.
-
-    Without one the upper endpoint is infinite and the diagnostics record the
-    partial sums across sub-radii as divergence evidence.
-    """
-    _, lengths, c = _differences(phi, psi, ball)
-    return _l2_bracket(lengths, np.abs(c) / lengths, ball, _outside_sum(phi, psi, ball))
-
-
-def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
-    """Certified enclosure of the Connes metric: [d_inf.lo, d_2.hi]."""
-    rows, lengths, c = _differences(phi, psi, ball)
-    ratios = np.abs(c) / lengths
-    outside = _outside_sum(phi, psi, ball)
-    lower = _sup_bracket(rows, lengths, ratios, ball, outside)
-    upper = _l2_bracket(lengths, ratios, ball, outside)
-    return MetricBracket(lower.lo, upper.hi, upper.tail_bound,
-                         {"d_inf": lower, "d_2": upper})
+    """l2 metric, exact on the ball; infinite above without a shell bound: connes_bracket(...).d_2."""
+    return connes_bracket(phi, psi, ball).d_2
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +137,11 @@ def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> MetricBracket:
 
 @dataclass
 class HeuristicResult:
-    """Uncertified point estimate of the Connes metric from ratio ascent."""
+    """Uncertified point estimate of the Connes metric from ratio ascent.
+
+    diagnostics holds the restart_log (one entry per ascent), and for pairs
+    that differ the estimate_at_drift_radius and the winner's coefficients.
+    """
 
     estimate: float
     sigma_drift: float
@@ -196,8 +188,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     c = delta_coeffs(phi, psi, ball)[1:n_r]
     lengths = ball.lengths[1:n_r].astype(float)
     if len(support) == 0 or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
-        return HeuristicResult(0.0, 0.0, {"reason": "states agree on the support ball",
-                                          "restarts": 0})
+        return HeuristicResult(0.0, 0.0, {"restart_log": []})
     m = len(support)
     triplets = commutator_triplets(support, ball)
     inner = (triplets[0] < n) & (triplets[1] < n)
@@ -294,11 +285,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     drift = max(0.0, best_f - est_big)
 
     return HeuristicResult(best_f, drift, {
-        "restarts": len(starts),
         "restart_log": restart_log,
         "estimate_at_drift_radius": est_big,
-        "support_radius": r,
-        "truncation_radius": R,
-        "drift_radius": 2 * R,
         "coefficients": list(zip(group.from_rows(support[nz]), best_alpha[nz].tolist())),
     })

@@ -220,7 +220,6 @@ def _search_ball(group: Group, radius: int, cap: int) -> Ball:
 class GrowthReport:
     """Least-squares linear fit of cumulative ball sizes; the shell bound is Group.shell_bound."""
 
-    shell_sizes: np.ndarray
     fit_k: float
     fit_l: float
     residual: float
@@ -230,12 +229,11 @@ def growth_fit(ball: Ball) -> GrowthReport:
     """Fit #ball(c) ~ k*c + l over c = 0..radius and report the fit residual."""
     if ball.radius < 3:
         raise ValueError("growth fit needs radius >= 3")
-    sizes = ball.shell_sizes
-    cumulative = np.cumsum(sizes)
+    cumulative = np.cumsum(ball.shell_sizes)
     c = np.arange(ball.radius + 1, dtype=float)
     fit_k, fit_l = np.polyfit(c, cumulative, 1)
     residual = float(np.sqrt(np.sum((cumulative - (fit_k * c + fit_l)) ** 2)))
-    return GrowthReport(sizes, float(fit_k), float(fit_l), residual)
+    return GrowthReport(float(fit_k), float(fit_l), residual)
 
 
 def square_sum_evidence(ball: Ball) -> tuple[float, Optional[float]]:

@@ -1,10 +1,12 @@
 import json
+import math
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,8 +14,10 @@ from hypothesis import strategies as st
 from qmetric import groups, metrics
 from qmetric.errors import ResourceError
 from qmetric.cli import main
-from qmetric.experiments import config_hash, run_ball, run_converge, run_dist
-from qmetric.states import OneState, TraceState
+from qmetric.experiments import (config_hash, run_ball, run_converge, run_dist, run_kappa,
+                                  run_sandwich)
+from qmetric.states import OneState, TraceState, state_from_json
+from qmetric.wordlength import enumerate_ball
 
 from conftest import z26_not_associative
 
@@ -527,6 +531,69 @@ class TestRunners:
             "states": [{"kind": "trace"}],
         })
         assert main(["kappa", "--config", config]) == 2
+
+
+# Each group's states: a trace first (the converge limit), two densities
+# (the kappa states) and a fourth kind; Z^2 has no shell bound, so its d2_hi is inf.
+RUNNER_STATES = {
+    "z": (Z_GROUP, [{"kind": "trace"}, DENSITY_01, DENSITY_02,
+                    {"kind": "vector", "support": [{"element": [0], "re": 0.6, "im": 0.0},
+                                                   {"element": [-2], "re": 0.0, "im": 0.8}]}]),
+    "z2": ({"family": "free_abelian", "rank": 2}, [
+        {"kind": "trace"},
+        {"kind": "density", "b": [{"element": [0, 0], "re": 1.0},
+                                  {"element": [1, -1], "re": 0.0, "im": 0.5}]},
+        {"kind": "density", "b": [{"element": [0, 0], "re": 2.0},
+                                  {"element": [0, 1], "re": 1.0}]},
+        {"kind": "one"}]),
+    "dihedral": ({"family": "infinite_dihedral"}, [
+        {"kind": "trace"},
+        {"kind": "density", "b": [{"element": [0, 0], "re": 1.0},
+                                  {"element": [1, 1], "re": 1.0}]},
+        {"kind": "density", "b": [{"element": [0, 0], "re": 1.0},
+                                  {"element": [2, 0], "re": 0.5, "im": 0.5}]},
+        {"kind": "table", "extend_zero": True,
+         "entries": [{"element": [1, 0], "re": 0.5}, {"element": [-1, 0], "re": 0.5}]}]),
+}
+
+
+@pytest.mark.parametrize("family", sorted(RUNNER_STATES))
+def test_runners_report_the_bracket_fields_bit_for_bit(family):
+    spec, specs = RUNNER_STATES[family]
+    group = groups.group_from_json(spec)
+    states = {f"s{k}": state_from_json(group, s) for k, s in enumerate(specs)}
+    labelled = [{"label": f"s{k}", "state": s} for k, s in enumerate(specs)]
+    radius = 12
+    ball = enumerate_ball(group, radius)
+
+    def bits(*values):
+        return [np.float64(v).tobytes() for v in values]
+
+    def bracket(a, b):
+        return metrics.connes_bracket(states[a], states[b], ball)
+
+    sandwich = run_sandwich({"group": spec, "radius": radius, "trunc": 4,
+                             "support_radius": 2, "states": labelled})
+    assert len(sandwich.rows) == 6
+    for row in sandwich.rows:
+        cell = dict(zip(sandwich.columns, row))
+        expected = bracket(*cell["pair"].split("|"))
+        assert bits(cell["d_inf_lo"], cell["d2_lo"], cell["d2_hi"]) == \
+            bits(expected.d_inf.lo, expected.d_2.lo, expected.d_2.hi)
+        assert cell["d2_divergent"] is (expected.d_2.hi == math.inf)
+
+    kappa = run_kappa({"group": spec, "radius": radius, "states": labelled[1:3]})
+    pairs = [dict(zip(kappa.columns, row)) for row in kappa.rows if row[0] == "pair"]
+    assert [cell["label"] for cell in pairs] == ["s1|s2"]
+    assert bits(pairs[0]["value_lo"]) == bits(bracket("s1", "s2").d_2.hi)
+
+    converge = run_converge({"group": spec, "radius": radius, "epsilon": 1.0,
+                             "limit_state": specs[0],
+                             "sequence": {"kind": "explicit", "states": specs}})
+    assert [row[0] for row in converge.rows] == [1, 2, 3, 4]
+    for n, d_inf_hi, d2_hi in converge.rows:
+        expected = bracket(f"s{n - 1}", "s0")
+        assert bits(d_inf_hi, d2_hi) == bits(expected.d_inf.hi, expected.d_2.hi)
 
 
 # Small valid configs on Z and Z x Z2 that between them set every documented

@@ -15,6 +15,10 @@ beyond the radius.  ``growth``
 left out, and characters stay on Z (one product per coefficient), so the
 references do not depend on the BLAS build.
 
+Each case's ``--format json`` report is checked against the same reference:
+its cells, written as the CSV writes them (floats by ``repr``, ``inf``, an
+empty cell for null, ``true``/``false``), must equal the reference's.
+
 Regenerate the references only when an output change is intended:
 ``PYTHONPATH=src python tests/test_golden.py``.
 """
@@ -144,18 +148,51 @@ CASES = {
 }
 
 
-def render(name: str, tmp: Path) -> bytes:
-    """Run one case through the CLI and return its CSV report."""
+def render(name: str, tmp: Path, fmt: str = "csv") -> bytes:
+    """Run one case through the CLI and return its report in the given format."""
     experiment, config = CASES[name]
-    cfg, out = tmp / f"{name}.json", tmp / f"{name}.csv"
+    cfg, out = tmp / f"{name}.json", tmp / f"{name}-report.{fmt}"
     cfg.write_text(json.dumps(config))
-    assert main([experiment, "--config", str(cfg), "--out", str(out)]) in (0, 1)
+    argv = [experiment, "--config", str(cfg), "--out", str(out), "--format", fmt]
+    assert main(argv) in (0, 1)
     return out.read_bytes()
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_report_matches_golden(name, tmp_path):
     assert render(name, tmp_path) == (GOLDEN / f"{name}.csv").read_bytes()
+
+
+def _csv_text(value) -> str:
+    """A JSON report value as the CSV report writes it."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return repr(value) if isinstance(value, float) else str(value)
+
+
+def _parse_csv(text: str) -> dict:
+    """experiment, meta, passed, columns and rows of a CSV report, every value as text."""
+    lines = text.splitlines()
+    meta = {}
+    while lines[0].startswith("# "):
+        key, _, value = lines.pop(0)[2:].partition("=")
+        meta[key] = value
+    return {"experiment": meta.pop("experiment"), "passed": meta.pop("passed"),
+            "meta": meta, "columns": lines[0].split(","),
+            "rows": [line.split(",") for line in lines[1:]]}
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_json_report_matches_golden(name, tmp_path):
+    report = json.loads(render(name, tmp_path, "json"))
+    assert sorted(report) == ["columns", "experiment", "meta", "passed", "rows"]
+    assert {"experiment": report["experiment"], "passed": _csv_text(report["passed"]),
+            "meta": {key: _csv_text(value) for key, value in report["meta"].items()},
+            "columns": report["columns"],
+            "rows": [[_csv_text(v) for v in row] for row in report["rows"]]} \
+        == _parse_csv((GOLDEN / f"{name}.csv").read_text())
 
 
 if __name__ == "__main__":
