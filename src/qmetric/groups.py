@@ -150,15 +150,17 @@ class FiniteGroupTable:
         return cls.from_table(table)
 
 
+# the built-in finite groups, each built and checked once per process
+_Z2 = FiniteGroupTable.cyclic(2)  # also the finite factor of InfiniteDihedral
+_BUILTIN_TABLES = {"z2": _Z2, "z3": FiniteGroupTable.cyclic(3),
+                   "s3": FiniteGroupTable.symmetric(3)}
+
+
 def builtin_finite_table(name: str) -> FiniteGroupTable:
-    key = name.lower() if isinstance(name, str) else None
-    if key == "z2":
-        return FiniteGroupTable.cyclic(2)
-    if key == "z3":
-        return FiniteGroupTable.cyclic(3)
-    if key == "s3":
-        return FiniteGroupTable.symmetric(3)
-    raise ConfigError(f"unknown built-in finite group {name!r} (have: z2, z3, s3)")
+    table = _BUILTIN_TABLES.get(name.lower() if isinstance(name, str) else None)
+    if table is None:
+        raise ConfigError(f"unknown built-in finite group {name!r} (have: z2, z3, s3)")
+    return table
 
 
 # ---------------------------------------------------------------------------
@@ -168,8 +170,6 @@ def builtin_finite_table(name: str) -> FiniteGroupTable:
 # With the ball cap of at most 2^30 elements (wordlength._MAX_CAP), keeps
 # every ball coordinate below 2^61; see Group.to_rows.
 _MAX_GENERATOR_COORD = 2 ** 31
-
-_Z2 = FiniteGroupTable.cyclic(2)  # the finite factor of InfiniteDihedral, checked once
 
 
 class Group:
@@ -269,12 +269,7 @@ class Group:
         a product of a ball row with any int64 row is either exact or wraps to
         a coordinate of magnitude above 2^62, and then lies in no ball either.
         """
-        return self._saturated(self._exact_rows(elements))
-
-    @staticmethod
-    def _saturated(exact: np.ndarray) -> np.ndarray:
-        """Exact rows as int64 rows, a coordinate beyond int64 saturated (see to_rows)."""
-        return exact.clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
+        return self._exact_rows(elements).clip(_INT64_MIN, _INT64_MAX).astype(np.int64)
 
     def from_rows(self, rows: np.ndarray) -> list[GroupElement]:
         """Elements with Python int coordinates: inverts _exact_rows, and to_rows within int64."""

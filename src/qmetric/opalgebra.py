@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Mapping, Union
+from typing import TYPE_CHECKING, Mapping, Union
 
 import numpy as np
 
@@ -60,28 +60,12 @@ class AlgebraElement:
 
 def conv_mul(group: Group, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """Convolution product: (ab)(k) = sum over gh = k of alpha_g beta_h, by g, then by h."""
-    coeffs, _ = conv_rows(group, group._exact_rows(a.coeffs), a.coeffs.values(),
-                          group._exact_rows(b.coeffs), b.coeffs.values())
-    return AlgebraElement(coeffs)
-
-
-def conv_rows(group: Group, a_rows: np.ndarray, a_values: Iterable[complex],
-              b_rows: np.ndarray, b_values: Iterable[complex]
-              ) -> tuple[dict[GroupElement, complex], np.ndarray]:
-    """conv_mul of two coefficient lists on exact rows that are already checked.
-
-    Returns the nonzero coefficients of the product, in conv_mul's order,
-    and the exact rows of their elements, so that nothing is checked again.
-    """
-    grid = group.mul_rows(a_rows[:, None, :], b_rows).reshape(-1, group.row_width)
+    grid = group.mul_rows(group._exact_rows(a.coeffs)[:, None, :], group._exact_rows(b.coeffs))
     out: dict[GroupElement, complex] = {}
-    first: dict[GroupElement, int] = {}  # the grid row of each product
-    for i, (k, (ag, bh)) in enumerate(zip(group.from_rows(grid),
-                                          itertools.product(a_values, b_values))):
-        first.setdefault(k, i)
+    for k, (ag, bh) in zip(group.from_rows(grid),
+                           itertools.product(a.coeffs.values(), b.coeffs.values())):
         out[k] = out.get(k, 0.0) + ag * bh
-    coeffs = {k: v for k, v in out.items() if v != 0}
-    return coeffs, grid[[first[k] for k in coeffs]]
+    return AlgebraElement(out)  # drops the zero sums
 
 
 def star(group: Group, a: AlgebraElement) -> AlgebraElement:

@@ -31,13 +31,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, GroupError, ResourceError, StateError, check_fields
 from .groups import FreeAbelian, Group, GroupElement, RowIndex, decode_element
-from .opalgebra import AlgebraElement, conv_rows, norm_lower, op_matrix, trace_coeff
+from .opalgebra import AlgebraElement, conv_mul, norm_lower, op_matrix, star, trace_coeff
 from .wordlength import Ball
 
 
@@ -106,21 +106,13 @@ class CharacterState(StateRep):
 class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
-    Every key is checked once: here (GroupError for a foreign key), or, for
-    the vector and density states, which build their tables from checked
-    rows, by the subclass, which passes the keys' exact rows, in the table's
-    order, as ``_key_rows``.
+    Every key is checked once, here (GroupError for a foreign key).
     """
 
-    def __init__(self, group: Group, table: dict[GroupElement, complex], *,
-                 _key_rows: Optional[np.ndarray] = None):
+    def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
-        if _key_rows is None:
-            _key_rows = group._exact_rows(table)
-        elif len(_key_rows) != len(table):
-            raise ValueError(f"{len(_key_rows)} key rows for a table of {len(table)} keys")
         self.table = table
-        self._rows = group._saturated(_key_rows)
+        self._rows = group.to_rows(table)
         self._values = np.array(list(table.values()), dtype=complex)
         self._found = None  # (ball, _positions(ball)) of the last ball looked up
 
@@ -176,31 +168,23 @@ class VectorState(FiniteState):
         norm_sq = sum(abs(v) * abs(v) for v in xi.values())
         if abs(norm_sq - 1.0) > 1e-12:
             raise StateError(f"vector state must be normalized; |xi|^2 = {norm_sq}")
-        # conj(xi) * conj(xi)^*, whose second factor is {h^-1: xi(h)}
-        rows, values = group._exact_rows(xi), list(xi.values())
-        table, key_rows = conv_rows(group, rows, [v.conjugate() for v in values],
-                                    group.inv_rows(rows), values)
-        super().__init__(group, table, _key_rows=key_rows)
+        a = AlgebraElement({g: v.conjugate() for g, v in xi.items()})
+        super().__init__(group, conv_mul(group, a, star(group, a)).coeffs)
 
 
 class DensityState(FiniteState):
     """Trace-bounded state with density rho = b*b / tau(b*b) for finitely supported b."""
 
     def __init__(self, group: Group, b: AlgebraElement):
-        # b* b, whose first factor is {g^-1: conj(b(g))}
-        rows, values = group._exact_rows(b.coeffs), list(b.coeffs.values())
-        coeffs, bb_rows = conv_rows(group, group.inv_rows(rows),
-                                    [v.conjugate() for v in values], rows, values)
-        bb = AlgebraElement(coeffs)
+        bb = conv_mul(group, star(group, b), b)
         total = trace_coeff(group, bb)
         if abs(total) == 0:
             raise StateError("density generator b must be nonzero")
         if not np.isfinite(total):
             raise StateError("density generator b must have a finite tau(b*b)")
         self.rho = bb.scaled(1.0 / total.real)  # drops what underflows to 0
-        inverses = group.inv_rows(bb_rows[[g in self.rho.coeffs for g in bb.coeffs]])
-        super().__init__(group, dict(zip(group.from_rows(inverses), self.rho.coeffs.values())),
-                         _key_rows=inverses)
+        super().__init__(group, dict(zip(star(group, self.rho).coeffs,
+                                         self.rho.coeffs.values())))
 
 
 # ---------------------------------------------------------------------------

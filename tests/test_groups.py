@@ -115,6 +115,20 @@ class TestFiniteGroupTable:
         with pytest.raises(ConfigError):
             builtin_finite_table("q8")
 
+    def test_builtins_are_built_once(self):
+        assert builtin_finite_table("s3") is builtin_finite_table("S3")
+        assert builtin_finite_table("s3") == FiniteGroupTable.symmetric(3)
+        assert builtin_finite_table("Z3") == FiniteGroupTable.cyclic(3)
+        assert builtin_finite_table("z2") is InfiniteDihedral().finite
+        spec = {"family": "product_z_finite", "finite": {"name": "s3"}}
+        assert group_from_json(spec).finite is group_from_json(spec).finite
+
+    @pytest.mark.parametrize("name", ["q8", 3, None])
+    def test_unknown_builtin_text(self, name):
+        with pytest.raises(ConfigError) as info:
+            builtin_finite_table(name)
+        assert str(info.value) == f"unknown built-in finite group {name!r} (have: z2, z3, s3)"
+
 
 class TestMul:
     def test_z2_componentwise(self, z2_group):

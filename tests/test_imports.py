@@ -37,3 +37,10 @@ def test_no_unused_imports(path):
 def test_finds_an_unused_import():
     assert unused_imports("import os\nimport numpy as np\nfrom x import y\nnp.ones(y)\n") \
         == ["os (line 1)"]
+    # a dotted import binds its first name; a function-level import counts too
+    assert unused_imports("from __future__ import annotations\nimport os.path\n"
+                          "from typing import Iterable, Optional\n\n"
+                          "def f(x: Optional[int]):\n"
+                          "    import scipy.sparse as sp\n"
+                          "    return os.path.sep\n") \
+        == ["Iterable (line 3)", "sp (line 6)"]

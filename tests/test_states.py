@@ -3,6 +3,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from conftest import random_element
+
 from qmetric import states
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
@@ -355,6 +357,104 @@ class TestDensityState:
     def test_zero_b_rejected(self, z_group):
         with pytest.raises(StateError):
             DensityState(z_group, AlgebraElement({}))
+
+
+def _conv_loop(group, a, b):
+    """conv_mul as a double loop over Group.mul: by g, then by h, summed from 0.0, zeros dropped."""
+    out = {}
+    for g, ag in a.items():
+        for h, bh in b.items():
+            k = group.mul(g, h)
+            out[k] = out.get(k, 0.0) + ag * bh
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _vector_loop(group, xi):
+    """The table of VectorState(group, xi): conj(xi) * conj(xi)^*."""
+    a = {g: complex(v).conjugate() for g, v in xi.items() if complex(v) != 0}
+    return _conv_loop(group, a, {group.inv(g): v.conjugate() for g, v in a.items()})
+
+
+def _density_loop(group, b):
+    """The table {g^-1: rho(g)} of DensityState(group, b), rho = b*b / tau(b*b)."""
+    bb = _conv_loop(group, {group.inv(g): complex(v).conjugate() for g, v in b.items()},
+                    {g: complex(v) for g, v in b.items()})
+    factor = 1.0 / bb[group.identity].real
+    rho = {g: factor * v for g, v in bb.items() if factor * v != 0}
+    return {group.inv(g): v for g, v in rho.items()}
+
+
+def _random_support(rng, group, size):
+    elements = list(dict.fromkeys(random_element(rng, group) for _ in range(size)))
+    values = rng.standard_normal(len(elements)) + 1j * rng.standard_normal(len(elements))
+    return dict(zip(elements, (values / np.linalg.norm(values)).tolist()))
+
+
+_PIN_GROUPS = {"z": FreeAbelian(1), "z2": FreeAbelian(2),
+               "zxs3": ProductZFinite(FiniteGroupTable.symmetric(3)),
+               "dihedral": InfiniteDihedral()}
+_FAR = 2 ** 70  # a coordinate beyond int64: the row saturates
+
+
+def _pin_cases():
+    z = _PIN_GROUPS["z"]
+    e, s, far = z.identity, GroupElement((1,)), GroupElement((_FAR,))
+    cases = [pytest.param(z, "vector", {e: 0.6, far: 0.8j}, id="z-vector-beyond-int64"),
+             pytest.param(z, "density", {e: 1.0, far: 0.5, GroupElement((-_FAR,)): 0.25j},
+                          id="z-density-beyond-int64"),
+             pytest.param(z, "density", {e: 1e150, s: 1e-200}, id="z-density-underflow")]
+    for name, group in _PIN_GROUPS.items():
+        rng = np.random.default_rng(len(cases))
+        for kind in ("vector", "density"):
+            for size in (1, 4, 9):
+                cases.append(pytest.param(group, kind, _random_support(rng, group, size),
+                                          id=f"{name}-{kind}-{size}"))
+    return cases
+
+
+@pytest.mark.parametrize("group,kind,support", _pin_cases())
+def test_vector_and_density_tables_match_a_double_loop_bit_for_bit(group, kind, support):
+    if kind == "vector":
+        phi, expected = VectorState(group, support), _vector_loop(group, support)
+    else:
+        phi, expected = DensityState(group, AlgebraElement(support)), _density_loop(group, support)
+    assert list(phi.table) == list(expected)
+    values = np.array(list(expected.values()), dtype=complex)
+    assert np.array(list(phi.table.values()), dtype=complex).tobytes() == values.tobytes()
+    assert phi._values.tobytes() == values.tobytes()
+    rows = group.to_rows(expected)
+    assert phi._rows.dtype == rows.dtype and phi._rows.tobytes() == rows.tobytes()
+
+
+def test_density_coefficient_that_underflows_is_no_key():
+    group = _PIN_GROUPS["z"]
+    s = GroupElement((1,))
+    phi = DensityState(group, AlgebraElement({group.identity: 1e150, s: 1e-200}))
+    assert list(phi.table) == [group.identity]
+
+
+class TestForeignKeys:
+    """A foreign key in a support is a GroupError naming the first one, in support order."""
+
+    FIRST, SECOND = GroupElement((1, 2)), GroupElement((1,), 0)
+
+    def test_vector_support(self, z_group):
+        xi = {z_group.identity: 0.6, self.FIRST: 0.48, self.SECOND: 0.64}
+        with pytest.raises(GroupError) as info:
+            VectorState(z_group, xi)
+        assert str(info.value) == ("element GroupElement(z=(1, 2), f=None) "
+                                   "does not belong to free_abelian(rank=1)")
+
+    def test_density_b(self, dihedral):
+        b = {dihedral.identity: 1.0, GroupElement((0,), 5): 0.5, GroupElement((1,)): 0.25}
+        with pytest.raises(GroupError) as info:
+            DensityState(dihedral, AlgebraElement(b))
+        assert str(info.value) == ("element GroupElement(z=(0,), f=5) "
+                                   "does not belong to infinite_dihedral (|F|=2)")
+
+    def test_normalization_is_checked_first(self, z_group):
+        with pytest.raises(StateError, match="normalized"):
+            VectorState(z_group, {self.FIRST: 0.5, self.SECOND: 0.5})
 
 
 class TestPdCheck:
