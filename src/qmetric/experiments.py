@@ -24,7 +24,7 @@ from .metrics import connes_bracket, connes_heuristic, d_2
 from .opalgebra import AlgebraElement
 from .states import (CharacterState, DensityState, StateRep, _decode_real, kappa_bounds,
                      state_from_json)
-from .wordlength import Ball, enumerate_ball, growth_fit
+from .wordlength import enumerate_ball, growth_fit, shell_table
 
 ORDER_TOL = 1e-9
 HEURISTIC_SLACK = 1e-6
@@ -196,25 +196,10 @@ def _base_meta(config: dict, **extra) -> dict:
 # runners
 # ---------------------------------------------------------------------------
 
-def _ball_rows(ball: Ball) -> list[list]:
-    shells = ball.shell_sizes
-    bound = ball.group.shell_bound
-    rows = []
-    cumulative = 0
-    partial = 0.0
-    for k in range(ball.radius + 1):
-        cumulative += int(shells[k])
-        if k >= 1:
-            partial += int(shells[k]) / k ** 2
-        tail = bound / k if (bound is not None and k >= 1) else None
-        rows.append([k, cumulative, int(shells[k]), partial, tail])
-    return rows
-
-
 def run_ball(config: dict) -> Report:
     _check_config(config, "ball")
     group = _get_group(config)
-    rows = _ball_rows(enumerate_ball(group, _get_positive_int(config)))
+    rows = shell_table(enumerate_ball(group, _get_positive_int(config)))
     return Report("ball",
                   ["radius", "ball_size", "shell_size", "partial_square_sum",
                    "tail_bound"],
@@ -236,14 +221,14 @@ def run_growth(config: dict) -> Report:
     return Report("growth",
                   ["radius", "ball_size", "shell_size", "partial_square_sum",
                    "tail_bound"],
-                  _ball_rows(ball), meta)
+                  shell_table(ball), meta)
 
 
 def run_summable(config: dict) -> Report:
     _check_config(config, "summable")
     group = _get_group(config)
     ball = enumerate_ball(group, _get_positive_int(config))
-    rows = [[row[0], row[3], row[4]] for row in _ball_rows(ball) if row[0] >= 1]
+    rows = [[row[0], row[3], row[4]] for row in shell_table(ball) if row[0] >= 1]
     partial, tail = rows[-1][1:]
     meta = _base_meta(config, family=group.family, partial=partial, tail_bound=tail)
     passed = True

@@ -179,21 +179,16 @@ class Group:
     law: tuple  # (family, rank) or (family, finite table): the same for every generating set
 
     def __init__(self, identity: GroupElement, default_generators: Iterable[GroupElement],
+                 default_shell_bound: Optional[int],
                  generators: Optional[Iterable[GroupElement]] = None):
         self.identity = identity
         self.row_width = len(identity.z) + (identity.f is not None)
         default = tuple(default_generators)
         self.generators = default if generators is None else tuple(generators)
         self._default_generators = set(self.generators) == set(default)
+        # analytic bound on shell sizes; only the default generating set has one
+        self.shell_bound = default_shell_bound if self._default_generators else None
         self._validate_generators()
-
-    @property
-    def shell_bound(self) -> Optional[int]:
-        """Analytic bound on shell sizes; only the default generating set has one."""
-        return self._default_shell_bound() if self._default_generators else None
-
-    def _default_shell_bound(self) -> Optional[int]:
-        return None
 
     def default_ball_sizes(self, radius):
         """|B(radius)| for the default generators, from its closed form.
@@ -334,10 +329,8 @@ class FreeAbelian(Group):
                 v = [0] * rank
                 v[i] = s
                 default.append(GroupElement(tuple(v)))
-        super().__init__(GroupElement((0,) * rank), default, generators)
-
-    def _default_shell_bound(self) -> Optional[int]:
-        return 2 if self.rank == 1 else None
+        super().__init__(GroupElement((0,) * rank), default, 2 if rank == 1 else None,
+                         generators)
 
     def default_ball_sizes(self, radius):
         return _l1_ball_sizes(self.rank, radius)
@@ -451,10 +444,8 @@ class _ZSemidirectFinite(Group):
         self._sigma_rows = np.array(sigma, dtype=np.int64)
         self._table = np.array(finite.table, dtype=np.int64)
         self._inverse = np.array(finite.inverse, dtype=np.int64)
-        super().__init__(GroupElement((0,), finite.identity_index), default, generators)
-
-    def _default_shell_bound(self) -> Optional[int]:
-        return 2 * self.finite.order
+        super().__init__(GroupElement((0,), finite.identity_index), default,
+                         2 * finite.order, generators)
 
     def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
         rows = self._default_rows(radius)

@@ -140,7 +140,7 @@ class HeuristicResult:
     """Uncertified point estimate of the Connes metric from ratio ascent.
 
     diagnostics holds the restart_log (one entry per ascent), and for pairs
-    that differ the estimate_at_drift_radius and the winner's coefficients.
+    that differ the estimate_at_drift_radius.
     """
 
     estimate: float
@@ -151,7 +151,7 @@ class HeuristicResult:
 # at most 4 singleton starts of at most 500 steps, each stopped by a relative
 # gain below 1e-8; sigma to 1e-7 while ascending, to 1e-9 for reported values
 _RESTARTS, _MAX_STEPS, _FTOL = 4, 500, 1e-8
-_ASCENT_TOL, _NORM_TOL, _NORM_MAX_ITER = 1e-7, 1e-9, 10_000
+_ASCENT_TOL, _NORM_TOL = 1e-7, 1e-9
 
 
 def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
@@ -199,7 +199,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     def evaluate(alpha, tol=_ASCENT_TOL):
         nonlocal v_last
         T = sp.coo_matrix((alpha[index] * diff, (rows, cols)), shape=(n, n))
-        sigma, u, v_last, _, _ = _top_singular(T, tol, _NORM_MAX_ITER, start=v_last)
+        sigma, u, v_last, _, _ = _top_singular(T, tol, start=v_last)
         n_val = complex(np.dot(alpha, c))
         return abs(n_val) / sigma if sigma > 0 else 0.0, sigma, u, v_last, n_val
 
@@ -280,12 +280,9 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     rows_2R, cols_2R, index_2R, diff_2R = (a[nz[triplets[2]]] for a in triplets)
     T_big = sp.coo_matrix((best_alpha[index_2R] * diff_2R, (rows_2R, cols_2R)),
                           shape=(len(ball),) * 2)
-    sigma_big, _, _, _, _ = _top_singular(T_big, _NORM_TOL, _NORM_MAX_ITER)
+    sigma_big, _, _, _, _ = _top_singular(T_big, _NORM_TOL)
     est_big = abs(best_n) / sigma_big if sigma_big > 0 else 0.0
     drift = max(0.0, best_f - est_big)
 
-    return HeuristicResult(best_f, drift, {
-        "restart_log": restart_log,
-        "estimate_at_drift_radius": est_big,
-        "coefficients": list(zip(group.from_rows(support[nz]), best_alpha[nz].tolist())),
-    })
+    return HeuristicResult(best_f, drift, {"restart_log": restart_log,
+                                           "estimate_at_drift_radius": est_big})

@@ -44,8 +44,8 @@ class AlgebraElement:
         self.coeffs = {g: complex(a) for g, a in coeffs.items() if complex(a) != 0}
 
     @classmethod
-    def lam(cls, g: GroupElement, coeff: Complexish = 1.0) -> "AlgebraElement":
-        return cls({g: coeff})
+    def lam(cls, g: GroupElement) -> "AlgebraElement":
+        return cls({g: 1.0})
 
     def __eq__(self, other) -> bool:
         return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
@@ -87,9 +87,7 @@ def trace_coeff(group: Group, a: AlgebraElement) -> complex:
 class TruncatedOperator:
     """Compression of a convolution or commutator operator to l2(ball)."""
 
-    ball: Ball
     matrix: sp.csr_matrix
-    kind: str
 
 
 def _translations(support: np.ndarray, ball: Ball):
@@ -126,7 +124,7 @@ def op_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     rows, cols, index = _translations(ball.group.to_rows(a.coeffs), ball)
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
     matrix = sp.csr_matrix((alphas[index], (rows, cols)), shape=(n, n), dtype=complex)
-    return TruncatedOperator(ball, matrix, "convolution")
+    return TruncatedOperator(matrix)
 
 
 def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
@@ -143,7 +141,7 @@ def commutator_matrix(a: AlgebraElement, ball: Ball) -> TruncatedOperator:
     alphas = np.array(list(a.coeffs.values()), dtype=complex)
     matrix = sp.csr_matrix((alphas[index] * diff, (rows, cols)), shape=(n, n),
                            dtype=complex)
-    return TruncatedOperator(ball, matrix, "commutator")
+    return TruncatedOperator(matrix)
 
 
 # ---------------------------------------------------------------------------
@@ -189,21 +187,23 @@ _LANCZOS_SEED = 0     # seed of the random start vector
 # columns, 0.76 against 0.84 ms at 71, 1.57 against 1.44 ms at 81, 2.6
 # against 1.6 ms at 101 and 12 against 3.1 ms at 181)
 _WARM_MIN = 80
+# applications of M^H M after which Lanczos stops, unconverged
+_MAX_APPLICATIONS = 10_000
 
 
-def _top_singular(matrix, tol: float, max_iter: int, start=None):
-    """Top singular triple of a dense or sparse matrix M from its Gram matrix M^H M.
+def _top_singular(matrix, tol: float, start=None):
+    """Top singular triple of a sparse matrix M from its Gram matrix M^H M.
 
     Up to _DENSE_CUTOFF columns, M is made dense and LAPACK diagonalises
-    M^H M.  Above it, a sparse M stays sparse (COO input becomes CSR) and a
+    M^H M.  Above it, M stays sparse (COO input becomes CSR) and a
     thick-restart Lanczos iteration on M^H M (Wu and Simon, SIAM J. Matrix
     Anal. Appl. 22, 2000) runs from a seeded random start: a three-term
     recurrence with one full reorthogonalisation pass per step, and a second
     pass only where the DGKS test asks for one (see _lanczos_top).  It stops
     when the Ritz residual beta_m |s_m| of the largest Ritz value theta is
     at most tol * theta, when the Krylov space closes (beta <= tol * max
-    diag(T), where every Ritz residual is at most beta), or after max_iter
-    applications of M^H M.
+    diag(T), where every Ritz residual is at most beta), or after
+    _MAX_APPLICATIONS applications of M^H M.
 
     A nonzero start vector sends every size from _WARM_MIN columns up to
     Lanczos from that vector, on the dense M up to _DENSE_CUTOFF columns:
@@ -217,9 +217,7 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     u = M v / sigma and iterations counts applications of M^H M (0 for LAPACK).
     """
     n = matrix.shape[1]
-    dense = isinstance(matrix, np.ndarray)
-    nnz = int(np.count_nonzero(matrix)) if dense else matrix.nnz
-    if n == 0 or nnz == 0:
+    if n == 0 or matrix.nnz == 0:
         z = np.zeros(n, dtype=complex)
         return 0.0, z, z, True, 0
     if start is not None and not np.any(start):
@@ -227,14 +225,14 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     if n <= _DENSE_CUTOFF:
         # dense for a warm Lanczos too: a warm solve at 81 columns takes 0.83 ms
         # on the dense M against 1.06 ms on CSR copies of M and M^H
-        matrix = matrix if dense else matrix.toarray()
-    elif not dense:
+        matrix = matrix.toarray()
+    else:
         matrix = matrix.tocsr()
     if n <= _DENSE_CUTOFF and (start is None or n < _WARM_MIN):
         _, vectors = np.linalg.eigh(matrix.conj().T @ matrix)
         v, converged, iterations = vectors[:, -1], True, 0
     else:
-        v, converged, iterations = _lanczos_top(matrix, tol, max_iter, start)
+        v, converged, iterations = _lanczos_top(matrix, tol, start)
     v = v / np.linalg.norm(v)
     Mv = matrix @ v
     sigma = float(np.linalg.norm(Mv))
@@ -242,7 +240,7 @@ def _top_singular(matrix, tol: float, max_iter: int, start=None):
     return sigma, u, v, converged, iterations
 
 
-def _lanczos_top(M, tol: float, max_iter: int, start=None):
+def _lanczos_top(M, tol: float, start=None):
     """Top eigenvector of M^H M by thick-restart Lanczos: (v, converged, applications).
 
     The iteration starts from `start`, or from a seeded random vector.  The
@@ -257,11 +255,7 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
     n = M.shape[1]
     # a copy of M^H, as large as M; a sparse one is CSR, so each product
     # gathers along rows where the CSC view M.T would scatter
-    if isinstance(M, np.ndarray):
-        Mh = M.conj().T
-    else:
-        M = M.tocsr()
-        Mh = M.conj().T.tocsr()
+    Mh = M.conj().T if isinstance(M, np.ndarray) else M.conj().T.tocsr()
     m, k = _LANCZOS_BASIS, _LANCZOS_KEEP
     V = np.empty((m + 1, n), dtype=complex)
     # the real and imaginary parts side by side: a real coefficient times a
@@ -301,7 +295,7 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
             diag_max = max(diag_max, T[j, j])
             # the Krylov space has closed: every Ritz residual is at most beta
             closed = beta <= tol * diag_max
-            if closed or applications >= max_iter:
+            if closed or applications >= _MAX_APPLICATIONS:
                 break
             T[j + 1, j] = T[j, j + 1] = beta
             # numpy divides a complex array by a real scalar as a product with
@@ -309,7 +303,7 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
             np.multiply(wr, 1.0 / beta, out=Vr[j + 1])
         theta, S = np.linalg.eigh(T[:size, :size])
         converged = closed or beta * abs(S[-1, -1]) <= tol * theta[-1]
-        if converged or applications >= max_iter:
+        if converged or applications >= _MAX_APPLICATIONS:
             return (S[:, -1] @ Vr[:size]).view(complex), bool(converged), applications
         # thick restart: keep the top k Ritz pairs and the residual direction
         Vr[:k] = S[:, -k:].T @ Vr[:m]
@@ -321,24 +315,20 @@ def _lanczos_top(M, tol: float, max_iter: int, start=None):
         diag_max = theta[-1]
 
 
-def norm_lower(T: TruncatedOperator, tol: float = 1e-9,
-               max_iter: int = 10_000) -> NormEstimate:
+def norm_lower(T: TruncatedOperator, tol: float = 1e-9) -> NormEstimate:
     """Largest singular value of the compression, from below.
 
     Balls of up to _DENSE_CUTOFF elements are solved by LAPACK and always
     converge; larger ones by thick-restart Lanczos (see _top_singular), where
     converged means the Ritz residual met tol relative to the top Ritz value
-    within max_iter applications of M^H M.  Either way the value is |M v| for
-    a unit vector v, so it is a valid lower bound even when unconverged.
+    within _MAX_APPLICATIONS applications of M^H M.  Either way the value is |M v|
+    for a unit vector v, so it is a valid lower bound even when unconverged.
     """
     if tol <= 0:
         raise ValueError("tol must be > 0")
-    if max_iter < 1:
-        raise ValueError("max_iter must be >= 1")
-    entries = T.matrix if isinstance(T.matrix, np.ndarray) else T.matrix.data
-    if not np.all(np.isfinite(entries)):
+    if not np.all(np.isfinite(T.matrix.data)):
         raise ValueError("operator has non-finite entries")
-    sigma, u, v, converged, iterations = _top_singular(T.matrix, tol, max_iter)
+    sigma, u, v, converged, iterations = _top_singular(T.matrix, tol)
     # (sigma^2, v) is a Ritz pair of M^H M: its residual is sigma |M^H u - sigma v|,
     # with M^H u = conj(M^T conj(u)) so that no conjugate copy of M is made
     residual = sigma * float(np.linalg.norm(np.conj(T.matrix.T @ np.conj(u)) - sigma * v))
@@ -347,13 +337,14 @@ def norm_lower(T: TruncatedOperator, tol: float = 1e-9,
 
 def _support_lengths(a: AlgebraElement, ball: Ball) -> list[int]:
     """L(g) of each g in a's support, in its order; BallRadiusError names the first outside."""
-    pos = ball.find_rows(ball.group.to_rows(a.coeffs))
+    rows = ball.group.to_rows(a.coeffs)
+    pos = ball.find_rows(rows)
     outside = np.flatnonzero(pos < 0)
     if outside.size:
         g = list(a.coeffs)[outside[0]]
         raise BallRadiusError(f"element {g} lies outside the enumerated ball; "
                               f"requires radius >= {ball.radius + 1}")
-    return ball.lengths[pos].tolist()
+    return ball.lengths_at(pos, rows).tolist()
 
 
 def commutator_norm_upper_l1(a: AlgebraElement, ball: Ball) -> float:

@@ -236,18 +236,34 @@ def growth_fit(ball: Ball) -> GrowthReport:
     return GrowthReport(float(fit_k), float(fit_l), residual)
 
 
+def shell_table(ball: Ball) -> list[list]:
+    """Rows [k, |B(k)|, S_k, sum_{1<=j<=k} S_j/j^2, B/k] for k = 0..radius.
+
+    The partial sum adds S_j / j^2 shell by shell, from 0.0.  The tail bound
+    B/k uses the group's analytic per-shell size bound B (Group.shell_bound);
+    it is None without one, and at k = 0.
+    """
+    shells = ball.shell_sizes
+    bound = ball.group.shell_bound
+    rows = []
+    cumulative = 0
+    partial = 0.0
+    for k in range(ball.radius + 1):
+        cumulative += int(shells[k])
+        if k >= 1:
+            partial += int(shells[k]) / k ** 2
+        tail = bound / k if (bound is not None and k >= 1) else None
+        rows.append([k, cumulative, int(shells[k]), partial, tail])
+    return rows
+
+
 def square_sum_evidence(ball: Ball) -> tuple[float, Optional[float]]:
     """Partial sum of 1/L(g)^2 over the ball, with a crude tail bound when available.
 
-    It adds S_k / k^2 shell by shell, as the rows of ``ball`` do, so it is
-    their last partial sum bit for bit.  The tail bound B/r uses an analytic
-    per-shell size bound B; without one the partial sum itself is the
-    convergence/divergence evidence.
+    Both are the last row of ``shell_table``.  Without a tail bound the
+    partial sum itself is the convergence/divergence evidence.
     """
     if ball.radius < 1:
         raise ValueError("square-sum evidence needs radius >= 1")
-    k = np.arange(1, ball.radius + 1)
-    partial = float(np.cumsum(ball.shell_sizes[1:] / k ** 2)[-1])
-    bound = ball.group.shell_bound
-    tail = bound / ball.radius if bound is not None else None
+    *_, partial, tail = shell_table(ball)[-1]
     return partial, tail

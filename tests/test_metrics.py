@@ -13,7 +13,8 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, Infinit
                             ProductZFinite)
 from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
-from qmetric.opalgebra import AlgebraElement, commutator_matrix
+from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_norm_upper_l1,
+                               lemma2_lower)
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
                             TraceState, VectorState, kappa_bounds, pd_check)
 from qmetric.wordlength import enumerate_ball
@@ -502,5 +503,10 @@ def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
 
     for cls in (FreeAbelian, ProductZFinite, InfiniteDihedral):
         monkeypatch.setattr(cls, "default_ball", no_rows)
-    bracket = connes_bracket(phi, psi, enumerate_ball(group, 300))
+    ball = enumerate_ball(group, 300)
+    bracket = connes_bracket(phi, psi, ball)
     assert 0 < bracket.lo <= bracket.hi
+    # the certified commutator bounds read the support's lengths only
+    a = AlgebraElement({group.identity: 2.0, s: 1.0, group.inv(s): 0.5j})
+    assert lemma2_lower(a, ball) == math.sqrt(1.25)
+    assert commutator_norm_upper_l1(a, ball) == 1.5

@@ -5,6 +5,12 @@ A definition in ``src/qmetric`` counts as used when its name appears in
 re-exports), in ``demos/`` or in ``qbench/``: as a name, an attribute, an
 imported name or a string (qbench names the functions it traces by string).
 The tests do not count, so a helper that only its own tests call is flagged.
+
+Likewise every defaulted parameter of a function in ``src/qmetric`` (a
+method's too) is passed, by keyword or by position, by some call in
+``src/``, ``demos/`` or ``qbench/``: an option that only the tests set
+should be a constant.  Calls are matched by the function's name, and a
+class's name calls its ``__init__``.
 """
 
 import ast
@@ -15,6 +21,10 @@ PACKAGE = ROOT / "src" / "qmetric"
 USERS = sorted([p for p in (ROOT / "src").rglob("*.py") if p.name != "__init__.py"]
                + list((ROOT / "demos").glob("*.py")) + list((ROOT / "qbench").glob("*.py")))
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
+# the one option that no program passes: acceptance 6 caps its ball with it,
+# and the acceptance tests stay as they are
+ALLOWED_OPTIONS = ["wordlength.enumerate_ball(max_elements)"]
 
 
 def mentioned(node: ast.AST) -> set[str]:
@@ -52,14 +62,66 @@ def unused_definitions(defined: dict[str, ast.Module],
     return sorted(qualified for name, qualified in definitions.items() if name not in used)
 
 
+def defaulted_parameters(module: str, tree: ast.Module):
+    """(call names, qualified name, positional index or None, name) of each defaulted parameter.
+
+    The positional index counts from the first argument a call writes, so a
+    method's self or cls is not counted; a keyword-only parameter has None.
+    """
+    for parent in ast.walk(tree):
+        for fn in ast.iter_child_nodes(parent):
+            if not isinstance(fn, FUNCTIONS):
+                continue
+            method = isinstance(parent, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list)
+            names = {fn.name, parent.name} if method and fn.name == "__init__" else {fn.name}
+            qualified = f"{module}.{parent.name}.{fn.name}" if method else f"{module}.{fn.name}"
+            positional = fn.args.posonlyargs + fn.args.args
+            first = len(positional) - len(fn.args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield names, f"{qualified}({arg.arg})", i - method, arg.arg
+            for arg, default in zip(fn.args.kwonlyargs, fn.args.kw_defaults):
+                if default is not None:
+                    yield names, f"{qualified}({arg.arg})", None, arg.arg
+
+
+def _passes(call: ast.Call, index, name: str) -> bool:
+    """Whether the call may pass the parameter: by keyword, by position or by unpacking."""
+    if any(keyword.arg in (name, None) for keyword in call.keywords):
+        return True
+    return index is not None and (len(call.args) > index
+                                  or any(isinstance(a, ast.Starred) for a in call.args))
+
+
+def unpassed_options(defined: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """Qualified "module.function(parameter)" of each defaulted parameter that no call passes."""
+    callees: dict[str, list[ast.Call]] = {}
+    for tree in users:
+        for call in ast.walk(tree):
+            if isinstance(call, ast.Call):
+                func = call.func
+                name = getattr(func, "id", None) or getattr(func, "attr", None)
+                callees.setdefault(name, []).append(call)
+    return sorted(qualified for module, tree in defined.items()
+                  for names, qualified, index, name in defaulted_parameters(module, tree)
+                  if not any(_passes(call, index, name)
+                             for callee in names for call in callees.get(callee, [])))
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
 
+def _package() -> dict[str, ast.Module]:
+    return {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+
+
 def test_every_definition_is_used():
-    defined = {p.stem: _parse(p) for p in sorted(PACKAGE.glob("*.py"))
-               if p.name != "__init__.py"}
-    assert unused_definitions(defined, [_parse(p) for p in USERS]) == []
+    assert unused_definitions(_package(), [_parse(p) for p in USERS]) == []
+
+
+def test_every_option_is_passed():
+    assert unpassed_options(_package(), [_parse(p) for p in USERS]) == ALLOWED_OPTIONS
 
 
 def test_finds_an_unused_definition():
@@ -69,3 +131,19 @@ def test_finds_an_unused_definition():
                        "class Traced:\n    pass\n")
     user = ast.parse("import m\nm.used()\nTARGET = 'Traced'\n")
     assert unused_definitions({"m": module}, [module, user]) == ["m.recursive"]
+
+
+def test_finds_an_option_that_no_call_passes():
+    module = ast.parse("def solve(m, tol=1e-9, cap=10):\n    return m\n\n"
+                       "def scale(x, *, by=2.0, dry=False):\n    return x\n\n"
+                       "def spread(a, b=1, c=2):\n    return a\n\n"
+                       "class Op:\n"
+                       "    def __init__(self, m, kind='op'):\n        self.m = m\n\n"
+                       "    def norm(self, tol=1e-9):\n        return tol\n\n"
+                       "    @classmethod\n"
+                       "    def of(cls, g, coeff=1.0):\n        return cls(g)\n")
+    user = ast.parse("import m\nm.solve(1, 1e-6)\nm.scale(2, by=3.0)\n"
+                     "m.spread(*[1, 2, 3])\nop = m.Op(1, 'x')\nop.norm(1e-3)\n"
+                     "m.Op.of(4)\n")
+    assert unpassed_options({"m": module}, [module, user]) == [
+        "m.Op.of(coeff)", "m.scale(dry)", "m.solve(cap)"]
