@@ -28,15 +28,16 @@ of rows, by keys whose byte order is the rows' lexicographic order.
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
 f != e on Z x F; L(m, s) = |m| + s on the dihedral group.
-``default_ball_sizes`` gives the exact ball sizes.  ``default_ball`` lists
-the rows of a ball in ball order, by (length, row), shell by shell from the
-closed form, so nothing is sorted: each l1 sphere of Z^d in lexicographic
-order; (-k, F), (k, F) on Z x F, with (0, f != e) between (-2, F) and (2, F);
-(-k, 0), (-(k-1), 1), (k-1, 1), (k, 0) on the dihedral group.
-``default_lengths`` gives the word length of any row of such a ball, and
-``default_indexer`` inverts the listing: a row's ball position is the size of
-the ball one shell in, plus its rank in its shell, both from the closed form.
-It is exact for every int64 row: the bounds are checked before any |x| or
+A family's default ball is given by three methods.  ``default_ball_sizes``
+gives the exact ball sizes |B(k)|, from which a ball (``wordlength.Ball``)
+takes every word length.  ``default_ball`` lists the rows of a ball in ball
+order, by (length, row), shell by shell from the closed form, so nothing is
+sorted: each l1 sphere of Z^d in lexicographic order; (-k, F), (k, F) on
+Z x F, with (0, f != e) between (-2, F) and (2, F); (-k, 0), (-(k-1), 1),
+(k-1, 1), (k, 0) on the dihedral group.  ``default_indexer`` inverts the
+listing: a row's ball position is the size of the ball one shell in, plus
+its rank in its shell, both from the closed form.
+The lookup is exact for every int64 row: the bounds are checked before any |x| or
 sum is formed, so nothing wraps, and every size it forms is at most the size
 of the ball, which the ball cap keeps below 2^30.  A ball keeps one
 lookup, and with it what one lookup builds (the l1 ball sizes of Z^d) for
@@ -198,22 +199,13 @@ class Group:
         """
         raise NotImplementedError
 
-    def default_shell_sizes(self, radius: int) -> np.ndarray:
-        """Exact shell sizes S_0..S_radius of the default generators, as int64."""
-        return np.diff(self.default_ball_sizes(np.arange(radius + 1, dtype=np.int64)),
-                       prepend=0)
-
-    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        """Rows and word lengths of the default ball of the given radius, in ball order.
+    def default_ball(self, radius: int) -> np.ndarray:
+        """Rows of the default ball of the given radius, in ball order.
 
         The rows come in strictly increasing (length, row) order, shell by
         shell from the closed form, and ``default_indexer`` gives each row's
         position without a search.
         """
-        raise NotImplementedError
-
-    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
-        """Word length of each row of a (..., row_width) int64 array of default-ball rows."""
         raise NotImplementedError
 
     def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
@@ -335,14 +327,14 @@ class FreeAbelian(Group):
     def default_ball_sizes(self, radius):
         return _l1_ball_sizes(self.rank, radius)
 
-    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    def default_ball(self, radius: int) -> np.ndarray:
         # one tree per sphere, k = 0..radius: a node is a prefix with the l1
         # norm its sphere still needs, its budget; its children are the next
         # coordinates x, |x| <= budget, in increasing order.  So the leaves
         # come sphere by sphere, each in lexicographic order.  A prefix is
         # its parent prefix and its last x; the rows are filled in from the
-        # last coordinate back, which leaves each row at its root, k.  take,
-        # because numpy's fancy indexing gathers several times slower
+        # last coordinate back.  take, because numpy's fancy indexing gathers
+        # several times slower
         budget = np.arange(radius + 1, dtype=np.int64)
         steps = []
         for _ in range(self.rank - 1):
@@ -364,10 +356,7 @@ class FreeAbelian(Group):
             parent, x = steps[i]
             rows[:, i] = x.take(at)
             at = parent.take(at)
-        return rows, at
-
-    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
-        return np.einsum("...i->...", np.abs(rows))  # numpy's sum over a short last axis is slower
+        return rows
 
     def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
         # position = |B(k - 1)| + the lexicographic rank of the row in the
@@ -433,8 +422,8 @@ class _ZSemidirectFinite(Group):
     The default shell bound is 2|F|, the degree of the extension (Z x F
     exceeds it at shell 2 alone, with 3|F| - 1 elements).  Each family gives
     the closed form of its default ball: its rows in ball order
-    (``_default_rows``), the word length of (m, f) (``_default_lengths``,
-    behind ``default_lengths``) and a row's rank in its shell (``_shell_rank``).
+    (``default_ball``), the word length of (m, f) (``_default_lengths``) and a
+    row's rank in its shell (``_shell_rank``), which together locate a row.
     """
 
     def __init__(self, finite: FiniteGroupTable, sigma: tuple[int, ...],
@@ -446,13 +435,6 @@ class _ZSemidirectFinite(Group):
         self._inverse = np.array(finite.inverse, dtype=np.int64)
         super().__init__(GroupElement((0,), finite.identity_index), default,
                          2 * finite.order, generators)
-
-    def default_ball(self, radius: int) -> tuple[np.ndarray, np.ndarray]:
-        rows = self._default_rows(radius)
-        return rows, self.default_lengths(rows)
-
-    def default_lengths(self, rows: np.ndarray) -> np.ndarray:
-        return self._default_lengths(rows[..., 0], rows[..., 1])
 
     def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
         return functools.partial(self._locate, radius=radius)
@@ -507,7 +489,7 @@ class ProductZFinite(_ZSemidirectFinite):
         order = self.finite.order
         return order * (2 * radius + 1) - (order - 1) * (radius < 2)
 
-    def _default_rows(self, radius: int) -> np.ndarray:
+    def default_ball(self, radius: int) -> np.ndarray:
         # (0, e); then shell k >= 1 is (-k, F), (k, F), and shell 2 has
         # (0, f != e) between (-2, F) and (2, F)
         order, e = self.finite.order, self.finite.identity_index
@@ -544,7 +526,7 @@ class InfiniteDihedral(_ZSemidirectFinite):
         # (m, 0) with |m| <= r and (m, 1) with |m| <= r - 1
         return 4 * radius + (radius == 0)
 
-    def _default_rows(self, radius: int) -> np.ndarray:
+    def default_ball(self, radius: int) -> np.ndarray:
         # (0, 0); (-1, 0), (0, 1), (1, 0); then shell k >= 2 is
         # (-k, 0), (-(k-1), 1), (k-1, 1), (k, 0)
         k = np.arange(2, radius + 1, dtype=np.int64)

@@ -85,13 +85,12 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball) -> tuple[np.ndarray, 
     psi.check_ball(ball)
     found = np.concatenate([phi._positions(ball), psi._positions(ball)])
     hit = found > 0  # in the ball, and not the identity
-    positions, first, slot = np.unique(found[hit], return_index=True, return_inverse=True)
-    rows = np.concatenate([phi._rows, psi._rows])[hit][first]
+    positions, slot = np.unique(found[hit], return_inverse=True)
     # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
     side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
     terms = np.zeros((2, len(positions)), dtype=complex)
     terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
-    return ball.lengths_at(positions, rows), terms[0] - terms[1]
+    return ball.lengths_at(positions), terms[0] - terms[1]
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
@@ -183,7 +182,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     import scipy.sparse as sp
 
     ball = enumerate_ball(group, 2 * R)
-    n_r, n = np.searchsorted(ball.lengths, [r, R], side="right")
+    n_r, n = ball.sizes[r], ball.sizes[R]
     support = ball.rows[1:n_r]
     c = delta_coeffs(phi, psi, ball)[1:n_r]
     lengths = ball.lengths[1:n_r].astype(float)

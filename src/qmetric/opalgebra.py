@@ -337,14 +337,13 @@ def norm_lower(T: TruncatedOperator, tol: float = 1e-9) -> NormEstimate:
 
 def _support_lengths(a: AlgebraElement, ball: Ball) -> list[int]:
     """L(g) of each g in a's support, in its order; BallRadiusError names the first outside."""
-    rows = ball.group.to_rows(a.coeffs)
-    pos = ball.find_rows(rows)
+    pos = ball.find_rows(ball.group.to_rows(a.coeffs))
     outside = np.flatnonzero(pos < 0)
     if outside.size:
         g = list(a.coeffs)[outside[0]]
         raise BallRadiusError(f"element {g} lies outside the enumerated ball; "
                               f"requires radius >= {ball.radius + 1}")
-    return ball.lengths_at(pos, rows).tolist()
+    return ball.lengths_at(pos).tolist()
 
 
 def commutator_norm_upper_l1(a: AlgebraElement, ball: Ball) -> float:

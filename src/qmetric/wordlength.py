@@ -1,35 +1,38 @@
-"""Word-length balls on int64 rows: closed forms for default generators, a search otherwise.
+"""Word-length balls: closed forms for default generators, a search otherwise.
 
 The distance from the identity in the Cayley graph of a symmetric generating
-set is the word length L.  A ball {g : L(g) <= r} holds the int64 rows of its
-elements (see ``groups``), sorted by (length, row) so that the identity is
-row 0, and the exact length of each.  Rows are looked up exactly with
-``find_rows``; ``elements`` is a view built from the rows on first use.
+set is the word length L.  A ball {g : L(g) <= r} lists its elements as int64
+rows (see ``groups``), sorted by (length, row) so that the identity is row 0.
+So a ball is its growth function, the sizes |B(k)| for k = 0..r: the
+elements of length k are at positions |B(k - 1)| to |B(k)| - 1, and every
+length, shell size and ball size comes from the sizes by one formula, for
+every generating set.  The rows and their exact lookup (``find_rows``) are
+built on first read; ``elements`` is a view built from the rows on first use.
 
 A group whose generating set equals its family's default set, in any order,
-has its ball given by the closed form of L, and its cap checked against the
-exact ball sizes before any row exists.  Such a ball builds its rows on
-first read (``Group.default_ball``, which lists them already in ball order,
-shell by shell); its size and shell sizes, the position of a row
-(``Group.default_indexer``) and the length of a row
-(``Group.default_lengths``) come from the closed form without them.  So a
-caller that only looks rows up, such as a bracket of two finitely supported
-states, builds none, and no closed-form ball sorts anything or builds a
-lookup table.  Every other generating set has no known closed form, so
-``_search_ball`` finds its shells by multiplying whole shells with the
-family's ``mul_rows``: the generators were checked when the group was built,
-so every product of ball rows belongs to the group.  Its rows are looked up
-by a sorted-key search (``groups.RowIndex``), built on the first lookup.
-The search also runs on default sets, as the tests' oracle for the closed
-forms.
+has its ball given by the closed form of L.  Its cap is checked against the
+exact ball size before anything is built; then its sizes come from
+``Group.default_ball_sizes``, its rows from ``Group.default_ball``, which
+lists them already in ball order, shell by shell, and its lookup from
+``Group.default_indexer``, which finds a row's position without them.  So a
+caller that only looks rows up or reads lengths, such as a bracket of two
+finitely supported states or of ``one`` and such a state, builds none, and
+no closed-form ball sorts anything or builds a lookup table.  Every other
+generating set has no known closed form, so ``_search_ball`` finds its
+shells by multiplying whole shells with the family's ``mul_rows``: the
+generators were checked when the group was built, so every product of ball
+rows belongs to the group.  Its sizes are the search's shell boundaries, and
+its rows are looked up by a sorted-key search (``groups.RowIndex``), built on
+the first lookup.  The search also runs on default sets, as the tests'
+oracle for the closed forms.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Optional
+from functools import cached_property, partial
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -59,19 +62,27 @@ def max_ball_elements() -> int:
 
 @dataclass(eq=False)
 class Ball:
-    """All elements of word length <= radius as (n, row_width) int64 rows.
+    """All elements of word length <= radius, given by the ball sizes sizes[k] = |B(k)|.
 
-    Rows are sorted by (length, row), so row 0 is the identity and row 1 the
-    least generator.
+    The elements are listed by (length, row), so row 0 is the identity, row 1
+    the least generator, and the elements of length k sit at positions
+    sizes[k - 1]..sizes[k] - 1: every length comes from the int64 sizes,
+    k = 0..radius.  The (n, row_width) int64 rows and their lookup are built
+    on first read, by ``listing()`` and ``indexer()``.
     """
 
     group: Group
     radius: int
-    rows: np.ndarray
-    lengths: np.ndarray
+    sizes: np.ndarray
+    listing: Callable[[], np.ndarray]
+    indexer: Callable[[], Callable[[np.ndarray], np.ndarray]]
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return int(self.sizes[-1])
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        return self.listing()
 
     @cached_property
     def elements(self) -> tuple[GroupElement, ...]:
@@ -79,56 +90,25 @@ class Ball:
         return tuple(self.group.from_rows(self.rows))
 
     @cached_property
-    def _find(self):
-        # a searched or hand-built ball sorts its row keys on its first
-        # lookup; enumerate_ball sets the closed form of a default ball
-        return RowIndex(self.rows).find
+    def _find(self) -> Callable[[np.ndarray], np.ndarray]:
+        return self.indexer()
 
     def find_rows(self, rows: np.ndarray) -> np.ndarray:
         """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
         return self._find(rows)
 
-    def lengths_at(self, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """Word lengths at ball positions, given the rows there."""
-        return self.lengths.take(positions)
-
-    @property
-    def shell_sizes(self) -> np.ndarray:
-        return np.bincount(self.lengths, minlength=self.radius + 1)
-
-
-class _ClosedFormBall(Ball):
-    """The ball of a default generating set: rows and lengths are built on first read.
-
-    Everything else comes from the group's closed form, and every lookup
-    goes through one ``Group.default_indexer``.
-    """
-
-    def __init__(self, group: Group, radius: int):
-        self.group, self.radius = group, radius
-        self._find = group.default_indexer(radius)
+    def lengths_at(self, positions: np.ndarray) -> np.ndarray:
+        """Word length at each ball position p: the number of k with |B(k)| <= p."""
+        return np.searchsorted(self.sizes, positions, side="right")
 
     @cached_property
-    def _listing(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.group.default_ball(self.radius)
-
-    @property
-    def rows(self) -> np.ndarray:
-        return self._listing[0]
-
-    @property
     def lengths(self) -> np.ndarray:
-        return self._listing[1]
-
-    def __len__(self) -> int:
-        return self.group.default_ball_sizes(int(self.radius))
-
-    def lengths_at(self, positions: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        return self.group.default_lengths(rows)
+        """Word length at every ball position, each shell's length repeated over the shell."""
+        return np.repeat(np.arange(self.radius + 1, dtype=np.int64), self.shell_sizes)
 
     @property
     def shell_sizes(self) -> np.ndarray:
-        return self.group.default_shell_sizes(self.radius)
+        return np.diff(self.sizes, prepend=0)
 
 
 def _cap_error(cap: int, radius: int) -> ResourceError:
@@ -161,7 +141,8 @@ def enumerate_ball(group: Group, radius: int,
             else:
                 lo = mid
         raise _cap_error(cap, hi)
-    return _ClosedFormBall(group, radius)
+    return Ball(group, radius, group.default_ball_sizes(np.arange(radius + 1, dtype=np.int64)),
+                partial(group.default_ball, radius), partial(group.default_indexer, radius))
 
 
 def _search_ball(group: Group, radius: int, cap: int) -> Ball:
@@ -213,7 +194,9 @@ def _search_ball(group: Group, radius: int, cap: int) -> Ball:
         lengths = np.concatenate([lengths, bound.take(order)])
         starts.extend((starts[-1] + np.cumsum(sizes)).tolist())
         k += m
-    return Ball(group, radius, rows, lengths)
+    # a ball that stops growing keeps its size out to the radius
+    sizes = np.pad(np.array(starts[1:], dtype=np.int64), (0, radius - k), mode="edge")
+    return Ball(group, radius, sizes, lambda: rows, lambda: RowIndex(rows).find)
 
 
 @dataclass
@@ -229,10 +212,9 @@ def growth_fit(ball: Ball) -> GrowthReport:
     """Fit #ball(c) ~ k*c + l over c = 0..radius and report the fit residual."""
     if ball.radius < 3:
         raise ValueError("growth fit needs radius >= 3")
-    cumulative = np.cumsum(ball.shell_sizes)
     c = np.arange(ball.radius + 1, dtype=float)
-    fit_k, fit_l = np.polyfit(c, cumulative, 1)
-    residual = float(np.sqrt(np.sum((cumulative - (fit_k * c + fit_l)) ** 2)))
+    fit_k, fit_l = np.polyfit(c, ball.sizes, 1)
+    residual = float(np.sqrt(np.sum((ball.sizes - (fit_k * c + fit_l)) ** 2)))
     return GrowthReport(float(fit_k), float(fit_l), residual)
 
 
@@ -243,17 +225,15 @@ def shell_table(ball: Ball) -> list[list]:
     B/k uses the group's analytic per-shell size bound B (Group.shell_bound);
     it is None without one, and at k = 0.
     """
-    shells = ball.shell_sizes
+    sizes, shells = ball.sizes.tolist(), ball.shell_sizes.tolist()
     bound = ball.group.shell_bound
     rows = []
-    cumulative = 0
-    partial = 0.0
+    partial_sum = 0.0
     for k in range(ball.radius + 1):
-        cumulative += int(shells[k])
         if k >= 1:
-            partial += int(shells[k]) / k ** 2
+            partial_sum += shells[k] / k ** 2
         tail = bound / k if (bound is not None and k >= 1) else None
-        rows.append([k, cumulative, int(shells[k]), partial, tail])
+        rows.append([k, sizes[k], shells[k], partial_sum, tail])
     return rows
 
 

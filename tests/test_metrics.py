@@ -506,6 +506,12 @@ def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
     ball = enumerate_ball(group, 300)
     bracket = connes_bracket(phi, psi, ball)
     assert 0 < bracket.lo <= bracket.hi
+    # a pair with `one` reads every length, from the ball's sizes
+    one = OneState(group)
+    bracket = connes_bracket(one, phi, ball)
+    assert 0 < bracket.lo <= bracket.hi
+    bracket = connes_bracket(one, one, ball)
+    assert bracket.d_inf.lo == bracket.d_2.lo == 0.0 < bracket.hi
     # the certified commutator bounds read the support's lengths only
     a = AlgebraElement({group.identity: 2.0, s: 1.0, group.inv(s): 0.5j})
     assert lemma2_lower(a, ball) == math.sqrt(1.25)

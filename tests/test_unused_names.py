@@ -11,6 +11,11 @@ method's too) is passed, by keyword or by position, by some call in
 ``src/``, ``demos/`` or ``qbench/``: an option that only the tests set
 should be a constant.  Calls are matched by the function's name, and a
 class's name calls its ``__init__``.
+
+And every parameter of a function in ``src/qmetric`` (a method's too, other
+than self and cls) is read in its body: a parameter that is accepted and then
+ignored should not be there.  A body that only raises NotImplementedError
+declares an interface and is not counted.
 """
 
 import ast
@@ -25,6 +30,10 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # the one option that no program passes: acceptance 6 caps its ball with it,
 # and the acceptance tests stay as they are
 ALLOWED_OPTIONS = ["wordlength.enumerate_ball(max_elements)"]
+# the one parameter that is not read: the default outside bound, 1, holds on
+# every ball, and the states that keep it are called with the same arguments
+# as those whose bound depends on the ball
+ALLOWED_UNREAD = ["states.StateRep.outside_bound(ball)"]
 
 
 def mentioned(node: ast.AST) -> set[str]:
@@ -108,6 +117,51 @@ def unpassed_options(defined: dict[str, ast.Module], users: list[ast.Module]) ->
                              for callee in names for call in callees.get(callee, [])))
 
 
+def _only_raises_not_implemented(fn: ast.AST) -> bool:
+    """Whether a function's body, after its docstring, is one raise of NotImplementedError."""
+    body = fn.body
+    if isinstance(body[0], ast.Expr) and isinstance(body[0].value, ast.Constant):
+        body = body[1:]
+    if len(body) != 1 or not isinstance(body[0], ast.Raise):
+        return False
+    exc = body[0].exc
+    exc = exc.func if isinstance(exc, ast.Call) else exc
+    return isinstance(exc, ast.Name) and exc.id == "NotImplementedError"
+
+
+def unread_parameters(module: str, tree: ast.Module) -> list[str]:
+    """Qualified "module.function(parameter)" of each parameter that its function never reads.
+
+    A parameter is read when its body loads the name, nested functions
+    included; self, cls and interface bodies (see
+    _only_raises_not_implemented) are not counted.
+    """
+    found = []
+
+    def visit(node: ast.AST, prefix: str) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, f"{prefix}.{child.name}")
+                continue
+            if not isinstance(child, FUNCTIONS):
+                visit(child, prefix)
+                continue
+            qualified = f"{prefix}.{child.name}"
+            visit(child, qualified)
+            if _only_raises_not_implemented(child):
+                continue
+            args = child.args
+            params = [a.arg for a in (*args.posonlyargs, *args.args, *args.kwonlyargs,
+                                      args.vararg, args.kwarg) if a is not None]
+            read = {sub.id for stmt in child.body for sub in ast.walk(stmt)
+                    if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load)}
+            found.extend(f"{qualified}({name})" for name in params
+                         if name not in read and name not in ("self", "cls"))
+
+    visit(tree, module)
+    return found
+
+
 def _parse(path: Path) -> ast.Module:
     return ast.parse(path.read_text(encoding="utf-8"))
 
@@ -122,6 +176,11 @@ def test_every_definition_is_used():
 
 def test_every_option_is_passed():
     assert unpassed_options(_package(), [_parse(p) for p in USERS]) == ALLOWED_OPTIONS
+
+
+def test_every_parameter_is_read():
+    assert sorted(qualified for module, tree in _package().items()
+                  for qualified in unread_parameters(module, tree)) == ALLOWED_UNREAD
 
 
 def test_finds_an_unused_definition():
@@ -147,3 +206,17 @@ def test_finds_an_option_that_no_call_passes():
                      "m.Op.of(4)\n")
     assert unpassed_options({"m": module}, [module, user]) == [
         "m.Op.of(coeff)", "m.scale(dry)", "m.solve(cap)"]
+
+
+def test_finds_a_parameter_that_is_not_read():
+    module = ast.parse("def used(a, *rest, key=None, **extra):\n    return a, rest, key, extra\n\n"
+                       "def ignores(a, b):\n    return a\n\n"
+                       "def closure(x):\n    def inner(y):\n        return x\n    return inner\n\n"
+                       "class Base:\n"
+                       "    def hook(self, state):\n        \"\"\"An interface.\"\"\"\n"
+                       "        raise NotImplementedError\n\n"
+                       "    def default(self, ball):\n        return 1.0\n\n"
+                       "    @classmethod\n"
+                       "    def make(cls, n):\n        return cls()\n")
+    assert sorted(unread_parameters("m", module)) == [
+        "m.Base.default(ball)", "m.Base.make(n)", "m.closure.inner(y)", "m.ignores(b)"]

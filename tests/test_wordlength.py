@@ -153,18 +153,6 @@ def symmetric_generating_sets(draw):
     return build(list(dict.fromkeys(chosen + [group.inv(g) for g in chosen])))
 
 
-class TestSearchAgainstBreadthFirst:
-    @settings(deadline=None, max_examples=60)
-    @given(symmetric_generating_sets(), st.integers(0, 9))
-    def test_matches_brute_force_lengths(self, group, radius):
-        ball = enumerate_ball(group, radius)
-        oracle = brute_force_lengths(group, radius)
-        assert dict(zip(ball.elements, ball.lengths.tolist())) == oracle
-        assert len(ball) == len(oracle)
-        keys = list(zip(ball.lengths.tolist(), ball.rows.tolist()))
-        assert keys == sorted(keys)
-
-
 DEFAULT_GROUPS = {  # every family with its default generators
     **{f"z{d}": FreeAbelian(d) for d in (1, 2, 3, 4)},
     "zxz2": ProductZFinite(FiniteGroupTable.cyclic(2)),
@@ -176,6 +164,29 @@ DEFAULT_GROUPS = {  # every family with its default generators
         [[(i + j + 1) % 3 for j in range(3)] for i in range(3)])),
     "dihedral": InfiniteDihedral(),
 }
+
+
+class TestSearchAgainstBreadthFirst:
+    # random symmetric sets take the search, the default sets the closed forms
+    @settings(deadline=None, max_examples=60)
+    @given(st.one_of(symmetric_generating_sets(),
+                     st.sampled_from([DEFAULT_GROUPS[name] for name in sorted(DEFAULT_GROUPS)])),
+           st.integers(0, 9))
+    def test_matches_brute_force_lengths(self, group, radius):
+        ball = enumerate_ball(group, radius)
+        oracle = brute_force_lengths(group, radius)
+        # the lengths from the sizes alone, at positions the lookup finds
+        positions = ball.find_rows(group.to_rows(oracle))
+        assert ball.lengths_at(positions).tolist() == list(oracle.values())
+        counts = np.bincount(list(oracle.values()), minlength=radius + 1)
+        assert ball.sizes.dtype == np.int64
+        assert ball.sizes.tolist() == np.cumsum(counts).tolist()
+        assert dict(zip(ball.elements, ball.lengths.tolist())) == oracle
+        assert len(ball) == len(oracle)
+        keys = list(zip(ball.lengths.tolist(), ball.rows.tolist()))
+        assert keys == sorted(keys)
+
+
 # the balls of the brackets benchmark
 BENCHMARK_BALLS = [("z1", 10_000), ("z2", 150), ("zxs3", 2000), ("dihedral", 5000)]
 
@@ -189,7 +200,7 @@ INT64_EXTREMES = [2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63]
 @functools.lru_cache(maxsize=None)
 def sorted_index(name, radius):
     """The default ball's rows, and a RowIndex that sorts their keys."""
-    rows, _ = DEFAULT_GROUPS[name].default_ball(radius)
+    rows = DEFAULT_GROUPS[name].default_ball(radius)
     return rows, RowIndex(rows)
 
 
@@ -225,7 +236,7 @@ def index_probes(draw):
 
 
 def assert_same_ball(a, b):
-    for x, y in ((a.rows, b.rows), (a.lengths, b.lengths)):
+    for x, y in ((a.rows, b.rows), (a.lengths, b.lengths), (a.sizes, b.sizes)):
         assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
 
@@ -236,16 +247,19 @@ class TestClosedForms:
         group = DEFAULT_GROUPS[name]
         for radius in range(13):
             ball = enumerate_ball(group, radius)
-            assert_same_ball(ball, _search_ball(group, radius, max_ball_elements()))
-            assert group.default_shell_sizes(radius).tolist() == ball.shell_sizes.tolist()
+            searched = _search_ball(group, radius, max_ball_elements())
+            assert_same_ball(ball, searched)
+            sizes = group.default_ball_sizes(np.arange(radius + 1, dtype=np.int64))
+            assert sizes.tolist() == searched.sizes.tolist()
             assert group.default_ball_sizes(radius) == len(ball)
 
     @pytest.mark.parametrize("name,radius", BENCHMARK_BALLS)
     def test_matches_the_search_on_benchmark_balls(self, name, radius):
         group = DEFAULT_GROUPS[name]
-        ball = enumerate_ball(group, radius)
-        assert_same_ball(ball, _search_ball(group, radius, max_ball_elements()))
-        assert np.array_equal(group.default_shell_sizes(radius), ball.shell_sizes)
+        searched = _search_ball(group, radius, max_ball_elements())
+        assert_same_ball(enumerate_ball(group, radius), searched)
+        assert np.array_equal(group.default_ball_sizes(np.arange(radius + 1, dtype=np.int64)),
+                              searched.sizes)
 
     def test_matches_the_search_at_high_rank(self):
         # Z^40 at radius 2: 3281 rows, built one coordinate at a time
@@ -268,8 +282,8 @@ class TestClosedForms:
         # ball order, with no sort to put them there
         group = DEFAULT_GROUPS[name]
         for radius in [*range(13), *(r for ball, r in BENCHMARK_BALLS if ball == name)]:
-            rows, lengths = group.default_ball(radius)
-            keys = np.column_stack([lengths, rows])
+            rows = group.default_ball(radius)
+            keys = np.column_stack([enumerate_ball(group, radius).lengths, rows])
             before, after = keys[:-1], keys[1:]
             differs = before != after
             first = np.argmax(differs, axis=1)  # the first coordinate where they differ
@@ -279,7 +293,7 @@ class TestClosedForms:
 
     def test_default_index_inverts_default_ball(self):
         for name, radius in INDEX_BALLS:
-            rows, _ = DEFAULT_GROUPS[name].default_ball(radius)
+            rows = DEFAULT_GROUPS[name].default_ball(radius)
             found = DEFAULT_GROUPS[name].default_indexer(radius)(rows)
             assert found.tolist() == list(range(len(rows))), (name, radius)
 
@@ -302,7 +316,7 @@ class TestClosedForms:
         index = RowIndex(rows)
         for radius in (2, 12, 1):
             probe = group.mul_rows(rows[:, None, :], rows[:9])
-            probe = probe[group.default_lengths(rows) <= radius]
+            probe = probe[ball.lengths <= radius]
             assert ball.find_rows(probe).tolist() == index.find(probe).tolist()
 
     @pytest.mark.parametrize("spec,s,s_inv", [
