@@ -31,17 +31,14 @@ f != e on Z x F; L(m, s) = |m| + s on the dihedral group.
 A family's default ball is given by three methods.  ``default_ball_sizes``
 gives the exact ball sizes |B(k)|, from which a ball (``wordlength.Ball``)
 takes every word length.  ``default_ball`` lists the rows of a ball in ball
-order, by (length, row), shell by shell from the closed form, so nothing is
-sorted: each l1 sphere of Z^d in lexicographic order; (-k, F), (k, F) on
-Z x F, with (0, f != e) between (-2, F) and (2, F); (-k, 0), (-(k-1), 1),
-(k-1, 1), (k, 0) on the dihedral group.  ``default_indexer`` inverts the
-listing: a row's ball position is the size of the ball one shell in, plus
-its rank in its shell, both from the closed form.
-The lookup is exact for every int64 row: the bounds are checked before any |x| or
-sum is formed, so nothing wraps, and every size it forms is at most the size
-of the ball, which the ball cap keeps below 2^30.  A ball keeps one
-lookup, and with it what one lookup builds (the l1 ball sizes of Z^d) for
-the next.
+order, by (length, row): on Z^d each l1 sphere in lexicographic order, from
+the closed form; on Z x F and the dihedral group the (m, f) with |m| <= r,
+in lexicographic order, that lie in the ball, stably sorted by length.
+``default_indexer`` inverts the listing: a row's ball position is the size
+of the ball one shell in, plus its rank in its shell, both from the closed
+form.  The lookup is exact for every int64 row: the bounds are checked
+before any |x| or sum is formed, so nothing wraps, and every size it forms
+is at most the size of the ball, which the ball cap keeps below 2^30.
 """
 
 from __future__ import annotations
@@ -202,19 +199,22 @@ class Group:
     def default_ball(self, radius: int) -> np.ndarray:
         """Rows of the default ball of the given radius, in ball order.
 
-        The rows come in strictly increasing (length, row) order, shell by
-        shell from the closed form, and ``default_indexer`` gives each row's
-        position without a search.
+        The rows come in strictly increasing (length, row) order, and
+        ``default_indexer`` gives each row's position without a search.
         """
         raise NotImplementedError
 
     def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
         """Lookup of default_ball(radius): each row's position in it, or -1 outside.
 
-        The lookup takes a (..., row_width) int64 array and keeps what one
-        call builds for the next.  Exact for every int64 row while
-        |B(radius)| fits int64, as it does for every ball under the cap.
+        The lookup takes a (..., row_width) int64 array and keeps nothing
+        between calls.  Exact for every int64 row while |B(radius)| fits
+        int64, as it does for every ball under the cap.
         """
+        return functools.partial(self._locate, radius=radius)
+
+    def _locate(self, rows: np.ndarray, radius: int) -> np.ndarray:
+        """Position of each row in default_ball(radius), -1 outside, from the closed form."""
         raise NotImplementedError
 
     def check(self, a: GroupElement) -> None:
@@ -358,7 +358,7 @@ class FreeAbelian(Group):
             at = parent.take(at)
         return rows
 
-    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
+    def _locate(self, rows: np.ndarray, radius: int) -> np.ndarray:
         # position = |B(k - 1)| + the lexicographic rank of the row in the
         # sphere of radius k = |row|_1.  With b of the norm still to place at
         # coordinate x, and m coordinates after it, the sphere rows that agree
@@ -366,43 +366,34 @@ class FreeAbelian(Group):
         # and |B_m(b)| + |B_m(b - 1)| - |B_m(b - x)| for x > 0 (B_m: the l1
         # ball of Z^m, B_0(j) = 1 for j >= 0, B(-1) empty)
         d = self.rank
-        # table[m, j + 1] = |B_m(j)|, m = 0..d, j = -1..width - 2, widened
-        # only when a lookup reaches past it
-        table = np.zeros((d + 1, 0), dtype=np.int64)
-
-        def index(rows: np.ndarray) -> np.ndarray:
-            nonlocal table
-            # clipped first, so |x| and the sums cannot wrap; a clipped coordinate
-            # still lies outside, and a row outside is read as the identity
-            x = np.clip(rows, -radius - 1, radius + 1)
-            ax = np.abs(x)
-            norm = np.einsum("...i->...", ax)
-            inside = norm <= radius
-            budget = norm * inside
-            top = int(budget.max(initial=0))
-            current = table  # read once, so width and sizes agree
-            if current.shape[1] < top + 2:
-                current = np.zeros((d + 1, top + 2), dtype=np.int64)
-                current[:, 1:] = _l1_ball_sizes(np.arange(d + 1, dtype=np.int64)[:, None],
-                                                np.arange(top + 1, dtype=np.int64))
-                table = current
-            width = current.shape[1]
-            sizes = current.ravel()
-            pos = sizes.take(d * width + budget)
-            # one coordinate at a time, until every row has placed its norm: each
-            # later coordinate is 0 and adds |B_m(-1)| = 0
-            for i in range(d):
-                if not budget.any():
-                    break
-                at = (d - 1 - i) * width + budget  # m * width + b
-                low = at - ax[..., i] * inside  # m * width + b - |x|
-                pos += np.where(x[..., i] * inside > 0,
-                                sizes.take(at + 1) + sizes.take(at) - sizes.take(low + 1),
-                                sizes.take(low))
-                budget = budget - ax[..., i] * inside
-            return np.where(inside, pos, -1)
-
-        return index
+        # clipped first, so |x| and the sums cannot wrap; a clipped coordinate
+        # still lies outside, and a row outside is read as the identity
+        x = np.clip(rows, -radius - 1, radius + 1)
+        ax = np.abs(x)
+        norm = np.einsum("...i->...", ax)
+        inside = norm <= radius
+        budget = norm * inside
+        # table[m, j + 1] = |B_m(j)|, m = 0..d, j = -1..top, for the largest
+        # norm top that this call looks up
+        top = int(budget.max(initial=0))
+        width = top + 2
+        table = np.zeros((d + 1, width), dtype=np.int64)
+        table[:, 1:] = _l1_ball_sizes(np.arange(d + 1, dtype=np.int64)[:, None],
+                                      np.arange(top + 1, dtype=np.int64))
+        sizes = table.ravel()
+        pos = sizes.take(d * width + budget)
+        # one coordinate at a time, until every row has placed its norm: each
+        # later coordinate is 0 and adds |B_m(-1)| = 0
+        for i in range(d):
+            if not budget.any():
+                break
+            at = (d - 1 - i) * width + budget  # m * width + b
+            low = at - ax[..., i] * inside  # m * width + b - |x|
+            pos += np.where(x[..., i] * inside > 0,
+                            sizes.take(at + 1) + sizes.take(at) - sizes.take(low + 1),
+                            sizes.take(low))
+            budget = budget - ax[..., i] * inside
+        return np.where(inside, pos, -1)
 
     def check(self, a: GroupElement) -> None:
         if a.f is not None or len(a.z) != self.rank or not _ints(a.z):
@@ -421,9 +412,11 @@ class _ZSemidirectFinite(Group):
     (m, f)(m', f') = (m + sigma(f) m', f f') and (m, f)^-1 = (-sigma(f) m, f^-1).
     The default shell bound is 2|F|, the degree of the extension (Z x F
     exceeds it at shell 2 alone, with 3|F| - 1 elements).  Each family gives
-    the closed form of its default ball: its rows in ball order
-    (``default_ball``), the word length of (m, f) (``_default_lengths``) and a
-    row's rank in its shell (``_shell_rank``), which together locate a row.
+    the closed form of its default ball by its sizes (``default_ball_sizes``),
+    the word length of (m, f) (``_default_lengths``) and a row's rank in its
+    shell (``_shell_rank``).  The rows of a ball are the (m, f) with |m| <= r
+    and length <= r, in (length, row) order, and a row's position is the size
+    of the ball one shell in plus its rank.
     """
 
     def __init__(self, finite: FiniteGroupTable, sigma: tuple[int, ...],
@@ -436,8 +429,16 @@ class _ZSemidirectFinite(Group):
         super().__init__(GroupElement((0,), finite.identity_index), default,
                          2 * finite.order, generators)
 
-    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
-        return functools.partial(self._locate, radius=radius)
+    def default_ball(self, radius: int) -> np.ndarray:
+        # every (m, f) with |m| <= radius in lexicographic order, then those
+        # within the radius stably sorted by length: (length, row) order
+        order = self.finite.order
+        m = np.repeat(np.arange(-radius, radius + 1, dtype=np.int64), order)
+        f = np.tile(np.arange(order, dtype=np.int64), 2 * radius + 1)
+        lengths = self._default_lengths(m, f)
+        keep = lengths <= radius
+        rows = np.stack([m.compress(keep), f.compress(keep)], axis=-1)
+        return rows.take(np.argsort(lengths.compress(keep), kind="stable"), axis=0)
 
     def _locate(self, rows: np.ndarray, radius: int) -> np.ndarray:
         # position = |B(L - 1)| + the row's rank in its shell (_shell_rank)
@@ -489,20 +490,6 @@ class ProductZFinite(_ZSemidirectFinite):
         order = self.finite.order
         return order * (2 * radius + 1) - (order - 1) * (radius < 2)
 
-    def default_ball(self, radius: int) -> np.ndarray:
-        # (0, e); then shell k >= 1 is (-k, F), (k, F), and shell 2 has
-        # (0, f != e) between (-2, F) and (2, F)
-        order, e = self.finite.order, self.finite.identity_index
-        k = np.arange(1, radius + 1, dtype=np.int64)
-        m = np.repeat(np.stack([-k, k], axis=-1).ravel(), order)
-        f = np.tile(np.arange(order, dtype=np.int64), 2 * radius)
-        shells = np.stack([m, f], axis=-1)
-        others = np.delete(np.arange(order, dtype=np.int64), e)[:(order - 1) * (radius >= 2)]
-        middle = np.stack([np.zeros_like(others), others], axis=-1)
-        at = 3 * order  # after shell 1 and (-2, F)
-        return np.concatenate([np.array([[0, e]], dtype=np.int64), shells[:at], middle,
-                               shells[at:]])
-
     def _default_lengths(self, m: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.where((m == 0) & (f != self.finite.identity_index), 2, np.abs(m))
 
@@ -525,15 +512,6 @@ class InfiniteDihedral(_ZSemidirectFinite):
     def default_ball_sizes(self, radius):
         # (m, 0) with |m| <= r and (m, 1) with |m| <= r - 1
         return 4 * radius + (radius == 0)
-
-    def default_ball(self, radius: int) -> np.ndarray:
-        # (0, 0); (-1, 0), (0, 1), (1, 0); then shell k >= 2 is
-        # (-k, 0), (-(k-1), 1), (k-1, 1), (k, 0)
-        k = np.arange(2, radius + 1, dtype=np.int64)
-        m = np.stack([-k, 1 - k, k - 1, k], axis=-1).ravel()
-        f = np.tile(np.array([0, 1, 1, 0], dtype=np.int64), k.size)
-        head = np.array([[0, 0], [-1, 0], [0, 1], [1, 0]], dtype=np.int64)
-        return np.concatenate([head[:1 + 3 * min(radius, 1)], np.stack([m, f], axis=-1)])
 
     def _default_lengths(self, m: np.ndarray, f: np.ndarray) -> np.ndarray:
         return np.abs(m) + f

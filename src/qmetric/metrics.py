@@ -110,8 +110,9 @@ def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
     tail = outside / (ball.radius + 1)
     lower = MetricBracket(lo, max(lo, tail), tail)
     # np.cumsum adds the shells one by one, in order; np.sum adds pairwise and
-    # would change the last bits of the d_2 endpoints in every report
-    lo_2 = float(np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, ball.radius + 1))[-1]))
+    # would change the last bits of the d_2 endpoints in every report.  The
+    # bins stop at the longest length read (at least one bin, for no terms)
+    lo_2 = float(np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, 1))[-1]))
     bound = ball.group.shell_bound
     if bound is None:
         return Bracket(lower, MetricBracket(lo_2, math.inf, None))

@@ -13,11 +13,11 @@ A group whose generating set equals its family's default set, in any order,
 has its ball given by the closed form of L.  Its cap is checked against the
 exact ball size before anything is built; then its sizes come from
 ``Group.default_ball_sizes``, its rows from ``Group.default_ball``, which
-lists them already in ball order, shell by shell, and its lookup from
-``Group.default_indexer``, which finds a row's position without them.  So a
-caller that only looks rows up or reads lengths, such as a bracket of two
-finitely supported states or of ``one`` and such a state, builds none, and
-no closed-form ball sorts anything or builds a lookup table.  Every other
+lists them in ball order, and its lookup from ``Group.default_indexer``,
+which finds a row's position without them.  So a caller that only looks
+rows up or reads lengths, such as a bracket of two finitely supported
+states or of ``one`` and such a state, builds none, and no closed-form
+ball builds a table of row keys.  Every other
 generating set has no known closed form, so ``_search_ball`` finds its
 shells by multiplying whole shells with the family's ``mul_rows``: the
 generators were checked when the group was built, so every product of ball

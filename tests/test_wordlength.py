@@ -189,11 +189,13 @@ class TestSearchAgainstBreadthFirst:
 
 # the balls of the brackets benchmark
 BENCHMARK_BALLS = [("z1", 10_000), ("z2", 150), ("zxs3", 2000), ("dihedral", 5000)]
+# the balls whose rows the norms benchmark lists
+NORMS_BALLS = [("z2", 40), ("zxs3", 200), ("dihedral", 300)]
 
 
-# every default ball of TestClosedForms.test_matches_the_search, and the benchmark's
+# every default ball of TestClosedForms.test_matches_the_search, and the benchmarks'
 INDEX_BALLS = [*((name, r) for name in sorted(DEFAULT_GROUPS) for r in range(13)),
-               *BENCHMARK_BALLS]
+               *BENCHMARK_BALLS, *NORMS_BALLS]
 INT64_EXTREMES = [2 ** 63 - 1, -(2 ** 63 - 1), -2 ** 63]
 
 
@@ -253,7 +255,7 @@ class TestClosedForms:
             assert sizes.tolist() == searched.sizes.tolist()
             assert group.default_ball_sizes(radius) == len(ball)
 
-    @pytest.mark.parametrize("name,radius", BENCHMARK_BALLS)
+    @pytest.mark.parametrize("name,radius", [*BENCHMARK_BALLS, *NORMS_BALLS])
     def test_matches_the_search_on_benchmark_balls(self, name, radius):
         group = DEFAULT_GROUPS[name]
         searched = _search_ball(group, radius, max_ball_elements())
@@ -279,7 +281,7 @@ class TestClosedForms:
     @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
     def test_default_ball_rows_are_lexicographic(self, name):
         # in strictly increasing lexicographic order of (length, row), the
-        # ball order, with no sort to put them there
+        # ball order
         group = DEFAULT_GROUPS[name]
         for radius in [*range(13), *(r for ball, r in BENCHMARK_BALLS if ball == name)]:
             rows = group.default_ball(radius)
