@@ -20,9 +20,12 @@ b = AlgebraElement({GroupElement((0,)): 1.0, GroupElement((1,)): 1.0})
 phi = DensityState(z, b)
 bb = conv_mul(z, star(z, b), b)
 rho = bb.scaled(1.0 / trace_coeff(z, bb).real)
-for m in (-2, -1, 0, 1, 2):
+ms = (-2, -1, 0, 1, 2)
+# phi(lam_m) read from the coefficients over the ball, at the rows of m
+values = phi.coeff_array(ball)[ball.find_rows(z.to_rows([GroupElement((m,)) for m in ms]))]
+for m, value in zip(ms, values):
     lam = AlgebraElement.lam(GroupElement((m,)))
-    print(f"  phi(lam_{m:+d}) = {phi.coeff(GroupElement((m,))).real:+.4f}"
+    print(f"  phi(lam_{m:+d}) = {value.real:+.4f}"
           f" = trace(rho lam_{m:+d}) = {trace_coeff(z, conv_mul(z, rho, lam)).real:+.4f}")
 
 kb = kappa_bounds(phi, ball)

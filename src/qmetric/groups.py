@@ -17,13 +17,14 @@ coincides with group equality and elements can be used as dictionary keys.
 Each family states its law once, on rows (z_1, ..., z_d) of Z^d and (z, f)
 of Z x F and the dihedral group: ``mul_rows``/``inv_rows`` multiply and
 invert broadcastable (..., k) arrays of rows.  Exact rows (``_exact_rows``,
-object arrays of the Python ints) give exact products at any size; ``mul``,
-``inv`` and the algebra's products use them.  Balls and operators use int64
-rows (``to_rows``), which saturate a coordinate beyond int64 to the nearest
-int64 limit; ball coordinates stay below 2^61 (see ``to_rows``), so such a
-row lies in no ball.  Both entries check each element, and ``from_rows``
-inverts either.  ``RowIndex`` looks int64 rows up exactly in any fixed set
-of rows, by keys whose byte order is the rows' lexicographic order.
+object arrays of the Python ints) give exact products at any size; the
+algebra's products and the generator check use them.  Balls and operators
+use int64 rows (``to_rows``), which saturate a coordinate beyond int64 to
+the nearest int64 limit; ball coordinates stay below 2^61 (see
+``to_rows``), so such a row lies in no ball.  Both entries check each
+element, and ``from_rows`` inverts either.  ``RowIndex`` looks int64 rows
+up exactly in any fixed set of rows, by keys whose byte order is the rows'
+lexicographic order.
 
 For its default generators each family knows its word length in closed
 form: L(z) = |z|_1 on Z^d; L(m, f) = |m| for m != 0 and L(0, f) = 2 for
@@ -171,7 +172,7 @@ _MAX_GENERATOR_COORD = 2 ** 31
 
 
 class Group:
-    """Immutable group handle exposing identity, generators, mul and inv."""
+    """Immutable group handle: identity, generators and the law on rows (mul_rows, inv_rows)."""
 
     family: str = ""
     law: tuple  # (family, rank) or (family, finite table): the same for every generating set
@@ -219,13 +220,6 @@ class Group:
 
     def check(self, a: GroupElement) -> None:
         raise NotImplementedError
-
-    def mul(self, a: GroupElement, b: GroupElement) -> GroupElement:
-        rows = self._exact_rows([a, b])
-        return self.from_rows(self.mul_rows(rows[0], rows[1]))[0]
-
-    def inv(self, a: GroupElement) -> GroupElement:
-        return self.from_rows(self.inv_rows(self._exact_rows([a])))[0]
 
     def mul_rows(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Products of broadcastable row arrays of shape (..., row_width), int64 or exact."""
@@ -277,7 +271,7 @@ class Group:
                 raise GroupError("generating set contains the identity")
             if max(g.z) > _MAX_GENERATOR_COORD or min(g.z) < -_MAX_GENERATOR_COORD:
                 raise GroupError(f"generator {g} has a coordinate beyond +-2^31")
-            if self.inv(g) not in gens:
+            if self.from_rows(self.inv_rows(self._exact_rows([g])))[0] not in gens:
                 raise GroupError(f"generating set is not symmetric: missing inverse of {g}")
 
 

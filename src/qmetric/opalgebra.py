@@ -47,9 +47,6 @@ class AlgebraElement:
     def lam(cls, g: GroupElement) -> "AlgebraElement":
         return cls({g: 1.0})
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, AlgebraElement) and self.coeffs == other.coeffs
-
     def scaled(self, factor: Complexish) -> "AlgebraElement":
         return AlgebraElement({g: factor * a for g, a in self.coeffs.items()})
 

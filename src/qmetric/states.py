@@ -1,16 +1,15 @@
 """State representations on the reduced group C*-algebra.
 
 Every metric in this package depends on a state only through its coefficient
-function g -> phi(lam_g): ``coeff`` evaluates it at one checked element and
-``coeff_array`` over the int64 rows of a ball (see ``groups``), and
-``outside_bound`` bounds |phi(lam_g)| outside the ball by e_phi >= 1.  The
-constant positive-definite function 1 and the characters of free abelian
-groups are evaluated in closed form, e_phi = 1.  The other four kinds are
-stored as the table of their finitely supported coefficients.  A table is
-zero outside its keys, so the state is defined at every element of the
-group, as a state of C*_r(G) must be; e_phi is max(1, |value|) over keys
-outside the ball, and ``coeff_array`` looks each key up in the ball.  The
-kinds:
+function g -> phi(lam_g): ``coeff_array`` evaluates it over the int64 rows of
+a ball (see ``groups``), and ``outside_bound`` bounds |phi(lam_g)| outside
+the ball by e_phi >= 1.  The constant positive-definite function 1 and the
+characters of free abelian groups are evaluated in closed form, e_phi = 1.
+The other four kinds are stored as the table of their finitely supported
+coefficients.  A table is zero outside its keys, so the state is defined at
+every element of the group, as a state of C*_r(G) must be; e_phi is
+max(1, |value|) over keys outside the ball, and ``coeff_array`` looks each
+key up in the ball.  The kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -42,13 +41,10 @@ from .wordlength import Ball
 
 
 class StateRep:
-    """Base state evaluator; subclasses implement coeff(g) and coeff_array(ball)."""
+    """Base state evaluator; subclasses implement coeff_array(ball)."""
 
     def __init__(self, group: Group):
         self.group = group
-
-    def coeff(self, g: GroupElement) -> complex:
-        raise NotImplementedError
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order."""
@@ -73,10 +69,6 @@ def _law_name(group: Group) -> str:
 class OneState(StateRep):
     """The state induced by the constant positive-definite function 1."""
 
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        return 1.0 + 0.0j
-
     def coeff_array(self, ball: Ball) -> np.ndarray:
         return np.ones(len(ball), dtype=complex)
 
@@ -95,10 +87,6 @@ class CharacterState(StateRep):
         super().__init__(group)
         self.theta = np.angle(z)
 
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        return complex(np.exp(1j * float(np.dot(self.theta, g.z))))
-
     def coeff_array(self, ball: Ball) -> np.ndarray:
         return np.exp(1j * (ball.rows @ self.theta))
 
@@ -106,19 +94,18 @@ class CharacterState(StateRep):
 class FiniteState(StateRep):
     """State whose coefficients are a finite table, extended by 0 elsewhere.
 
-    Every key is checked once, here (GroupError for a foreign key).
+    The keys are checked here as they become rows (GroupError for a foreign
+    key).  Vector and density states check their input before that, in
+    ``star`` and ``conv_mul``, which check every factor: a vector state its
+    support twice and the support's inverses once, a density state b twice,
+    b's inverses once and rho's keys once.
     """
 
     def __init__(self, group: Group, table: dict[GroupElement, complex]):
         super().__init__(group)
-        self.table = table
         self._rows = group.to_rows(table)
         self._values = np.array(list(table.values()), dtype=complex)
         self._found = None  # (ball, _positions(ball)) of the last ball looked up
-
-    def coeff(self, g: GroupElement) -> complex:
-        self.group.check(g)
-        return self.table.get(g, 0.0 + 0.0j)
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         """Coefficients over a ball, in ball order: the table scattered into zeros.

@@ -44,6 +44,28 @@ def random_element(rng: np.random.Generator, group) -> GroupElement:
     return GroupElement((int(rng.integers(-5, 6)),), int(rng.integers(2)))
 
 
+def reference_mul(group, x, y) -> GroupElement:
+    """(m, f)(m', f') = (m + sigma(f) m', f f'), written out for each family.
+
+    An oracle for the group law, independent of ``mul_rows``: it reads only
+    the family and its Cayley table.
+    """
+    if isinstance(group, FreeAbelian):
+        return GroupElement(tuple(p + q for p, q in zip(x.z, y.z)))
+    if isinstance(group, InfiniteDihedral):
+        return GroupElement((x.z[0] + (-1) ** x.f * y.z[0],), x.f ^ y.f)
+    return GroupElement((x.z[0] + y.z[0],), group.finite.table[x.f][y.f])
+
+
+def reference_inv(group, x) -> GroupElement:
+    """x^-1, written out for each family like reference_mul."""
+    if isinstance(group, FreeAbelian):
+        return GroupElement(tuple(-p for p in x.z))
+    if isinstance(group, InfiniteDihedral):
+        return GroupElement((-(-1) ** x.f * x.z[0],), x.f)
+    return GroupElement((-x.z[0],), group.finite.inverse[x.f])
+
+
 def z26_not_associative() -> list[list[int]]:
     """Z/26 with columns 2 and 15 swapped in rows 1 and 14.
 

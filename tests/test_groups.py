@@ -9,6 +9,7 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite,
                             builtin_finite_table, decode_element,
                             group_from_json)
+from qmetric.opalgebra import AlgebraElement, conv_mul, star
 from qmetric.states import TableState
 
 from conftest import random_element, z26_not_associative
@@ -22,20 +23,23 @@ def dihedral_oracle(a, b):
 
 
 def assert_law_matches_oracle(group, oracle, rng):
-    """mul and inv on elements up to +-2^80, mul_rows and inv_rows on rows up to +-2^61."""
+    """mul_rows and inv_rows on exact rows up to +-2^80 and on int64 rows up to +-2^61."""
     order = group.finite.order
     for bound in (5, 2 ** 61, 2 ** 80):
         pairs = [[GroupElement((int.from_bytes(rng.bytes(11), "little", signed=True)
                                 % (2 * bound + 1) - bound,), int(rng.integers(order)))
                   for _ in range(2)] for _ in range(300)]
-        for a, b in pairs:
-            assert group.mul(a, b) == oracle(a, b)
-            assert oracle(a, group.inv(a)) == oracle(group.inv(a), a) == group.identity
+        expected = [oracle(x, y) for x, y in pairs]
+        a, b = (group._exact_rows(column) for column in zip(*pairs))
+        assert group.from_rows(group.mul_rows(a, b)) == expected
+        inverted = group.from_rows(group.inv_rows(a))
+        for (x, _), x_inv in zip(pairs, inverted):
+            assert oracle(x, x_inv) == oracle(x_inv, x) == group.identity
         if bound > 2 ** 61:
             continue
         a, b = (group.to_rows(column) for column in zip(*pairs))
-        assert group.from_rows(group.mul_rows(a, b)) == [oracle(x, y) for x, y in pairs]
-        assert group.from_rows(group.inv_rows(a)) == [group.inv(x) for x, _ in pairs]
+        assert group.from_rows(group.mul_rows(a, b)) == expected
+        assert group.from_rows(group.inv_rows(a)) == inverted
 
 
 class TestFiniteGroupTable:
@@ -132,29 +136,28 @@ class TestFiniteGroupTable:
 
 class TestMul:
     def test_z2_componentwise(self, z2_group):
-        a = GroupElement((1, 2))
-        b = GroupElement((3, -5))
-        assert z2_group.mul(a, b) == GroupElement((4, -3))
+        a, b = z2_group.to_rows([GroupElement((1, 2)), GroupElement((3, -5))])
+        assert z2_group.from_rows(z2_group.mul_rows(a, b)) == [GroupElement((4, -3))]
 
     def test_dihedral_examples(self, dihedral):
-        assert dihedral.mul(GroupElement((2,), 0), GroupElement((3,), 1)) \
-            == GroupElement((5,), 1)
-        assert dihedral.mul(GroupElement((2,), 1), GroupElement((3,), 0)) \
-            == GroupElement((-1,), 1)
+        a = dihedral.to_rows([GroupElement((2,), 0), GroupElement((2,), 1)])
+        b = dihedral.to_rows([GroupElement((3,), 1), GroupElement((3,), 0)])
+        assert dihedral.from_rows(dihedral.mul_rows(a, b)) \
+            == [GroupElement((5,), 1), GroupElement((-1,), 1)]
 
     def test_dihedral_involution(self, dihedral):
-        flip = GroupElement((0,), 1)
-        assert dihedral.mul(flip, flip) == dihedral.identity
+        flip = dihedral.to_rows([GroupElement((0,), 1)])
+        assert dihedral.from_rows(dihedral.mul_rows(flip, flip)) == [dihedral.identity]
 
     def test_product_direct(self, z_x_z2):
-        assert z_x_z2.mul(GroupElement((2,), 1), GroupElement((3,), 1)) \
-            == GroupElement((5,), 0)
+        a, b = z_x_z2.to_rows([GroupElement((2,), 1), GroupElement((3,), 1)])
+        assert z_x_z2.from_rows(z_x_z2.mul_rows(a, b)) == [GroupElement((5,), 0)]
 
     def test_shape_mismatch_rejected(self, z2_group, dihedral):
         with pytest.raises(GroupError):
-            z2_group.mul(GroupElement((1,)), GroupElement((1, 2)))
+            z2_group._exact_rows([GroupElement((1,)), GroupElement((1, 2))])
         with pytest.raises(GroupError):
-            dihedral.mul(GroupElement((1,)), GroupElement((0,), 1))
+            dihedral._exact_rows([GroupElement((1,)), GroupElement((0,), 1)])
 
     def test_dihedral_matches_oracle(self, dihedral):
         assert_law_matches_oracle(dihedral, dihedral_oracle, np.random.default_rng(3))
@@ -173,44 +176,47 @@ class TestMul:
         group = {"z": z_group, "z2": z2_group, "zxz2": z_x_z2,
                  "dihedral": dihedral}[family]
         rng = np.random.default_rng(7)
-        for _ in range(1000):
-            a, b, c = (random_element(rng, group) for _ in range(3))
-            assert group.mul(group.mul(a, b), c) == group.mul(a, group.mul(b, c))
+        triples = [[random_element(rng, group) for _ in range(3)] for _ in range(1000)]
+        a, b, c = (group._exact_rows(column) for column in zip(*triples))
+        assert group.from_rows(group.mul_rows(group.mul_rows(a, b), c)) \
+            == group.from_rows(group.mul_rows(a, group.mul_rows(b, c)))
 
 
 class TestInv:
     def test_z2(self, z2_group):
-        assert z2_group.inv(GroupElement((4, -3))) == GroupElement((-4, 3))
+        a = z2_group.to_rows([GroupElement((4, -3))])
+        assert z2_group.from_rows(z2_group.inv_rows(a)) == [GroupElement((-4, 3))]
 
     def test_dihedral_reflection_oracle(self, dihedral):
         # oracle: solve (m,1)(x,s) = e with the semidirect rule
-        for m in range(-6, 7):
-            a = GroupElement((m,), 1)
-            inv = dihedral.inv(a)
+        reflections = [GroupElement((m,), 1) for m in range(-6, 7)]
+        inverses = dihedral.from_rows(dihedral.inv_rows(dihedral.to_rows(reflections)))
+        for a, inv in zip(reflections, inverses):
             assert dihedral_oracle(a, inv) == dihedral.identity
             assert inv == a
 
     def test_product(self, z_x_z2):
-        assert z_x_z2.inv(GroupElement((1,), 1)) == GroupElement((-1,), 1)
+        a = z_x_z2.to_rows([GroupElement((1,), 1)])
+        assert z_x_z2.from_rows(z_x_z2.inv_rows(a)) == [GroupElement((-1,), 1)]
 
     def test_foreign_element_rejected(self, z2_group, z_x_z2, dihedral):
         with pytest.raises(GroupError):
-            z_x_z2.mul(z_x_z2.identity, GroupElement((1,), 2))
+            z_x_z2._exact_rows([z_x_z2.identity, GroupElement((1,), 2)])
         with pytest.raises(GroupError):
-            z2_group.inv(GroupElement((1,)))
+            z2_group._exact_rows([GroupElement((1,))])
         with pytest.raises(GroupError):
-            z_x_z2.inv(GroupElement((1,), 2))
+            z_x_z2._exact_rows([GroupElement((1,), 2)])
         with pytest.raises(GroupError):
-            dihedral.inv(GroupElement((1,)))
+            dihedral._exact_rows([GroupElement((1,))])
 
     @pytest.mark.parametrize("family", ["z2", "zxz2", "dihedral"])
     def test_involution(self, family, z2_group, z_x_z2, dihedral):
         group = {"z2": z2_group, "zxz2": z_x_z2, "dihedral": dihedral}[family]
         rng = np.random.default_rng(11)
-        for _ in range(300):
-            a = random_element(rng, group)
-            assert group.inv(group.inv(a)) == a
-            assert group.mul(a, group.inv(a)) == group.identity
+        elements = [random_element(rng, group) for _ in range(300)]
+        a = group._exact_rows(elements)
+        assert group.from_rows(group.inv_rows(group.inv_rows(a))) == elements
+        assert group.from_rows(group.mul_rows(a, group.inv_rows(a))) == [group.identity] * 300
 
 
 # coordinates that are not Python ints, on Z, Z^2 and the dihedral group
@@ -232,8 +238,9 @@ class TestCheck:
     def test_coordinates_must_be_ints(self, case, z_group, z2_group, dihedral):
         name, bad = NOT_INTS[case]
         group = {"z": z_group, "z2": z2_group, "dihedral": dihedral}[name]
-        calls = [lambda: group.check(bad), lambda: group.mul(bad, group.identity),
-                 lambda: group.mul(group.identity, bad), lambda: group.inv(bad),
+        lam_bad, lam_e = AlgebraElement({bad: 1.0}), AlgebraElement.lam(group.identity)
+        calls = [lambda: group.check(bad), lambda: conv_mul(group, lam_bad, lam_e),
+                 lambda: conv_mul(group, lam_e, lam_bad), lambda: star(group, lam_bad),
                  lambda: group.to_rows([group.identity, bad]),
                  lambda: TableState(group, {bad: 0.3})]
         for call in calls:
@@ -251,8 +258,8 @@ class TestConstruction:
         assert FreeAbelian(3).family == "free_abelian"
         g = ProductZFinite(FiniteGroupTable.cyclic(1))
         # trivial finite factor behaves like Z
-        assert g.mul(GroupElement((1,), 0), GroupElement((2,), 0)) \
-            == GroupElement((3,), 0)
+        a, b = g.to_rows([GroupElement((1,), 0), GroupElement((2,), 0)])
+        assert g.from_rows(g.mul_rows(a, b)) == [GroupElement((3,), 0)]
         assert len(g.generators) == 2
         assert InfiniteDihedral().shell_bound == 4
 
@@ -268,8 +275,8 @@ class TestConstruction:
 
     def test_default_generators_symmetric(self, z2_group, z_x_z2, dihedral):
         for group in (z2_group, z_x_z2, dihedral):
-            gens = set(group.generators)
-            assert all(group.inv(g) in gens for g in gens)
+            inverses = group.from_rows(group.inv_rows(group.to_rows(group.generators)))
+            assert set(inverses) == set(group.generators)
 
     def test_generator_override_must_be_symmetric(self):
         with pytest.raises(GroupError, match="symmetric"):

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from conftest import reference_mul
+
 import qmetric
 from qmetric import opalgebra
 from qmetric.errors import BallRadiusError, GroupError
@@ -32,7 +34,7 @@ def dense_op_oracle(a, ball):
     M = np.zeros((n, n), dtype=complex)
     for j, h in enumerate(ball.elements):
         for g, ag in a.coeffs.items():
-            k = group.mul(g, h)
+            k = reference_mul(group, g, h)
             if k in position:
                 M[position[k], j] += ag
     return M
@@ -73,15 +75,15 @@ class TestConvolution:
     def test_dihedral_noncommutative(self, dihedral):
         a = AlgebraElement.lam(GroupElement((1,), 0))
         b = AlgebraElement.lam(GroupElement((0,), 1))
-        assert conv_mul(dihedral, a, b) != conv_mul(dihedral, b, a)
+        assert conv_mul(dihedral, a, b).coeffs != conv_mul(dihedral, b, a).coeffs
 
     def test_star_involution_and_antihomomorphism(self, dihedral):
         a = AlgebraElement({GroupElement((1,), 0): 1 + 2j,
                             GroupElement((0,), 1): -1j})
         b = AlgebraElement({GroupElement((2,), 1): 0.5})
-        assert star(dihedral, star(dihedral, a)) == a
-        assert star(dihedral, conv_mul(dihedral, a, b)) \
-            == conv_mul(dihedral, star(dihedral, b), star(dihedral, a))
+        assert star(dihedral, star(dihedral, a)).coeffs == a.coeffs
+        assert star(dihedral, conv_mul(dihedral, a, b)).coeffs \
+            == conv_mul(dihedral, star(dihedral, b), star(dihedral, a)).coeffs
 
     def test_trace_coeff(self, z_group):
         a = AlgebraElement({GroupElement((0,)): 2.5, GroupElement((1,)): 1.0})

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from conftest import random_element
+from conftest import random_element, reference_inv, reference_mul
 
 from qmetric import states
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
@@ -16,12 +16,33 @@ from qmetric.states import (CharacterState, DensityState, OneState, TableState,
 from qmetric.wordlength import enumerate_ball
 
 
+def coeff_at(phi, ball, elements):
+    """phi(lam_g) for each element: coeff_array(ball) at the element's ball position."""
+    pos = ball.find_rows(phi.group.to_rows(elements))
+    assert (pos >= 0).all(), "an element outside the ball"
+    return phi.coeff_array(ball)[pos]
+
+
+def reference_coeff(phi):
+    """g -> phi(lam_g), one element at a time from the state's data: the reference for coeff_array.
+
+    one and the characters from their closed form, a finite state by a dict
+    lookup of g among its keys, zero elsewhere.
+    """
+    if isinstance(phi, OneState):
+        return lambda g: 1.0 + 0.0j
+    if isinstance(phi, CharacterState):
+        return lambda g: complex(np.exp(1j * float(np.dot(phi.theta, g.z))))
+    table = dict(zip(phi.group.from_rows(phi._rows), phi._values.tolist()))
+    return lambda g: table.get(g, 0.0 + 0.0j)
+
+
 class TestBasicStates:
     def test_trace(self, z2_group):
         phi = TraceState(z2_group)
-        assert phi.coeff(z2_group.identity) == 1.0
-        assert phi.coeff(GroupElement((1, 0))) == 0.0
         ball = enumerate_ball(z2_group, 2)
+        assert coeff_at(phi, ball, [z2_group.identity, GroupElement((1, 0))]).tolist() \
+            == [1.0, 0.0]
         arr = phi.coeff_array(ball)
         assert arr[0] == 1.0 and np.all(arr[1:] == 0.0)
 
@@ -32,8 +53,10 @@ class TestBasicStates:
 
     def test_character_closed_form(self, z_group):
         phi = CharacterState(z_group, [np.exp(1j * 0.3)])
-        for m in range(-5, 6):
-            assert phi.coeff(GroupElement((m,))) == pytest.approx(np.exp(1j * 0.3 * m))
+        values = coeff_at(phi, enumerate_ball(z_group, 5),
+                          [GroupElement((m,)) for m in range(-5, 6)])
+        for m, value in zip(range(-5, 6), values):
+            assert value == pytest.approx(np.exp(1j * 0.3 * m))
 
     def test_character_requires_free_abelian(self, dihedral):
         with pytest.raises(StateError):
@@ -48,15 +71,16 @@ class TestBasicStates:
 
 def _vector_direct(group, xi, g):
     """<lam_g xi, xi> = sum_h xi(g^-1 h) conj(xi(h))."""
-    g_inv = group.inv(g)
-    return sum(xi.get(group.mul(g_inv, h), 0.0) * np.conj(xh) for h, xh in xi.items())
+    g_inv = reference_inv(group, g)
+    return sum(xi.get(reference_mul(group, g_inv, h), 0.0) * np.conj(xh)
+               for h, xh in xi.items())
 
 
 def _density_direct(group, b, g):
     """rho(g^-1) with rho = b*b / tau(b*b), from (b*b)(k) = sum_{x^-1 y = k} conj(b_x) b_y."""
-    k = group.inv(g)
+    k = reference_inv(group, g)
     bb = sum(np.conj(bx) * by for x, bx in b.items() for y, by in b.items()
-             if group.mul(group.inv(x), y) == k)
+             if reference_mul(group, reference_inv(group, x), y) == k)
     return bb / sum(abs(bx) ** 2 for bx in b.values())
 
 
@@ -69,7 +93,7 @@ _KINDS = ["trace", "one", "character", "table", "vector", "density"]
 def _state_and_formula(kind, group):
     """A state of the given kind, and its coefficients from a direct formula (or None)."""
     s = group.generators[0]
-    t = group.mul(s, group.generators[-1])
+    t = reference_mul(group, s, group.generators[-1])
     if kind == "trace":
         return TraceState(group), None
     if kind == "one":
@@ -78,7 +102,7 @@ def _state_and_formula(kind, group):
         z = [np.exp(1j * 0.7), np.exp(-1j * 1.1)][:group.rank]
         return CharacterState(group, z), None
     if kind == "table":
-        return TableState(group, {s: 0.5, group.inv(s): 0.5, t: 0.25j}), None
+        return TableState(group, {s: 0.5, reference_inv(group, s): 0.5, t: 0.25j}), None
     if kind == "vector":
         xi = {group.identity: 0.6, s: 0.48j, t: 0.64}
         return VectorState(group, xi), lambda g: _vector_direct(group, xi, g)
@@ -96,11 +120,12 @@ def test_array_matches_pointwise(group_name, kind):
     phi, formula = _state_and_formula(kind, group)
     ball = enumerate_ball(group, radius)
     arr = phi.coeff_array(ball)
+    coeff = reference_coeff(phi)
     for i, g in enumerate(ball.elements):
         if kind == "character":  # vectorised phases may differ in the last bit
-            assert arr[i] == pytest.approx(phi.coeff(g), abs=1e-12)
+            assert arr[i] == pytest.approx(coeff(g), abs=1e-12)
         else:
-            assert arr[i] == phi.coeff(g)
+            assert arr[i] == coeff(g)
         if formula is not None:
             assert arr[i] == pytest.approx(formula(g), abs=1e-12)
 
@@ -110,8 +135,9 @@ _CASES = [(group_name, kind) for group_name in _GROUPS for kind in _KINDS
 
 
 def coeff_rows(phi, rows):
-    """The reference for coeff_array: one checked coeff call per row, in row order."""
-    return np.array([phi.coeff(g) for g in phi.group.from_rows(rows)], dtype=complex)
+    """The reference for coeff_array: one reference_coeff lookup per row, in row order."""
+    coeff = reference_coeff(phi)
+    return np.array([coeff(g) for g in phi.group.from_rows(rows)], dtype=complex)
 
 
 # default balls, and balls of generating sets without a closed form
@@ -137,8 +163,12 @@ def test_coeff_array_is_coeff_rows_bit_for_bit(group_name, kind):
 def test_table_key_beyond_int64_is_only_reached_pointwise():
     group = FreeAbelian(1)
     far = GroupElement((2 ** 70,))
-    phi = TableState(group, {far: 0.5, group.inv(far): 0.5})
-    assert phi.coeff(far) == 0.5
+    phi = TableState(group, {far: 0.5, reference_inv(group, far): 0.5})
+    # the table keeps both keys, saturated in their rows (see Group.to_rows) ...
+    assert group.from_rows(phi._rows) == [GroupElement((2 ** 63 - 1,)),
+                                          GroupElement((-2 ** 63,)), group.identity]
+    assert phi._values.tolist() == [0.5, 0.5, 1]
+    # ... and no ball reaches them
     assert phi.coeff_array(enumerate_ball(group, 2)).tolist() == [1, 0, 0, 0, 0]
 
 
@@ -159,10 +189,10 @@ class TestOutsideBound:
 
 
 def _gram_double_loop(state, ball):
-    """G[i, j] = coeff(g_i^-1 g_j), one checked product per entry."""
-    group = ball.group
-    return np.array([[state.coeff(group.mul(group.inv(gi), gj)) for gj in ball.elements]
-                     for gi in ball.elements], dtype=complex)
+    """G[i, j] = phi(lam_{g_i^-1 g_j}), one reference product and lookup per entry."""
+    group, coeff = ball.group, reference_coeff(state)
+    return np.array([[coeff(reference_mul(group, reference_inv(group, gi), gj))
+                      for gj in ball.elements] for gi in ball.elements], dtype=complex)
 
 
 def _slack(result):
@@ -234,8 +264,8 @@ def test_far_table_keys_raise_resource_error(group):
     near = GroupElement((1,), f)
     for key in (10 ** 12, 2 ** 63 - 1, -2 ** 63, 2 ** 70, -2 ** 70):
         far = GroupElement((key,), f)
-        phi = TableState(group, {far: 0.25, group.inv(far): 0.25, near: 0.125,
-                                 group.inv(near): 0.125})
+        phi = TableState(group, {far: 0.25, reference_inv(group, far): 0.25, near: 0.125,
+                                 reference_inv(group, near): 0.125})
         with pytest.raises(ResourceError, match="capped at"):
             pd_check(phi, enumerate_ball(group, 5))
 
@@ -268,7 +298,7 @@ def hermitian_tables(draw):
     table = {}
     for g in keys:
         v = scale * complex(draw(parts), draw(parts))
-        inverse = group.inv(g)
+        inverse = reference_inv(group, g)
         table[g] = v.real if inverse == g else v
         table[inverse] = table[g].conjugate()
     return group, radii, TableState(group, table)
@@ -290,9 +320,8 @@ class TestTableState:
     def test_lookup_and_zero_extension(self, z_group):
         g = GroupElement((1,))
         phi = TableState(z_group, {g: 0.5})
-        assert phi.coeff(g) == 0.5
-        assert phi.coeff(GroupElement((9,))) == 0.0
-        assert phi.coeff(z_group.identity) == 1.0
+        assert coeff_at(phi, enumerate_ball(z_group, 9),
+                        [g, GroupElement((9,)), z_group.identity]).tolist() == [0.5, 0.0, 1.0]
 
     def test_identity_must_be_one(self, z_group):
         with pytest.raises(StateError, match="unital"):
@@ -318,10 +347,9 @@ class TestVectorState:
         # xi = (delta_0 + delta_1)/sqrt(2): phi(lam_m) = <lam_m xi, xi>
         s = 1 / np.sqrt(2)
         phi = VectorState(z_group, {GroupElement((0,)): s, GroupElement((1,)): s})
-        assert phi.coeff(GroupElement((0,))) == pytest.approx(1.0)
-        assert phi.coeff(GroupElement((1,))) == pytest.approx(0.5)
-        assert phi.coeff(GroupElement((-1,))) == pytest.approx(0.5)
-        assert phi.coeff(GroupElement((2,))) == pytest.approx(0.0)
+        values = coeff_at(phi, enumerate_ball(z_group, 2),
+                          [GroupElement((m,)) for m in (0, 1, -1, 2)])
+        assert values.tolist() == pytest.approx([1.0, 0.5, 0.5, 0.0])
 
     def test_normalization_enforced(self, z_group):
         with pytest.raises(StateError, match="normalized"):
@@ -331,9 +359,11 @@ class TestVectorState:
         xi = {GroupElement((0,), 0): 0.6, GroupElement((1,), 1): 0.8j}
         phi = VectorState(dihedral, xi)
         ball = enumerate_ball(dihedral, 3)
-        for g in ball.elements:
-            assert phi.coeff(dihedral.inv(g)) \
-                == pytest.approx(np.conj(phi.coeff(g)), abs=1e-12)
+        arr = phi.coeff_array(ball)
+        inverse = ball.find_rows(dihedral.inv_rows(ball.rows))
+        assert (inverse >= 0).all()
+        for i in range(len(ball)):
+            assert arr[inverse[i]] == pytest.approx(np.conj(arr[i]), abs=1e-12)
 
 
 class TestDensityState:
@@ -341,17 +371,18 @@ class TestDensityState:
         # b = lam_0 + lam_1: rho = (2 lam_0 + lam_1 + lam_-1)/2, phi(lam_g) = rho(g^-1)
         b = AlgebraElement({GroupElement((0,)): 1.0, GroupElement((1,)): 1.0})
         phi = DensityState(z_group, b)
-        assert phi.coeff(GroupElement((0,))) == pytest.approx(1.0)
-        assert phi.coeff(GroupElement((1,))) == pytest.approx(0.5)
-        assert phi.coeff(GroupElement((-1,))) == pytest.approx(0.5)
-        assert phi.coeff(GroupElement((2,))) == 0.0
+        values = coeff_at(phi, enumerate_ball(z_group, 2),
+                          [GroupElement((m,)) for m in (0, 1, -1, 2)])
+        assert values[:3].tolist() == pytest.approx([1.0, 0.5, 0.5])
+        assert values[3] == 0.0
 
     def test_rho_is_normalized_and_positive_type(self, dihedral):
         b = AlgebraElement({GroupElement((0,), 0): 1.0,
                             GroupElement((1,), 0): 1j,
                             GroupElement((0,), 1): 0.5})
         phi = DensityState(dihedral, b)
-        assert phi.coeff(dihedral.identity) == pytest.approx(1.0)
+        assert coeff_at(phi, enumerate_ball(dihedral, 1), [dihedral.identity])[0] \
+            == pytest.approx(1.0)
         assert pd_check(phi, enumerate_ball(dihedral, 3)).passed
 
     def test_zero_b_rejected(self, z_group):
@@ -360,11 +391,11 @@ class TestDensityState:
 
 
 def _conv_loop(group, a, b):
-    """conv_mul as a double loop over Group.mul: by g, then by h, summed from 0.0, zeros dropped."""
+    """conv_mul as a double loop over reference_mul: by g, then by h, from 0.0, zeros dropped."""
     out = {}
     for g, ag in a.items():
         for h, bh in b.items():
-            k = group.mul(g, h)
+            k = reference_mul(group, g, h)
             out[k] = out.get(k, 0.0) + ag * bh
     return {k: v for k, v in out.items() if v != 0}
 
@@ -372,16 +403,17 @@ def _conv_loop(group, a, b):
 def _vector_loop(group, xi):
     """The table of VectorState(group, xi): conj(xi) * conj(xi)^*."""
     a = {g: complex(v).conjugate() for g, v in xi.items() if complex(v) != 0}
-    return _conv_loop(group, a, {group.inv(g): v.conjugate() for g, v in a.items()})
+    return _conv_loop(group, a, {reference_inv(group, g): v.conjugate() for g, v in a.items()})
 
 
 def _density_loop(group, b):
     """The table {g^-1: rho(g)} of DensityState(group, b), rho = b*b / tau(b*b)."""
-    bb = _conv_loop(group, {group.inv(g): complex(v).conjugate() for g, v in b.items()},
+    bb = _conv_loop(group, {reference_inv(group, g): complex(v).conjugate()
+                            for g, v in b.items()},
                     {g: complex(v) for g, v in b.items()})
     factor = 1.0 / bb[group.identity].real
     rho = {g: factor * v for g, v in bb.items() if factor * v != 0}
-    return {group.inv(g): v for g, v in rho.items()}
+    return {reference_inv(group, g): v for g, v in rho.items()}
 
 
 def _random_support(rng, group, size):
@@ -394,6 +426,11 @@ _PIN_GROUPS = {"z": FreeAbelian(1), "z2": FreeAbelian(2),
                "zxs3": ProductZFinite(FiniteGroupTable.symmetric(3)),
                "dihedral": InfiniteDihedral()}
 _FAR = 2 ** 70  # a coordinate beyond int64: the row saturates
+
+
+def _saturated(g):
+    """g with each coordinate beyond int64 moved to the nearest int64 limit."""
+    return GroupElement(tuple(min(max(c, -2 ** 63), 2 ** 63 - 1) for c in g.z), g.f)
 
 
 def _pin_cases():
@@ -418,19 +455,19 @@ def test_vector_and_density_tables_match_a_double_loop_bit_for_bit(group, kind, 
         phi, expected = VectorState(group, support), _vector_loop(group, support)
     else:
         phi, expected = DensityState(group, AlgebraElement(support)), _density_loop(group, support)
-    assert list(phi.table) == list(expected)
-    values = np.array(list(expected.values()), dtype=complex)
-    assert np.array(list(phi.table.values()), dtype=complex).tobytes() == values.tobytes()
-    assert phi._values.tobytes() == values.tobytes()
+    # the keys in order, a coordinate beyond int64 saturated (see Group.to_rows)
+    assert group.from_rows(phi._rows) == [_saturated(g) for g in expected]
     rows = group.to_rows(expected)
     assert phi._rows.dtype == rows.dtype and phi._rows.tobytes() == rows.tobytes()
+    values = np.array(list(expected.values()), dtype=complex)
+    assert phi._values.tobytes() == values.tobytes()
 
 
 def test_density_coefficient_that_underflows_is_no_key():
     group = _PIN_GROUPS["z"]
     s = GroupElement((1,))
     phi = DensityState(group, AlgebraElement({group.identity: 1e150, s: 1e-200}))
-    assert list(phi.table) == [group.identity]
+    assert group.from_rows(phi._rows) == [group.identity]
 
 
 class TestForeignKeys:
@@ -570,17 +607,18 @@ class TestJson:
         assert isinstance(state_from_json(z_group, {"kind": "one"}), OneState)
         phi = state_from_json(z_group, {"kind": "character",
                                         "z": [{"re": -1.0, "im": 0.0}]})
-        assert phi.coeff(GroupElement((1,))) == pytest.approx(-1.0)
+        ball = enumerate_ball(z_group, 2)
+        assert coeff_at(phi, ball, [GroupElement((1,))])[0] == pytest.approx(-1.0)
         s = 1 / np.sqrt(2)
         phi = state_from_json(z_group, {"kind": "vector", "support": [
             {"element": [0], "re": s}, {"element": [1], "re": s}]})
         assert isinstance(phi, VectorState)
         phi = state_from_json(z_group, {"kind": "density", "b": [
             {"element": [0], "re": 1.0}, {"element": [1], "re": 1.0}]})
-        assert phi.coeff(GroupElement((1,))) == pytest.approx(0.5)
+        assert coeff_at(phi, ball, [GroupElement((1,))])[0] == pytest.approx(0.5)
         phi = state_from_json(z_group, {"kind": "table", "extend_zero": True,
                                         "entries": [{"element": [2], "re": 0.25}]})
-        assert phi.coeff(GroupElement((2,))) == 0.25
+        assert coeff_at(phi, ball, [GroupElement((2,))])[0] == 0.25
 
     def test_errors_become_config_errors(self, z_group):
         with pytest.raises(ConfigError):

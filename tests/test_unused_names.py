@@ -5,6 +5,11 @@ A definition in ``src/qmetric`` counts as used when its name appears in
 re-exports), in ``demos/`` or in ``qbench/``: as a name, an attribute, an
 imported name or a string (qbench names the functions it traces by string).
 The tests do not count, so a helper that only its own tests call is flagged.
+The same holds for every method and property of a class in ``src/qmetric``,
+with the same users and the same matching by name: it counts as used when
+its name appears outside its own body.  Dunder methods, which Python calls,
+and bodies that only raise NotImplementedError, which declare an interface,
+are not counted.
 
 Likewise every defaulted parameter of a function in ``src/qmetric`` (a
 method's too) is passed, by keyword or by position, by some call in
@@ -19,6 +24,7 @@ declares an interface and is not counted.
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -36,19 +42,24 @@ ALLOWED_OPTIONS = ["wordlength.enumerate_ball(max_elements)"]
 ALLOWED_UNREAD = ["states.StateRep.outside_bound(ball)"]
 
 
-def mentioned(node: ast.AST) -> set[str]:
-    """The names a syntax tree mentions: names, attributes, imports and strings."""
-    names = set()
+def mentions(node: ast.AST) -> Counter:
+    """How often a syntax tree mentions each name: as a name, attribute, import or string."""
+    names = Counter()
     for sub in ast.walk(node):
         if isinstance(sub, ast.Name):
-            names.add(sub.id)
+            names[sub.id] += 1
         elif isinstance(sub, ast.Attribute):
-            names.add(sub.attr)
+            names[sub.attr] += 1
         elif isinstance(sub, ast.alias):
-            names.add(sub.name.split(".")[-1])
+            names[sub.name.split(".")[-1]] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
-            names.add(sub.value)
+            names[sub.value] += 1
     return names
+
+
+def mentioned(node: ast.AST) -> set[str]:
+    """The names a syntax tree mentions: names, attributes, imports and strings."""
+    return set(mentions(node))
 
 
 def unused_definitions(defined: dict[str, ast.Module],
@@ -69,6 +80,26 @@ def unused_definitions(defined: dict[str, ast.Module],
                 names.discard(stmt.name)
             used |= names
     return sorted(qualified for name, qualified in definitions.items() if name not in used)
+
+
+def unused_methods(defined: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
+    """Qualified "module.Class.method" of each method that no user mentions outside its body.
+
+    Properties are methods here; dunder methods and interface bodies (see
+    _only_raises_not_implemented) are not counted.  defined and users are
+    as in unused_definitions, so every method body is also counted among
+    the users' mentions, once, and is taken out again for its own method.
+    """
+    total = Counter()
+    for tree in users:
+        total += mentions(tree)
+    return sorted(
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in defined.items() for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef) for fn in cls.body
+        if isinstance(fn, FUNCTIONS) and not (fn.name.startswith("__") and fn.name.endswith("__"))
+        and not _only_raises_not_implemented(fn)
+        and total[fn.name] <= mentions(fn)[fn.name])
 
 
 def defaulted_parameters(module: str, tree: ast.Module):
@@ -174,6 +205,10 @@ def test_every_definition_is_used():
     assert unused_definitions(_package(), [_parse(p) for p in USERS]) == []
 
 
+def test_every_method_is_used():
+    assert unused_methods(_package(), [_parse(p) for p in USERS]) == []
+
+
 def test_every_option_is_passed():
     assert unpassed_options(_package(), [_parse(p) for p in USERS]) == ALLOWED_OPTIONS
 
@@ -190,6 +225,24 @@ def test_finds_an_unused_definition():
                        "class Traced:\n    pass\n")
     user = ast.parse("import m\nm.used()\nTARGET = 'Traced'\n")
     assert unused_definitions({"m": module}, [module, user]) == ["m.recursive"]
+
+
+def test_finds_an_unused_method():
+    module = ast.parse("class Op:\n"
+                       "    def __init__(self, m):\n        self.m = m\n\n"
+                       "    def run(self):\n        return self._step() + self.size\n\n"
+                       "    def _step(self):\n        return 1\n\n"
+                       "    @property\n"
+                       "    def size(self):\n        return self.m\n\n"
+                       "    def helper(self):\n        return self.helper()\n\n"
+                       "    @property\n"
+                       "    def unread(self):\n        return 0\n\n"
+                       "    def hook(self):\n        raise NotImplementedError\n\n"
+                       "    def traced(self):\n        return 2\n\n"
+                       "    def __repr__(self):\n        return 'Op'\n")
+    user = ast.parse("import m\nm.Op(1).run()\nTARGET = 'traced'\n")
+    # helper is named only inside its own body, unread nowhere
+    assert unused_methods({"m": module}, [module, user]) == ["m.Op.helper", "m.Op.unread"]
 
 
 def test_finds_an_option_that_no_call_passes():

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_inv, reference_mul
+
 from qmetric import wordlength
 from qmetric.errors import BallRadiusError, GroupError, ResourceError
 from qmetric.experiments import run_dist, run_summable
@@ -35,7 +37,7 @@ def brute_force_lengths(group, radius):
         nxt = []
         for g in frontier:
             for s in group.generators:
-                h = group.mul(g, s)
+                h = reference_mul(group, g, s)
                 if h not in dist:
                     dist[h] = k
                     nxt.append(h)
@@ -150,7 +152,7 @@ def symmetric_generating_sets(draw):
     finite_only = name == "zxs3" and draw(st.booleans())
     chosen = draw(st.lists(small_elements(group, finite_only).filter(
         lambda g: g != group.identity), min_size=1, max_size=4))
-    return build(list(dict.fromkeys(chosen + [group.inv(g) for g in chosen])))
+    return build(list(dict.fromkeys(chosen + [reference_inv(group, g) for g in chosen])))
 
 
 DEFAULT_GROUPS = {  # every family with its default generators
@@ -309,9 +311,10 @@ class TestClosedForms:
             assert found.tolist() == index.find(rows).tolist()
 
     @pytest.mark.parametrize("name", sorted(DEFAULT_GROUPS))
-    def test_a_ball_keeps_its_lookups_exact_as_they_widen(self, name):
-        # one ball looks up products of near rows, then of rows out to its
-        # edge and past it, then of near rows again
+    def test_three_lookups_on_one_ball_match_a_row_index(self, name):
+        # three independent lookups on one ball: products of near rows, then
+        # of rows out to its edge and past it, then of near rows again; each
+        # agrees with a sorted-key search over the ball's rows
         group = DEFAULT_GROUPS[name]
         ball = enumerate_ball(group, 12)
         rows = ball.rows
@@ -392,12 +395,15 @@ class TestLengthAxioms:
         group = {"z": z_group, "z2": z2_group, "zxz2": z_x_z2,
                  "dihedral": dihedral}[family]
         ball = enumerate_ball(group, 6)
-        inner = [g for g, ln in zip(ball.elements, ball.lengths) if ln <= 3]
+        inner = ball.rows[ball.lengths <= 3]
+        lengths = ball.lengths[ball.lengths <= 3]
         assert length(ball, group.identity) == 0
-        for g in inner:
-            assert length(ball, group.inv(g)) == length(ball, g)
-        for g, h in itertools.product(inner, inner):
-            assert length(ball, group.mul(g, h)) <= length(ball, g) + length(ball, h)
+        inverse = ball.find_rows(group.inv_rows(inner))
+        assert (inverse >= 0).all()
+        assert ball.lengths[inverse].tolist() == lengths.tolist()
+        product = ball.find_rows(group.mul_rows(inner[:, None, :], inner[None, :, :]))
+        assert (product >= 0).all()
+        assert (ball.lengths[product] <= lengths[:, None] + lengths[None, :]).all()
 
     def test_only_identity_has_length_zero(self, dihedral):
         ball = enumerate_ball(dihedral, 3)
