@@ -290,9 +290,10 @@ def _l1_ball_sizes(dims, radius):
     at min(d, r), so on arrays every term, and every factor formed on the
     way, is at most the largest size.  Ints give exact Python ints.
     """
-    total = 1 + 0 * dims * radius  # an array when either is one
-    binom_d, binom_r = 1 + 0 * dims, 1 + 0 * radius
-    for i in range(1, int(min(np.max(dims), np.max(radius))) + 1):
+    total = 2 * dims * radius  # i = 1: C(d, 1) C(r, 1) = d r
+    total += 1  # i = 0
+    binom_d, binom_r = dims, radius
+    for i in range(2, int(min(np.max(dims), np.max(radius))) + 1):
         binom_d = binom_d * (dims - (i - 1)) // i  # C(d, i), 0 for d < i
         binom_r = binom_r * (radius - (i - 1)) // i
         total = total + 2 ** i * binom_d * binom_r

@@ -9,18 +9,29 @@ the ball with a rigorous tail:
 with tails from the states' outside bounds (``StateRep.outside_bound``).
 Its one result, a ``Bracket``, holds both as fields and encloses the Connes
 metric d (sup of |phi(a) - psi(a)| over a with commutator norm <= 1):
-d_inf.lo <= d <= d_2.hi.  The pass reads (L(g), c_g) over the ball positions
-where c may be nonzero, in ball order (``_differences``): for two finitely
-supported states (``FiniteState``) c vanishes off the union of their keys,
-so those are the positions, and the ball's rows need not exist; for any
-other pair every position is.  The endpoints and tails do not depend on
-which: the sup is order-free, and the l2 sum adds its shells in ball order,
-where exact zeros change no partial sum.
+d_inf.lo <= d <= d_2.hi.  The pass reads c_g (``_differences``) at as few
+ball positions as the pair allows:
+
+* two finitely supported states (``FiniteState``): c vanishes off the union
+  of their keys, so only those positions are read;
+* a finite state against ``one`` or a character: |c_g| = 1 off the finite
+  state's keys, so only the keys' positions are read, the character is
+  evaluated at the keys' rows alone, and the rest comes from the shell
+  sizes S_k: shell k adds (S_k - K_k) / k^2 to the l2 sum, K_k its keys,
+  and the least shell with a position off the keys adds 1 / k to the sup;
+* two of ``one`` and characters: every position.
+
+So on a default generating set the first two kinds build no rows and no
+array of ball length.  For the first and the third the endpoints are those
+of a pass over every position, bit for bit: the sup is order-free, and the
+l2 sum adds its shells in ball order, where exact zeros change no partial
+sum.  The second adds a shell's unit terms as one quotient, so its last
+bits can differ from such a pass.
 
 The bracket is the only certified output; connes_heuristic additionally
 ascends the ratio |sum alpha_g c_g| / sigma(alpha) for a point estimate of
-d, with every truncated commutator built from one triplet list and mirrored
-restarts skipped.
+d, with every truncated commutator built from one triplet list into one
+CSR structure, whose values alone change, and mirrored restarts skipped.
 """
 
 from __future__ import annotations
@@ -33,7 +44,7 @@ import numpy as np
 
 from .groups import Group
 from .opalgebra import _top_singular, commutator_triplets
-from .states import FiniteState, StateRep
+from .states import CharacterState, FiniteState, OneState, StateRep
 from .wordlength import Ball, enumerate_ball
 
 
@@ -71,48 +82,86 @@ def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
     return c
 
 
-def _differences(phi: StateRep, psi: StateRep, ball: Ball) -> tuple[np.ndarray, np.ndarray]:
-    """(lengths, c) at the ball positions, in ball order, where c_g may be nonzero.
+def _differences(phi: StateRep, psi: StateRep, ball: Ball
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(lengths, c, units): c_g = phi(lam_g) - psi(lam_g) on the ball, g != e, in three parts.
 
-    The identity is left out.  For two FiniteStates the positions are the
-    union of their keys' positions, and c is each state's value there, or 0,
-    subtracted as delta_coeffs subtracts; for any other pair they are every
-    position of the ball.  GroupError for a foreign law.
+    c is listed, with its lengths, at the positions where it is read one by
+    one; units[k] counts the other positions of shell k, where |c_g| = 1;
+    c_g = 0 at every position neither listed nor counted.  By the kind of
+    pair:
+
+    * two FiniteStates: the union of their keys' positions, in ball order,
+      with each state's value there, or 0, subtracted as delta_coeffs
+      subtracts; no units, since c vanishes off the keys;
+    * a FiniteState against ``one`` or a character chi: the finite state's
+      keys, in key order, with chi evaluated at their rows only; units[k]
+      = S_k - K_k, the shell's size less its keys, since |c_g| = |chi(g)|
+      = 1 off the keys;
+    * any other pair: every position, in ball order; no units.
+
+    GroupError for a foreign law.
     """
-    if not (isinstance(phi, FiniteState) and isinstance(psi, FiniteState)):
-        return ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:]
     phi.check_ball(ball)
     psi.check_ball(ball)
-    found = np.concatenate([phi._positions(ball), psi._positions(ball)])
-    hit = found > 0  # in the ball, and not the identity
-    positions, slot = np.unique(found[hit], return_inverse=True)
-    # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
-    side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
-    terms = np.zeros((2, len(positions)), dtype=complex)
-    terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
-    return ball.lengths_at(positions), terms[0] - terms[1]
+    no_units = np.zeros(0, dtype=np.int64)
+    if isinstance(phi, FiniteState) and isinstance(psi, FiniteState):
+        found = np.concatenate([phi._positions(ball), psi._positions(ball)])
+        hit = found > 0  # in the ball, and not the identity
+        positions, slot = np.unique(found[hit], return_inverse=True)
+        # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
+        side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
+        terms = np.zeros((2, len(positions)), dtype=complex)
+        terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
+        return ball.lengths_at(positions), terms[0] - terms[1], no_units
+    finite = phi if isinstance(phi, FiniteState) else psi
+    other = psi if finite is phi else phi
+    if not (isinstance(finite, FiniteState) and isinstance(other, (OneState, CharacterState))):
+        return ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:], no_units
+    found = finite._positions(ball)
+    hit = found > 0
+    lengths = ball.lengths_at(found[hit])
+    table, chi = finite._values[hit], other.coeff_rows(finite._rows[hit])
+    units = ball.shell_sizes - np.bincount(lengths, minlength=ball.radius + 1)
+    units[0] = 0
+    return lengths, table - chi if finite is phi else chi - table, units
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
     """d_inf and d_2 on the ball in one pass, with their tails outside it.
+
+    The pass reads the terms of _differences: the union of the keys for two
+    finite states; one finite state's keys and the ball's shell sizes for
+    ``one`` or a character against it; every position for two of ``one``
+    and characters.  On a default generating set the first two build no
+    rows and no array of ball length.  A listed term adds |c_g| / L(g) to
+    the sup and its square to the l2 sum; the units of shell k, where
+    |c_g| = 1, add 1 / k to the sup for the least such k, and units[k] / k^2
+    to the sum.
 
     Outside the ball |c_g| <= E = e_phi + e_psi and L(g) >= r + 1, so d_inf
     gains at most E / (r + 1).  d_2's tail E^2 B / r needs an analytic
     shell-size bound B; without one d_2.hi is infinite.  GroupError for a
     foreign law, then ValueError for a ball of radius 0.
     """
-    lengths, c = _differences(phi, psi, ball)
+    lengths, c, units = _differences(phi, psi, ball)
     if ball.radius < 1:
         raise ValueError("the bracket needs ball radius >= 1")
     ratios = np.abs(c) / lengths
     outside = phi.outside_bound(ball) + psi.outside_bound(ball)
-    lo = float(ratios.max(initial=0.0))
+    # the least shell k with units gives 1 / k
+    unit_shells = np.flatnonzero(units)
+    nearest = 1.0 / unit_shells[0] if unit_shells.size else 0.0
+    lo = float(max(ratios.max(initial=0.0), nearest))
     tail = outside / (ball.radius + 1)
     lower = MetricBracket(lo, max(lo, tail), tail)
     # np.cumsum adds the shells one by one, in order; np.sum adds pairwise and
     # would change the last bits of the d_2 endpoints in every report.  The
-    # bins stop at the longest length read (at least one bin, for no terms)
-    lo_2 = float(np.sqrt(np.cumsum(np.bincount(lengths, ratios ** 2, 1))[-1]))
+    # bins stop at the longest length read, or at the radius with units (at
+    # least one bin, for no terms; with no terms bincount's bins are ints)
+    squares = np.bincount(lengths, ratios ** 2, max(len(units), 1)).astype(float, copy=False)
+    squares[1:len(units)] += units[1:] / np.arange(1, len(units)) ** 2
+    lo_2 = float(np.sqrt(np.cumsum(squares)[-1]))
     bound = ball.group.shell_bound
     if bound is None:
         return Bracket(lower, MetricBracket(lo_2, math.inf, None))
@@ -193,12 +242,19 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
     triplets = commutator_triplets(support, ball)
     inner = (triplets[0] < n) & (triplets[1] < n)
     rows, cols, index, diff = (a[inner] for a in triplets)
+    # one CSR structure for every T(alpha), with the entries in the order that
+    # coo_matrix(...).tocsr() gives them: each triplet's slot is read back
+    # from a matrix whose data are the triplet numbers; only the data change
+    T = sp.coo_matrix((np.arange(1, len(rows) + 1, dtype=complex), (rows, cols)),
+                      shape=(n, n)).tocsr()
+    slot = T.data.real.astype(np.int64) - 1
+    index_T, diff_T = index[slot], diff[slot]
     # each ascent solve starts from the previous top vector (see _top_singular)
     v_last = None
 
     def evaluate(alpha, tol=_ASCENT_TOL):
         nonlocal v_last
-        T = sp.coo_matrix((alpha[index] * diff, (rows, cols)), shape=(n, n))
+        np.multiply(alpha[index_T], diff_T, out=T.data)
         sigma, u, v_last, _, _ = _top_singular(T, tol, start=v_last)
         n_val = complex(np.dot(alpha, c))
         return abs(n_val) / sigma if sigma > 0 else 0.0, sigma, u, v_last, n_val

@@ -4,7 +4,9 @@ Every metric in this package depends on a state only through its coefficient
 function g -> phi(lam_g): ``coeff_array`` evaluates it over the int64 rows of
 a ball (see ``groups``), and ``outside_bound`` bounds |phi(lam_g)| outside
 the ball by e_phi >= 1.  The constant positive-definite function 1 and the
-characters of free abelian groups are evaluated in closed form, e_phi = 1.
+characters of free abelian groups are evaluated in closed form, e_phi = 1,
+at any int64 rows by ``coeff_rows``, of which ``coeff_array`` is the value
+at the ball's rows (``one`` skips the rows: its value is 1 everywhere).
 The other four kinds are stored as the table of their finitely supported
 coefficients.  A table is zero outside its keys, so the state is defined at
 every element of the group, as a state of C*_r(G) must be; e_phi is
@@ -72,6 +74,10 @@ class OneState(StateRep):
     def coeff_array(self, ball: Ball) -> np.ndarray:
         return np.ones(len(ball), dtype=complex)
 
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients at an (n, row_width) int64 row array: all 1."""
+        return np.ones(len(rows), dtype=complex)
+
 
 class CharacterState(StateRep):
     """Character of a free abelian group: g -> prod z_i^(m_i) with |z_i| = 1."""
@@ -88,7 +94,11 @@ class CharacterState(StateRep):
         self.theta = np.angle(z)
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
-        return np.exp(1j * (ball.rows @ self.theta))
+        return self.coeff_rows(ball.rows)
+
+    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
+        """Coefficients at an (n, rank) int64 row array."""
+        return np.exp(1j * (rows @ self.theta))
 
 
 class FiniteState(StateRep):

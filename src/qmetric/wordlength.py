@@ -16,8 +16,8 @@ exact ball size before anything is built; then its sizes come from
 lists them in ball order, and its lookup from ``Group.default_indexer``,
 which finds a row's position without them.  So a caller that only looks
 rows up or reads lengths, such as a bracket of two finitely supported
-states or of ``one`` and such a state, builds none, and no closed-form
-ball builds a table of row keys.  Every other
+states or of ``one`` or a character and such a state, builds none, and no
+closed-form ball builds a table of row keys.  Every other
 generating set has no known closed form, so ``_search_ball`` finds its
 shells by multiplying whole shells with the family's ``mul_rows``: the
 generators were checked when the group was built, so every product of ball

@@ -175,6 +175,8 @@ class TestGroupLaw:
                      lambda: d_inf(native, foreign, ball),
                      lambda: d_2(native, foreign, ball),
                      lambda: connes_bracket(foreign, native, ball),
+                     lambda: connes_bracket(OneState(group), foreign, ball),
+                     lambda: connes_bracket(foreign, OneState(group), ball),
                      lambda: connes_heuristic(native, foreign, group, 1, 2),
                      lambda: pd_check(foreign, ball)):
             with pytest.raises(GroupError, match=message):
@@ -508,7 +510,7 @@ def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
     ball = enumerate_ball(group, 300)
     bracket = connes_bracket(phi, psi, ball)
     assert 0 < bracket.lo <= bracket.hi
-    # a pair with `one` reads every length, from the ball's sizes
+    # a pair with `one` reads its keys' lengths and the ball's shell sizes
     one = OneState(group)
     bracket = connes_bracket(one, phi, ball)
     assert 0 < bracket.lo <= bracket.hi
@@ -518,3 +520,66 @@ def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
     a = AlgebraElement({group.identity: 2.0, s: 1.0, reference_inv(group, s): 0.5j})
     assert lemma2_lower(a, ball) == math.sqrt(1.25)
     assert commutator_norm_upper_l1(a, ball) == 1.5
+
+
+# ---------------------------------------------------------------------------
+# `one` or a character against a finite state: the keys and the shell sizes
+# against every ball position
+# ---------------------------------------------------------------------------
+
+@st.composite
+def unimodular_pairs(draw):
+    """A group, a radius in 1..40, and `one` or a character against a finite state.
+
+    Characters only on Z^d.  The finite state's key pool holds the identity
+    and elements a few steps past the radius; in one pair in three a table
+    covers the whole of shell 1 (the generators) as well.  The finite state
+    is phi or psi at random.
+    """
+    name = draw(st.sampled_from(sorted(_PAIR_GROUPS)))
+    group = _PAIR_GROUPS[name]
+    radius = draw(st.one_of(st.just(1), st.integers(1, 40)))
+    reach = draw(st.sampled_from([2, radius + 3]))
+    pool = [group.identity] + [_pair_element(draw, group, reach)
+                               for _ in range(draw(st.integers(1, 6)))]
+    pool = list(dict.fromkeys(pool))
+    if draw(st.integers(0, 2)) == 0:
+        keys = list(dict.fromkeys([*group.generators, *pool[1:]]))
+        finite = TableState(group, {g: complex(draw(st.floats(0.0, 2.0))) for g in keys})
+    else:
+        finite = _pair_state(draw, group, pool)
+    if isinstance(group, FreeAbelian) and draw(st.booleans()):
+        unit = CharacterState(group, [np.exp(1j * draw(st.floats(-3.2, 3.2)))
+                                      for _ in range(group.rank)])
+    else:
+        unit = OneState(group)
+    phi, psi = (unit, finite) if draw(st.booleans()) else (finite, unit)
+    return name, radius, phi, psi
+
+
+@settings(deadline=None, max_examples=150)
+@given(unimodular_pairs())
+def test_unimodular_pairs_match_the_whole_ball_bracket(case):
+    name, radius, phi, psi = case
+    group = _PAIR_GROUPS[name]
+    dense = enumerate_ball(group, radius)
+    expected_inf, expected_2 = dense_bracket(phi, psi, dense)
+    ball = enumerate_ball(group, radius)
+    bracket = connes_bracket(phi, psi, ball)
+    for metric, expected in ((bracket.d_inf, expected_inf), (bracket.d_2, expected_2)):
+        assert metric.lo == pytest.approx(expected[0], rel=1e-13, abs=0.0)
+        assert metric.hi == pytest.approx(expected[1], rel=1e-13, abs=0.0)
+        assert _bits(metric.tail_bound) == _bits(expected[2])
+    if name != "z2-hex":
+        # a default ball is read through its sizes and key lookups alone
+        assert not {"rows", "lengths"} & ball.__dict__.keys()
+
+
+def test_unimodular_pair_refuses_a_foreign_law_before_radius_0():
+    z, z2 = FreeAbelian(1), FreeAbelian(2)
+    native = TableState(z, {GroupElement((1,)): 0.5})
+    for unit in (OneState(z), CharacterState(z, [1j])):
+        with pytest.raises(GroupError):
+            connes_bracket(unit, native, enumerate_ball(z2, 0))
+        with pytest.raises(ValueError, match="radius >= 1"):
+            connes_bracket(native, unit, enumerate_ball(z, 0))

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,7 +13,7 @@ from conftest import reference_inv, reference_mul
 from qmetric import wordlength
 from qmetric.errors import BallRadiusError, GroupError, ResourceError
 from qmetric.experiments import run_dist, run_summable
-from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
+from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, _l1_ball_sizes,
                             InfiniteDihedral, ProductZFinite, RowIndex)
 from qmetric.metrics import connes_bracket
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_norm_upper_l1,
@@ -243,6 +244,23 @@ def assert_same_ball(a, b):
     for x, y in ((a.rows, b.rows), (a.lengths, b.lengths), (a.sizes, b.sizes)):
         assert x.dtype == y.dtype == np.int64 and x.shape == y.shape
         assert x.tobytes() == y.tobytes()
+
+
+@settings(deadline=None, max_examples=200)
+@given(st.integers(0, 8), st.lists(st.integers(0, 10_000), min_size=1, max_size=20))
+def test_l1_ball_sizes_are_the_binomial_sum_in_python_ints(dims, radii):
+    def size(d, r):
+        return sum(2 ** i * math.comb(d, i) * math.comb(r, i) for i in range(d + 1))
+
+    # ints give the exact Python int, beyond int64 too
+    assert [_l1_ball_sizes(dims, r) for r in radii] == [size(dims, r) for r in radii]
+    # int64 arrays are exact while every size fits int64: by radius, and as
+    # the (rank, radius) table of the Z^d lookup
+    fits = np.array([0] + [r for r in radii if size(dims, r) < 2 ** 63], dtype=np.int64)
+    sizes = _l1_ball_sizes(dims, fits)
+    assert sizes.dtype == np.int64 and sizes.tolist() == [size(dims, r) for r in fits]
+    table = _l1_ball_sizes(np.arange(dims + 1, dtype=np.int64)[:, None], fits)
+    assert table.tolist() == [[size(d, r) for r in fits] for d in range(dims + 1)]
 
 
 class TestClosedForms:

@@ -10,7 +10,9 @@ It writes these configs into a temporary directory:
 * the ``sandwich`` workload's configs at seed 1 (9);
 * the golden cases of ``tests/test_golden.py`` (30);
 * ``ball``, ``growth`` and ``summable`` at radius 60 on Z, Z^2, Z x S3 and
-  the dihedral group (12).
+  the dihedral group (12);
+* ``kappa`` at radius 60 on the same four groups, with two or three density
+  states each (4), so that the Lanczos solves of ``kappa_bounds`` are covered.
 
 Each config runs in this process through ``qmetric.cli.main``, once with a
 CSV and once with a JSON report.  One line ``exit sha256 experiment name``
@@ -52,6 +54,19 @@ SEEDS = (1, 2, 3)
 GROUPS = {"z": test_golden.Z, "z2": test_golden.Z2, "zxs3": test_golden.ZXS3,
           "dihedral": test_golden.DIHEDRAL}
 RADIUS = 60
+_density = test_golden._density
+KAPPA_STATES = {
+    "z": [_density([([0], 1.0, 0.0), ([1], 0.5, 0.0)]),
+          _density([([0], 1.0, 0.0), ([2], 0.5, -0.5), ([-1], 0.0, 0.3)])],
+    "z2": [_density([([0, 0], 1.0, 0.0), ([1, 0], 0.5, 0.0)]),
+           _density([([0, 0], 1.0, 0.0), ([1, -2], 0.5, 0.5), ([3, 1], 0.0, 0.4)]),
+           _density([([0, 1], 1.0, 0.0), ([0, -1], 0.0, 1.0)])],
+    "zxs3": [_density([([0, 0], 1.0, 0.0), ([0, 4], 0.5, 0.0), ([1, 1], 0.0, 0.5)]),
+             _density([([0, 0], 1.0, 0.0), ([1, 3], 0.5, 0.0), ([-2, 5], 0.0, 0.6)])],
+    "dihedral": [_density([([0, 0], 1.0, 0.0), ([1, 1], 1.0, 0.0)]),
+                 _density([([0, 0], 1.0, 0.0), ([2, 0], 0.5, 0.5)]),
+                 _density([([1, 0], 1.0, 0.0), ([-3, 0], 0.0, 0.8)])],
+}
 
 
 def configs(tmp: Path) -> list[tuple[str, str, Path]]:
@@ -69,6 +84,9 @@ def configs(tmp: Path) -> list[tuple[str, str, Path]]:
         for group_name, group in GROUPS.items():
             cases[f"{experiment}_{group_name}_r{RADIUS}"] = (
                 experiment, {"group": group, "radius": RADIUS})
+    for group_name, group in GROUPS.items():
+        cases[f"kappa_{group_name}_r{RADIUS}"] = (
+            "kappa", {"group": group, "radius": RADIUS, "states": KAPPA_STATES[group_name]})
     for name, (experiment, config) in cases.items():
         path = tmp / f"{name}.json"
         path.write_text(json.dumps(config))
