@@ -9,24 +9,25 @@ the ball with a rigorous tail:
 with tails from the states' outside bounds (``StateRep.outside_bound``).
 Its one result, a ``Bracket``, holds both as fields and encloses the Connes
 metric d (sup of |phi(a) - psi(a)| over a with commutator norm <= 1):
-d_inf.lo <= d <= d_2.hi.  The pass reads c_g (``_differences``) at as few
-ball positions as the pair allows:
+d_inf.lo <= d <= d_2.hi.  Every state is a key table over a background
+(``StateRep``): 0 for the finite kinds, of modulus 1 for ``one`` and the
+characters (``StateRep.unimodular``), whose tables are empty.  So the pass
+reads c_g (``_differences``) at as few ball positions as the pair allows:
 
-* two finitely supported states (``FiniteState``): c vanishes off the union
-  of their keys, so only those positions are read;
-* a finite state against ``one`` or a character: |c_g| = 1 off the finite
-  state's keys, so only the keys' positions are read, the character is
-  evaluated at the keys' rows alone, and the rest comes from the shell
+* two unimodular states: every position;
+* any other pair: the union of the keys' positions, where c is each state's
+  table value plus its background, subtracted, with a unimodular background
+  evaluated at those rows alone.  Off the keys c vanishes, or, when exactly
+  one state is unimodular, |c_g| = 1, and the rest comes from the shell
   sizes S_k: shell k adds (S_k - K_k) / k^2 to the l2 sum, K_k its keys,
-  and the least shell with a position off the keys adds 1 / k to the sup;
-* two of ``one`` and characters: every position.
+  and the least shell with a position off the keys adds 1 / k to the sup.
 
-So on a default generating set the first two kinds build no rows and no
-array of ball length.  For the first and the third the endpoints are those
-of a pass over every position, bit for bit: the sup is order-free, and the
-l2 sum adds its shells in ball order, where exact zeros change no partial
-sum.  The second adds a shell's unit terms as one quotient, so its last
-bits can differ from such a pass.
+So on a default generating set the second kind builds no rows and no array
+of ball length.  For two finite states and for two unimodular states the
+endpoints are those of a pass over every position, bit for bit: the sup is
+order-free, and the l2 sum adds its shells in ball order, where exact zeros
+change no partial sum.  With one unimodular state a shell's unit terms are
+added as one quotient, so the last bits can differ from such a pass.
 
 The bracket is the only certified output; connes_heuristic additionally
 ascends the ratio |sum alpha_g c_g| / sigma(alpha) for a point estimate of
@@ -44,7 +45,7 @@ import numpy as np
 
 from .groups import Group
 from .opalgebra import _top_singular, commutator_triplets
-from .states import CharacterState, FiniteState, OneState, StateRep
+from .states import StateRep
 from .wordlength import Ball, enumerate_ball
 
 
@@ -88,56 +89,54 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball
 
     c is listed, with its lengths, at the positions where it is read one by
     one; units[k] counts the other positions of shell k, where |c_g| = 1;
-    c_g = 0 at every position neither listed nor counted.  By the kind of
-    pair:
+    c_g = 0 at every position neither listed nor counted.  Each state is a
+    key table over a background (see StateRep), and the pair is read as:
 
-    * two FiniteStates: the union of their keys' positions, in ball order,
-      with each state's value there, or 0, subtracted as delta_coeffs
-      subtracts; no units, since c vanishes off the keys;
-    * a FiniteState against ``one`` or a character chi: the finite state's
-      keys, in key order, with chi evaluated at their rows only; units[k]
-      = S_k - K_k, the shell's size less its keys, since |c_g| = |chi(g)|
-      = 1 off the keys;
-    * any other pair: every position, in ball order; no units.
+    * two unimodular states: every position, in ball order; no units;
+    * any other pair: the union of the keys' positions, in ball order, with
+      each state's table value there (or 0) plus its background subtracted.
+      Off the keys c_g is the unimodular background, if one state has it:
+      then units[k] = S_k - K_k, the shell's size less its listed positions;
+      otherwise c vanishes there, and there are no units.
 
     GroupError for a foreign law.
     """
     phi.check_ball(ball)
     psi.check_ball(ball)
     no_units = np.zeros(0, dtype=np.int64)
-    if isinstance(phi, FiniteState) and isinstance(psi, FiniteState):
-        found = np.concatenate([phi._positions(ball), psi._positions(ball)])
-        hit = found > 0  # in the ball, and not the identity
-        positions, slot = np.unique(found[hit], return_inverse=True)
-        # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
-        side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
-        terms = np.zeros((2, len(positions)), dtype=complex)
-        terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
-        return ball.lengths_at(positions), terms[0] - terms[1], no_units
-    finite = phi if isinstance(phi, FiniteState) else psi
-    other = psi if finite is phi else phi
-    if not (isinstance(finite, FiniteState) and isinstance(other, (OneState, CharacterState))):
+    if phi.unimodular and psi.unimodular:
         return ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:], no_units
-    found = finite._positions(ball)
-    hit = found > 0
-    lengths = ball.lengths_at(found[hit])
-    table, chi = finite._values[hit], other.coeff_rows(finite._rows[hit])
+    found = np.concatenate([phi._positions(ball), psi._positions(ball)])
+    hit = found > 0  # in the ball, and not the identity
+    positions, slot = np.unique(found[hit], return_inverse=True)
+    # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
+    side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
+    terms = np.zeros((2, len(positions)), dtype=complex)
+    terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
+    lengths = ball.lengths_at(positions)
+    if not (phi.unimodular or psi.unimodular):
+        return lengths, terms[0] - terms[1], no_units
+    # the row at each listed position, from the keys that sit there
+    rows = np.empty((len(positions), ball.group.row_width), dtype=np.int64)
+    rows[slot] = np.concatenate([phi._rows, psi._rows])[hit]
+    for side, state in enumerate((phi, psi)):
+        if state.unimodular:
+            terms[side] += state.background(rows)
     units = ball.shell_sizes - np.bincount(lengths, minlength=ball.radius + 1)
     units[0] = 0
-    return lengths, table - chi if finite is phi else chi - table, units
+    return lengths, terms[0] - terms[1], units
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
     """d_inf and d_2 on the ball in one pass, with their tails outside it.
 
-    The pass reads the terms of _differences: the union of the keys for two
-    finite states; one finite state's keys and the ball's shell sizes for
-    ``one`` or a character against it; every position for two of ``one``
-    and characters.  On a default generating set the first two build no
-    rows and no array of ball length.  A listed term adds |c_g| / L(g) to
-    the sup and its square to the l2 sum; the units of shell k, where
-    |c_g| = 1, add 1 / k to the sup for the least such k, and units[k] / k^2
-    to the sum.
+    The pass reads the terms of _differences: every position for two
+    unimodular states, the union of the keys otherwise, with the ball's
+    shell sizes when exactly one state is unimodular.  On a default
+    generating set the second kind builds no rows and no array of ball
+    length.  A listed term adds |c_g| / L(g) to the sup and its square to
+    the l2 sum; the units of shell k, where |c_g| = 1, add 1 / k to the sup
+    for the least such k, and units[k] / k^2 to the sum.
 
     Outside the ball |c_g| <= E = e_phi + e_psi and L(g) >= r + 1, so d_inf
     gains at most E / (r + 1).  d_2's tail E^2 B / r needs an analytic

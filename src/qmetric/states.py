@@ -3,15 +3,15 @@
 Every metric in this package depends on a state only through its coefficient
 function g -> phi(lam_g): ``coeff_array`` evaluates it over the int64 rows of
 a ball (see ``groups``), and ``outside_bound`` bounds |phi(lam_g)| outside
-the ball by e_phi >= 1.  The constant positive-definite function 1 and the
-characters of free abelian groups are evaluated in closed form, e_phi = 1,
-at any int64 rows by ``coeff_rows``, of which ``coeff_array`` is the value
-at the ball's rows (``one`` skips the rows: its value is 1 everywhere).
-The other four kinds are stored as the table of their finitely supported
-coefficients.  A table is zero outside its keys, so the state is defined at
-every element of the group, as a state of C*_r(G) must be; e_phi is
-max(1, |value|) over keys outside the ball, and ``coeff_array`` looks each
-key up in the ball.  The kinds:
+the ball by e_phi >= 1.  Every state is a key table, zero off its keys,
+over a background: 0 for four kinds, whose tables hold their finitely
+supported coefficients, and of modulus 1 (``unimodular``) for the constant
+positive-definite function 1 and the characters of free abelian groups,
+whose tables are empty.  So each state is defined at every element of the
+group, as a state of C*_r(G) must be.  ``background`` evaluates a closed
+form at any int64 rows; ``coeff_array`` reads a ball's rows only for it
+(``one`` skips them), and looks each key up in the ball.  e_phi is
+max(1, |value|) over the keys outside the ball.  The four finite kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -23,7 +23,7 @@ key up in the ball.  The kinds:
 the Fourier symbol of a table along the Z part it proves, up to a slack of
 _PD_TOL, a lower bound on the least eigenvalue of every Gram matrix
 phi(g_i^-1 g_j).  Its work is capped (ResourceError), which refuses tables
-with keys far out, beyond int64 or not.  The closed-form kinds are
+with keys far out, beyond int64 or not.  The unimodular kinds are
 characters, so their Gram matrices are rank one.
 """
 
@@ -43,18 +43,53 @@ from .wordlength import Ball
 
 
 class StateRep:
-    """Base state evaluator; subclasses implement coeff_array(ball)."""
+    """A state as a key table over a background: phi(lam_g) = table(g) + background(g).
 
-    def __init__(self, group: Group):
+    The background is 0, or of modulus 1 when the class constant
+    ``unimodular`` is set, and only then evaluated; those tables are empty.
+    The keys are checked here as they become rows (GroupError for a foreign
+    key).  Vector and density states check their input before that, in
+    ``star`` and ``conv_mul``, which check every factor: a vector state its
+    support twice and the support's inverses once, a density state b twice,
+    b's inverses once and rho's keys once.
+    """
+
+    unimodular = False
+
+    def __init__(self, group: Group, table: Mapping[GroupElement, complex]):
         self.group = group
+        self._rows = group.to_rows(table)
+        self._values = np.array(list(table.values()), dtype=complex)
+        self._found = None  # (ball, _positions(ball)) of the last ball looked up
 
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        """Coefficients over a ball, in ball order."""
+    def background(self, rows: np.ndarray) -> np.ndarray:
+        """The background, of modulus 1, at an (n, row_width) int64 row array (unimodular kinds)."""
         raise NotImplementedError
 
+    def coeff_array(self, ball: Ball) -> np.ndarray:
+        """Coefficients over a ball, in ball order: the table scattered into the background.
+
+        Each key is looked up in the ball, not each ball row in the table, and
+        the ball's rows are read only for a unimodular background.
+        """
+        out = self.background(ball.rows) if self.unimodular else np.zeros(len(ball), dtype=complex)
+        pos = self._positions(ball)
+        hit = pos >= 0
+        out[pos[hit]] += self._values[hit]
+        return out
+
     def outside_bound(self, ball: Ball) -> float:
-        """A bound e_phi >= 1 on |phi(lam_g)| for every g outside the ball."""
-        return 1.0
+        """A bound e_phi >= 1 on |phi(lam_g)| outside the ball: max(1, |value|) over its keys there."""
+        outside = self._values[self._positions(ball) < 0]
+        return float(np.abs(outside).max(initial=1.0))
+
+    def _positions(self, ball: Ball) -> np.ndarray:
+        """Ball index of each key, -1 outside; the lookup on the last ball is kept."""
+        if self._found is None or self._found[0] is not ball:
+            # an empty table skips the lookup, whose fixed cost is tens of microseconds
+            found = ball.find_rows(self._rows) if len(self._rows) else np.zeros(0, np.int64)
+            self._found = (ball, found)
+        return self._found[1]
 
     def check_ball(self, ball: Ball) -> None:
         """GroupError unless the ball's group has this state's group law (Group.law)."""
@@ -69,18 +104,24 @@ def _law_name(group: Group) -> str:
 
 
 class OneState(StateRep):
-    """The state induced by the constant positive-definite function 1."""
+    """The state induced by the constant positive-definite function 1: background 1."""
+
+    unimodular = True
+
+    def __init__(self, group: Group):
+        super().__init__(group, {})
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
         return np.ones(len(ball), dtype=complex)
 
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Coefficients at an (n, row_width) int64 row array: all 1."""
+    def background(self, rows: np.ndarray) -> np.ndarray:
         return np.ones(len(rows), dtype=complex)
 
 
 class CharacterState(StateRep):
-    """Character of a free abelian group: g -> prod z_i^(m_i) with |z_i| = 1."""
+    """Character of a free abelian group: background g -> prod z_i^(m_i) with |z_i| = 1."""
+
+    unimodular = True
 
     def __init__(self, group: Group, z: Sequence[complex]):
         if not isinstance(group, FreeAbelian):
@@ -90,62 +131,19 @@ class CharacterState(StateRep):
         z = np.asarray(z, dtype=complex)
         if np.any(np.abs(np.abs(z) - 1.0) > 1e-9):
             raise StateError("character parameters must lie on the unit circle")
-        super().__init__(group)
+        super().__init__(group, {})
         self.theta = np.angle(z)
 
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        return self.coeff_rows(ball.rows)
-
-    def coeff_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Coefficients at an (n, rank) int64 row array."""
+    def background(self, rows: np.ndarray) -> np.ndarray:
         return np.exp(1j * (rows @ self.theta))
 
 
-class FiniteState(StateRep):
-    """State whose coefficients are a finite table, extended by 0 elsewhere.
-
-    The keys are checked here as they become rows (GroupError for a foreign
-    key).  Vector and density states check their input before that, in
-    ``star`` and ``conv_mul``, which check every factor: a vector state its
-    support twice and the support's inverses once, a density state b twice,
-    b's inverses once and rho's keys once.
-    """
-
-    def __init__(self, group: Group, table: dict[GroupElement, complex]):
-        super().__init__(group)
-        self._rows = group.to_rows(table)
-        self._values = np.array(list(table.values()), dtype=complex)
-        self._found = None  # (ball, _positions(ball)) of the last ball looked up
-
-    def coeff_array(self, ball: Ball) -> np.ndarray:
-        """Coefficients over a ball, in ball order: the table scattered into zeros.
-
-        Each key is looked up in the ball, not each ball row in the table.
-        """
-        pos = self._positions(ball)
-        hit = pos >= 0
-        out = np.zeros(len(ball), dtype=complex)
-        out[pos[hit]] = self._values[hit]
-        return out
-
-    def outside_bound(self, ball: Ball) -> float:
-        """max(1, |value|) over the keys outside the ball."""
-        outside = self._values[self._positions(ball) < 0]
-        return float(np.abs(outside).max(initial=1.0))
-
-    def _positions(self, ball: Ball) -> np.ndarray:
-        """Ball index of each key, -1 outside; the lookup on the last ball is kept."""
-        if self._found is None or self._found[0] is not ball:
-            self._found = (ball, ball.find_rows(self._rows))
-        return self._found[1]
-
-
-class TraceState(FiniteState):
+class TraceState(StateRep):
     def __init__(self, group: Group):
         super().__init__(group, {group.identity: 1.0 + 0.0j})
 
 
-class TableState(FiniteState):
+class TableState(StateRep):
     """Explicit coefficient table; it may violate positivity (see pd_check)."""
 
     def __init__(self, group: Group, entries: Mapping[GroupElement, complex]):
@@ -156,7 +154,7 @@ class TableState(FiniteState):
         super().__init__(group, {**entries, group.identity: 1.0 + 0.0j})
 
 
-class VectorState(FiniteState):
+class VectorState(StateRep):
     """Vector state from a finitely supported unit vector xi on the group."""
 
     def __init__(self, group: Group, xi: Mapping[GroupElement, complex]):
@@ -169,7 +167,7 @@ class VectorState(FiniteState):
         super().__init__(group, conv_mul(group, a, star(group, a)).coeffs)
 
 
-class DensityState(FiniteState):
+class DensityState(StateRep):
     """Trace-bounded state with density rho = b*b / tau(b*b) for finitely supported b."""
 
     def __init__(self, group: Group, b: AlgebraElement):
@@ -354,12 +352,12 @@ def pd_check(state: StateRep, ball: Ball) -> PdCheckResult:
     lo < -slack; a symbol that overflows fails with NaN lo and hi.  A table
     whose frequencies need more grid points than the cap allows (a key beyond
     int64 among them) raises ResourceError.  The ball only names the group
-    law (GroupError for another law) and, for the one and character states,
+    law (GroupError for another law) and, for the unimodular states,
     the size of their Gram matrix: they are characters, so it is rank one
     and (lo, hi) = (0, len(ball)).
     """
     state.check_ball(ball)
-    if not isinstance(state, FiniteState):
+    if state.unimodular:
         return PdCheckResult(True, 0.0, float(len(ball)))
     group, rows, values = state.group, state._rows, state._values
     inverse = group.inv_rows(rows)

@@ -18,7 +18,7 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_triplets,
                                lemma2_lower)
-from qmetric.states import FiniteState, TableState
+from qmetric.states import StateRep, TableState
 from qmetric.wordlength import enumerate_ball
 
 GROUPS = {
@@ -204,7 +204,7 @@ def near_and_far(draw):
 def test_far_elements_are_in_no_ball(case):
     group, ball, near, far, support = case
     table = {**near, **far}
-    phi, phi_near = FiniteState(group, table), FiniteState(group, near)
+    phi, phi_near = StateRep(group, table), StateRep(group, near)
     assert phi.coeff_array(ball).tobytes() == phi_near.coeff_array(ball).tobytes()
     inside = set(ball.elements)
     # numpy's modulus, which can differ from Python's abs in the last bit

@@ -36,10 +36,7 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 # the one option that no program passes: acceptance 6 caps its ball with it,
 # and the acceptance tests stay as they are
 ALLOWED_OPTIONS = ["wordlength.enumerate_ball(max_elements)"]
-# the one parameter that is not read: the default outside bound, 1, holds on
-# every ball, and the states that keep it are called with the same arguments
-# as those whose bound depends on the ball
-ALLOWED_UNREAD = ["states.StateRep.outside_bound(ball)"]
+ALLOWED_UNREAD = []
 
 
 def mentions(node: ast.AST) -> Counter:
