@@ -204,21 +204,25 @@ _ASCENT_TOL, _NORM_TOL = 1e-7, 1e-9
 
 def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
                      r: int, R: int) -> HeuristicResult:
-    """Ascend |sum alpha_g c_g| / sigma(alpha) over coefficients on ball(r) \\ {e}.
+    """Ascend |sum alpha_g c_g| / sigma(alpha) over coefficients on a support around ball(r).
 
     sigma(alpha) is the norm of T(alpha), the commutator [D, sum alpha_g lam_g]
     compressed to ball(R).  It is a lower bound of the true constraint, so the
     estimate is not certified; the sigma drift on re-evaluation at radius 2R
     is reported as a stability check.  ball(2R) is enumerated first (its cap
     raises ResourceError even for agreeing states), and ball(r) and ball(R)
-    are its prefixes.  The support is the rows of ball(r) \\ {e}; its one list
-    of commutator triplets on ball(2R) gives T(alpha) (the triplets inside
+    are its prefixes.  The support is the rows of ball(r) \\ {e}, and also g
+    and g^-1, so that it stays inverse-closed, when the argmax g of
+    |c_g| / L(g) over ball(R) \\ {e} lies beyond ball(r).  Its one list of
+    commutator triplets on ball(2R) gives T(alpha) (the triplets inside
     ball(R), over which the subgradients u^H [D, lam_g] v are one sum) and
     the drift operator (those of the winner's nonzero coefficients).
 
-    Restarts begin at the singletons with the largest |c_g| / L(g), so the
-    first iterate already attains the d_inf lower bound on the ball.  When c
-    is hermitian (c_{g^-1} = conj(c_g)), a start whose inverse is already a
+    Restarts begin at the singletons with the largest |c_g| / L(g), that g
+    first.  For L(g) <= R, ||T(lam_g)|| = L(g): [D, lam_g] takes each h to gh
+    with weight L(gh) - L(h), of modulus at most L(g) and equal to it at
+    h = e.  So the first iterate, and with it the estimate, attains the d_inf
+    lower bound on ball(R).  When c is hermitian (c_{g^-1} = conj(c_g)), a start whose inverse is already a
     start is dropped, because its ascent mirrors the other one: with
     alpha'_{g^-1} = conj(alpha_g), T(alpha') = -T(alpha)^* (the balls are
     inverse-closed) and <alpha', c> = conj(<alpha, c>), so every ratio, step
@@ -232,9 +236,14 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
 
     ball = enumerate_ball(group, 2 * R)
     n_r, n = ball.sizes[r], ball.sizes[R]
-    support = ball.rows[1:n_r]
-    c = delta_coeffs(phi, psi, ball)[1:n_r]
-    lengths = ball.lengths[1:n_r].astype(float)
+    c = delta_coeffs(phi, psi, ball)[:n]
+    positions = np.arange(1, n_r)
+    top = 1 + int(np.argmax(np.abs(c[1:]) / ball.lengths[1:n]))
+    if top >= n_r:  # beyond ball(r): g and g^-1 join the support
+        positions = np.union1d(positions, [top, *ball.find_rows(
+            group.inv_rows(ball.rows[top:top + 1]))])
+    support, c = ball.rows[positions], c[positions]
+    lengths = ball.lengths[positions].astype(float)
     if len(support) == 0 or float(np.max(np.abs(c), initial=0.0)) < 1e-14:
         return HeuristicResult(0.0, 0.0, {"restart_log": []})
     m = len(support)
@@ -260,7 +269,7 @@ def connes_heuristic(phi: StateRep, psi: StateRep, group: Group,
 
     order = np.argsort(-np.abs(c) / lengths, kind="stable")
     starts = [int(i) for i in order if abs(c[i]) > 1e-14][:_RESTARTS]
-    inverse = ball.find_rows(group.inv_rows(support)) - 1
+    inverse = np.searchsorted(positions, ball.find_rows(group.inv_rows(support)))
     if np.max(np.abs(c[inverse] - np.conj(c))) <= 1e-12:
         starts = [s for k, s in enumerate(starts) if inverse[s] not in starts[:k]]
 

@@ -1,5 +1,7 @@
+import ast
 import math
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_inv
 
-from qmetric import metrics
+from qmetric import metrics, states
 from qmetric.errors import GroupError, ResourceError
 from qmetric.experiments import run_ball, run_growth, run_summable
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement, InfiniteDihedral,
@@ -17,8 +19,9 @@ from qmetric.metrics import (connes_bracket, connes_heuristic, d_2, d_inf,
                              delta_coeffs)
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_norm_upper_l1,
                                lemma2_lower)
-from qmetric.states import (CharacterState, DensityState, OneState, TableState,
-                            TraceState, VectorState, kappa_bounds, pd_check)
+from qmetric.states import (CharacterState, DensityState, OneState, StateRep, TableState,
+                            TraceState, VectorState, kappa_bounds, pd_check,
+                            state_from_json)
 from qmetric.wordlength import enumerate_ball
 
 
@@ -399,6 +402,27 @@ class TestHeuristic:
         assert result.diagnostics["estimate_at_drift_radius"] \
             <= result.estimate + 1e-12
 
+    def test_argmax_beyond_the_support_ball_joins_the_support(self, dihedral):
+        # the sandwich pair D r=30 trace|vector: |c_g| / L(g) is largest at
+        # L(g) = 3, beyond the support ball r = 2; the estimate was 0.16751
+        # against d_inf.lo = 0.21274 before g and g^-1 joined the support
+        vector = {"kind": "vector", "support": [
+            {"element": [0, 0], "re": 0.1346347353758899, "im": 0.11232939376849213},
+            {"element": [0, 1], "re": -0.14146084494579111, "im": -0.5736067564133525},
+            {"element": [2, 0], "re": 0.6857789107609233, "im": 0.38720407955702707}]}
+        phi, psi = TraceState(dihedral), state_from_json(dihedral, vector)
+        lo = d_inf(phi, psi, enumerate_ball(dihedral, 30)).lo
+        assert lo == pytest.approx(0.21274249, abs=1e-8)
+        result = connes_heuristic(phi, psi, dihedral, 2, 20)
+        assert result.estimate >= lo - 1e-6
+
+    def test_difference_only_beyond_the_support_ball(self, z_group):
+        # c vanishes on ball(1) \ {e}; the singleton at +-3 gives 0.5 / 3
+        far = TableState(z_group, {GroupElement((3,)): 0.5, GroupElement((-3,)): 0.5})
+        result = connes_heuristic(TraceState(z_group), far, z_group, 1, 4)
+        assert result.estimate >= 0.5 / 3 - 1e-9
+        assert len(result.diagnostics["restart_log"]) == 1
+
 
 # ---------------------------------------------------------------------------
 # two finite states: the bracket over their keys against the dense bracket
@@ -583,3 +607,21 @@ def test_unimodular_pair_refuses_a_foreign_law_before_radius_0():
             connes_bracket(unit, native, enumerate_ball(z2, 0))
         with pytest.raises(ValueError, match="radius >= 1"):
             connes_bracket(native, unit, enumerate_ball(z, 0))
+
+
+def test_metrics_names_no_state_class():
+    # every state is a key table over a background, so the metrics read the
+    # states' tables and their unimodular flag, never their classes
+    subclasses = {name for name, obj in vars(states).items()
+                  if isinstance(obj, type) and issubclass(obj, StateRep) and obj is not StateRep}
+    assert {"OneState", "CharacterState", "TraceState", "DensityState"} <= subclasses
+    tree = ast.parse(Path(metrics.__file__).read_text(encoding="utf-8"))
+    named = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name.split(".")[-1])
+    assert "StateRep" in named and not subclasses & named

@@ -6,8 +6,10 @@ re-exports), in ``demos/`` or in ``qbench/``: as a name, an attribute, an
 imported name or a string (qbench names the functions it traces by string).
 The tests do not count, so a helper that only its own tests call is flagged.
 The same holds for every method and property of a class in ``src/qmetric``,
-with the same users and the same matching by name: it counts as used when
-its name appears outside its own body.  Dunder methods, which Python calls,
+with the same users, but matched only by attribute access or string: it
+counts as used when an attribute or a string outside its own body names it.
+A bare name or an import of the same spelling, such as a local variable or a
+module-level function, does not count.  Dunder methods, which Python calls,
 and bodies that only raise NotImplementedError, which declare an interface,
 are not counted.
 
@@ -39,18 +41,21 @@ ALLOWED_OPTIONS = ["wordlength.enumerate_ball(max_elements)"]
 ALLOWED_UNREAD = []
 
 
-def mentions(node: ast.AST) -> Counter:
-    """How often a syntax tree mentions each name: as a name, attribute, import or string."""
+def mentions(node: ast.AST, bare: bool = True) -> Counter:
+    """How often a syntax tree mentions each name: as an attribute or a string.
+
+    With bare, also as a name or an import.
+    """
     names = Counter()
     for sub in ast.walk(node):
-        if isinstance(sub, ast.Name):
-            names[sub.id] += 1
-        elif isinstance(sub, ast.Attribute):
+        if isinstance(sub, ast.Attribute):
             names[sub.attr] += 1
-        elif isinstance(sub, ast.alias):
-            names[sub.name.split(".")[-1]] += 1
         elif isinstance(sub, ast.Constant) and isinstance(sub.value, str):
             names[sub.value] += 1
+        elif bare and isinstance(sub, ast.Name):
+            names[sub.id] += 1
+        elif bare and isinstance(sub, ast.alias):
+            names[sub.name.split(".")[-1]] += 1
     return names
 
 
@@ -80,23 +85,25 @@ def unused_definitions(defined: dict[str, ast.Module],
 
 
 def unused_methods(defined: dict[str, ast.Module], users: list[ast.Module]) -> list[str]:
-    """Qualified "module.Class.method" of each method that no user mentions outside its body.
+    """Qualified "module.Class.method" of each method that no user names outside its body.
 
-    Properties are methods here; dunder methods and interface bodies (see
-    _only_raises_not_implemented) are not counted.  defined and users are
-    as in unused_definitions, so every method body is also counted among
-    the users' mentions, once, and is taken out again for its own method.
+    A method is named by an attribute access or a string, not by a bare name
+    or an import.  Properties are methods here; dunder methods and interface
+    bodies (see _only_raises_not_implemented) are not counted.  defined and
+    users are as in unused_definitions, so every method body is also counted
+    among the users' mentions, once, and is taken out again for its own
+    method.
     """
     total = Counter()
     for tree in users:
-        total += mentions(tree)
+        total += mentions(tree, bare=False)
     return sorted(
         f"{module}.{cls.name}.{fn.name}"
         for module, tree in defined.items() for cls in ast.walk(tree)
         if isinstance(cls, ast.ClassDef) for fn in cls.body
         if isinstance(fn, FUNCTIONS) and not (fn.name.startswith("__") and fn.name.endswith("__"))
         and not _only_raises_not_implemented(fn)
-        and total[fn.name] <= mentions(fn)[fn.name])
+        and total[fn.name] <= mentions(fn, bare=False)[fn.name])
 
 
 def defaulted_parameters(module: str, tree: ast.Module):
@@ -236,10 +243,15 @@ def test_finds_an_unused_method():
                        "    def unread(self):\n        return 0\n\n"
                        "    def hook(self):\n        raise NotImplementedError\n\n"
                        "    def traced(self):\n        return 2\n\n"
+                       "    def rows(self):\n        return 3\n\n"
+                       "    def coeff_array(self):\n        return 4\n\n"
                        "    def __repr__(self):\n        return 'Op'\n")
-    user = ast.parse("import m\nm.Op(1).run()\nTARGET = 'traced'\n")
-    # helper is named only inside its own body, unread nowhere
-    assert unused_methods({"m": module}, [module, user]) == ["m.Op.helper", "m.Op.unread"]
+    user = ast.parse("import m\nfrom oracle import coeff_array\nm.Op(1).run()\n"
+                     "TARGET = 'traced'\nrows = coeff_array(3)\n")
+    # helper is named only inside its own body, unread nowhere; rows and
+    # coeff_array only by a bare name or an import of the same spelling
+    assert unused_methods({"m": module}, [module, user]) == [
+        "m.Op.coeff_array", "m.Op.helper", "m.Op.rows", "m.Op.unread"]
 
 
 def test_finds_an_option_that_no_call_passes():
