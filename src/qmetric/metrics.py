@@ -119,9 +119,9 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball
     # the row at each listed position, from the keys that sit there
     rows = np.empty((len(positions), ball.group.row_width), dtype=np.int64)
     rows[slot] = np.concatenate([phi._rows, psi._rows])[hit]
-    for side, state in enumerate((phi, psi)):
+    for k, state in enumerate((phi, psi)):
         if state.unimodular:
-            terms[side] += state.background(rows)
+            terms[k] += state.background(rows)
     units = ball.shell_sizes - np.bincount(lengths, minlength=ball.radius + 1)
     units[0] = 0
     return lengths, terms[0] - terms[1], units

@@ -159,10 +159,10 @@ _SCATTER_GROUPS = {
 }
 
 
-@pytest.mark.parametrize("group_name,kind", [
-    (group_name, kind) for group_name in sorted(_SCATTER_GROUPS) for kind in _KINDS
+@pytest.mark.parametrize("kind,group_name", [
+    (kind, group_name) for group_name in sorted(_SCATTER_GROUPS) for kind in _KINDS
     if kind != "character" or group_name.startswith("z2")])
-def test_coeff_array_is_coeff_rows_bit_for_bit(group_name, kind):
+def test_coeff_array_is_coeff_rows_bit_for_bit(kind, group_name):
     make, radius = _SCATTER_GROUPS[group_name]
     group = make()
     phi, _ = _state_and_formula(kind, group)
