@@ -35,11 +35,12 @@ takes every word length.  ``default_ball`` lists the rows of a ball in ball
 order, by (length, row): on Z^d each l1 sphere in lexicographic order, from
 the closed form; on Z x F and the dihedral group the (m, f) with |m| <= r,
 in lexicographic order, that lie in the ball, stably sorted by length.
-``default_indexer`` inverts the listing: a row's ball position is the size
-of the ball one shell in, plus its rank in its shell, both from the closed
-form.  The lookup is exact for every int64 row: the bounds are checked
-before any |x| or sum is formed, so nothing wraps, and every size it forms
-is at most the size of the ball, which the ball cap keeps below 2^30.
+``_locate`` inverts the listing, and is the default ball's ``find_rows``: a
+row's ball position is the size of the ball one shell in, plus its rank in
+its shell, both from the closed form.  The lookup is exact for every int64
+row: the bounds are checked before any |x| or sum is formed, so nothing
+wraps, and every size it forms is at most the size of the ball, which the
+ball cap keeps below 2^30.
 """
 
 from __future__ import annotations
@@ -47,7 +48,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -201,21 +202,17 @@ class Group:
         """Rows of the default ball of the given radius, in ball order.
 
         The rows come in strictly increasing (length, row) order, and
-        ``default_indexer`` gives each row's position without a search.
+        ``_locate`` gives each row's position without a search.
         """
         raise NotImplementedError
 
-    def default_indexer(self, radius: int) -> Callable[[np.ndarray], np.ndarray]:
-        """Lookup of default_ball(radius): each row's position in it, or -1 outside.
-
-        The lookup takes a (..., row_width) int64 array and keeps nothing
-        between calls.  Exact for every int64 row while |B(radius)| fits
-        int64, as it does for every ball under the cap.
-        """
-        return functools.partial(self._locate, radius=radius)
-
     def _locate(self, rows: np.ndarray, radius: int) -> np.ndarray:
-        """Position of each row in default_ball(radius), -1 outside, from the closed form."""
+        """Position of each row of a (..., row_width) int64 array in default_ball(radius).
+
+        -1 outside, from the closed form, keeping nothing between calls; exact
+        for every int64 row while |B(radius)| fits int64, as it does for every
+        ball under the cap.
+        """
         raise NotImplementedError
 
     def check(self, a: GroupElement) -> None:
@@ -542,19 +539,25 @@ class RowIndex:
 
     Rows are compared by their keys (see _row_keys), so the lookup is exact
     for every int64 coordinate (no mixed-radix packing that could overflow).
-    The constructor sorts the keys once.
+    The keys are sorted once, on the first ``find``, so an index that is
+    never searched sorts nothing.
     """
 
     def __init__(self, rows: np.ndarray):
-        keys = _row_keys(rows)
-        self._order = np.argsort(keys, kind="stable")
-        self._sorted = keys[self._order]
+        self._rows = rows
+
+    @functools.cached_property
+    def _sorted(self) -> tuple[np.ndarray, np.ndarray]:  # (order, keys[order])
+        keys = _row_keys(self._rows)
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
 
     def find(self, rows: np.ndarray) -> np.ndarray:
         """Index of each row of a (..., k) array in the fixed rows, -1 where absent."""
+        order, sorted_keys = self._sorted
         keys = _row_keys(rows)
-        pos = np.minimum(np.searchsorted(self._sorted, keys), len(self._sorted) - 1)
-        return np.where(self._sorted[pos] == keys, self._order[pos], -1)
+        pos = np.minimum(np.searchsorted(sorted_keys, keys), len(sorted_keys) - 1)
+        return np.where(sorted_keys[pos] == keys, order[pos], -1)
 
 
 # ---------------------------------------------------------------------------

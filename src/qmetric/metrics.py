@@ -6,13 +6,16 @@ the ball with a rigorous tail:
 * d_inf: the sup of |phi(lam_g) - psi(lam_g)| / L(g) over g != e,
 * d_2:   the l2 analogue, finite whenever shells are boundedly sized,
 
-with tails from the states' outside bounds (``StateRep.outside_bound``).
-Its one result, a ``Bracket``, holds both as fields and encloses the Connes
-metric d (sup of |phi(a) - psi(a)| over a with commutator norm <= 1):
-d_inf.lo <= d <= d_2.hi.  Every state is a key table over a background
-(``StateRep``): 0 for the finite kinds, of modulus 1 for ``one`` and the
-characters (``StateRep.unimodular``), whose tables are empty.  So the pass
-reads c_g (``_differences``) at as few ball positions as the pair allows:
+with tails from the states' outside bounds e >= |phi(lam_g)| off the ball:
+max(1, |value|) over a state's keys outside it.  Its one result, a
+``Bracket``, holds both as fields and encloses the Connes metric d (sup of
+|phi(a) - psi(a)| over a with commutator norm <= 1): d_inf.lo <= d <= d_2.hi.
+Every state is a key table over a background (``StateRep``): 0 for the
+finite kinds, of modulus 1 for ``one`` and the characters
+(``StateRep.unimodular``), whose tables are empty.  So the pass reads c_g
+(``_differences``) at as few ball positions as the pair allows, and looks
+the keys of both states up in one ``Ball.find_rows`` call, which also
+gives the outside bounds:
 
 * two unimodular states: every position;
 * any other pair: the union of the keys' positions, where c is each state's
@@ -84,8 +87,8 @@ def delta_coeffs(phi: StateRep, psi: StateRep, ball: Ball) -> np.ndarray:
 
 
 def _differences(phi: StateRep, psi: StateRep, ball: Ball
-                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(lengths, c, units): c_g = phi(lam_g) - psi(lam_g) on the ball, g != e, in three parts.
+                 ) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    """(outside, lengths, c, units): c_g = phi(lam_g) - psi(lam_g) on the ball, g != e.
 
     c is listed, with its lengths, at the positions where it is read one by
     one; units[k] counts the other positions of shell k, where |c_g| = 1;
@@ -99,32 +102,39 @@ def _differences(phi: StateRep, psi: StateRep, ball: Ball
       then units[k] = S_k - K_k, the shell's size less its listed positions;
       otherwise c vanishes there, and there are no units.
 
+    The keys of both states are looked up in one ``find_rows`` call, and an
+    empty table in none.  outside = e_phi + e_psi bounds |c_g| off the ball,
+    with each e = max(1, |value|) over that state's keys outside it.
     GroupError for a foreign law.
     """
     phi.check_ball(ball)
     psi.check_ball(ball)
     no_units = np.zeros(0, dtype=np.int64)
-    if phi.unimodular and psi.unimodular:
-        return ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:], no_units
-    found = np.concatenate([phi._positions(ball), psi._positions(ball)])
+    if phi.unimodular and psi.unimodular:  # empty tables: e = 1 each
+        return 2.0, ball.lengths[1:], delta_coeffs(phi, psi, ball)[1:], no_units
+    keys = np.concatenate([phi._rows, psi._rows])
+    values = np.concatenate([phi._values, psi._values])
+    # side 0 holds phi's keys and side 1 psi's; a state's keys have distinct positions
+    side = np.repeat([0, 1], [len(phi._values), len(psi._values)])
+    found = ball.find_rows(keys) if len(keys) else np.zeros(0, dtype=np.int64)
+    e_phi, e_psi = (float(np.abs(values[(found < 0) & (side == k)]).max(initial=1.0))
+                    for k in (0, 1))
     hit = found > 0  # in the ball, and not the identity
     positions, slot = np.unique(found[hit], return_inverse=True)
-    # terms[0] takes phi's values and terms[1] psi's; a state's keys have distinct positions
-    side = np.repeat([0, 1], [len(phi._values), len(psi._values)])[hit]
     terms = np.zeros((2, len(positions)), dtype=complex)
-    terms[side, slot] = np.concatenate([phi._values, psi._values])[hit]
+    terms[side[hit], slot] = values[hit]
     lengths = ball.lengths_at(positions)
     if not (phi.unimodular or psi.unimodular):
-        return lengths, terms[0] - terms[1], no_units
+        return e_phi + e_psi, lengths, terms[0] - terms[1], no_units
     # the row at each listed position, from the keys that sit there
     rows = np.empty((len(positions), ball.group.row_width), dtype=np.int64)
-    rows[slot] = np.concatenate([phi._rows, psi._rows])[hit]
+    rows[slot] = keys[hit]
     for k, state in enumerate((phi, psi)):
         if state.unimodular:
             terms[k] += state.background(rows)
     units = ball.shell_sizes - np.bincount(lengths, minlength=ball.radius + 1)
     units[0] = 0
-    return lengths, terms[0] - terms[1], units
+    return e_phi + e_psi, lengths, terms[0] - terms[1], units
 
 
 def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
@@ -138,16 +148,15 @@ def connes_bracket(phi: StateRep, psi: StateRep, ball: Ball) -> Bracket:
     the l2 sum; the units of shell k, where |c_g| = 1, add 1 / k to the sup
     for the least such k, and units[k] / k^2 to the sum.
 
-    Outside the ball |c_g| <= E = e_phi + e_psi and L(g) >= r + 1, so d_inf
-    gains at most E / (r + 1).  d_2's tail E^2 B / r needs an analytic
-    shell-size bound B; without one d_2.hi is infinite.  GroupError for a
-    foreign law, then ValueError for a ball of radius 0.
+    Outside the ball |c_g| <= E = e_phi + e_psi (from _differences) and
+    L(g) >= r + 1, so d_inf gains at most E / (r + 1).  d_2's tail E^2 B / r
+    needs an analytic shell-size bound B; without one d_2.hi is infinite.
+    GroupError for a foreign law, then ValueError for a ball of radius 0.
     """
-    lengths, c, units = _differences(phi, psi, ball)
+    outside, lengths, c, units = _differences(phi, psi, ball)
     if ball.radius < 1:
         raise ValueError("the bracket needs ball radius >= 1")
     ratios = np.abs(c) / lengths
-    outside = phi.outside_bound(ball) + psi.outside_bound(ball)
     # the least shell k with units gives 1 / k
     unit_shells = np.flatnonzero(units)
     nearest = 1.0 / unit_shells[0] if unit_shells.size else 0.0

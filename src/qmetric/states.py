@@ -1,17 +1,17 @@
 """State representations on the reduced group C*-algebra.
 
 Every metric in this package depends on a state only through its coefficient
-function g -> phi(lam_g): ``coeff_array`` evaluates it over the int64 rows of
-a ball (see ``groups``), and ``outside_bound`` bounds |phi(lam_g)| outside
-the ball by e_phi >= 1.  Every state is a key table, zero off its keys,
+function g -> phi(lam_g).  Every state is a key table, zero off its keys,
 over a background: 0 for four kinds, whose tables hold their finitely
 supported coefficients, and of modulus 1 (``unimodular``) for the constant
 positive-definite function 1 and the characters of free abelian groups,
 whose tables are empty.  So each state is defined at every element of the
 group, as a state of C*_r(G) must be.  ``background`` evaluates a closed
-form at any int64 rows; ``coeff_array`` reads a ball's rows only for it
-(``one`` skips them), and looks each key up in the ball.  e_phi is
-max(1, |value|) over the keys outside the ball.  The four finite kinds:
+form at any int64 rows (see ``groups``); ``coeff_array`` evaluates the
+coefficients over a ball, from the background at the ball's rows for a
+unimodular state (``one`` skips them), and otherwise from the table, whose
+keys it looks up with one ``Ball.find_rows`` call; it keeps nothing from
+the lookup.  The four finite kinds:
 
 * the trace: {e: 1},
 * explicit tables (allowed to fail positivity; see pd_check), with e -> 1,
@@ -47,11 +47,13 @@ class StateRep:
 
     The background is 0, or of modulus 1 when the class constant
     ``unimodular`` is set, and only then evaluated; those tables are empty.
-    The keys are checked here as they become rows (GroupError for a foreign
-    key).  Vector and density states check their input before that, in
-    ``star`` and ``conv_mul``, which check every factor: a vector state its
-    support twice and the support's inverses once, a density state b twice,
-    b's inverses once and rho's keys once.
+    A state holds its table as the int64 key rows ``_rows`` and their values
+    ``_values``, and keeps nothing from a lookup.  The keys are checked here
+    as they become rows (GroupError for a foreign key).  Vector and density
+    states check their input before that, in ``star`` and ``conv_mul``,
+    which check every factor: a vector state its support twice and the
+    support's inverses once, a density state b twice, b's inverses once and
+    rho's keys once.
     """
 
     unimodular = False
@@ -60,36 +62,25 @@ class StateRep:
         self.group = group
         self._rows = group.to_rows(table)
         self._values = np.array(list(table.values()), dtype=complex)
-        self._found = None  # (ball, _positions(ball)) of the last ball looked up
 
     def background(self, rows: np.ndarray) -> np.ndarray:
         """The background, of modulus 1, at an (n, row_width) int64 row array (unimodular kinds)."""
         raise NotImplementedError
 
     def coeff_array(self, ball: Ball) -> np.ndarray:
-        """Coefficients over a ball, in ball order: the table scattered into the background.
+        """Coefficients over a ball, in ball order: the background, or the table scattered.
 
-        Each key is looked up in the ball, not each ball row in the table, and
-        the ball's rows are read only for a unimodular background.
+        A unimodular state, whose table is empty, reads the ball's rows for its
+        background; any other state looks its keys up in the ball, not each
+        ball row in its table, with one ``find_rows`` call.
         """
-        out = self.background(ball.rows) if self.unimodular else np.zeros(len(ball), dtype=complex)
-        pos = self._positions(ball)
+        if self.unimodular:
+            return self.background(ball.rows)
+        out = np.zeros(len(ball), dtype=complex)
+        pos = ball.find_rows(self._rows)
         hit = pos >= 0
         out[pos[hit]] += self._values[hit]
         return out
-
-    def outside_bound(self, ball: Ball) -> float:
-        """A bound e_phi >= 1 on |phi(lam_g)| outside the ball: max(1, |value|) over its keys there."""
-        outside = self._values[self._positions(ball) < 0]
-        return float(np.abs(outside).max(initial=1.0))
-
-    def _positions(self, ball: Ball) -> np.ndarray:
-        """Ball index of each key, -1 outside; the lookup on the last ball is kept."""
-        if self._found is None or self._found[0] is not ball:
-            # an empty table skips the lookup, whose fixed cost is tens of microseconds
-            found = ball.find_rows(self._rows) if len(self._rows) else np.zeros(0, np.int64)
-            self._found = (ball, found)
-        return self._found[1]
 
     def check_ball(self, ball: Ball) -> None:
         """GroupError unless the ball's group has this state's group law (Group.law)."""

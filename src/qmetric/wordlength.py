@@ -6,24 +6,25 @@ rows (see ``groups``), sorted by (length, row) so that the identity is row 0.
 So a ball is its growth function, the sizes |B(k)| for k = 0..r: the
 elements of length k are at positions |B(k - 1)| to |B(k)| - 1, and every
 length, shell size and ball size comes from the sizes by one formula, for
-every generating set.  The rows and their exact lookup (``find_rows``) are
-built on first read; ``elements`` is a view built from the rows on first use.
+every generating set.  The rows are built on first read, and ``elements``
+is a view built from the rows on first use.  A ball holds its one exact
+lookup, ``find_rows``, which every caller that places rows in it uses.
 
 A group whose generating set equals its family's default set, in any order,
 has its ball given by the closed form of L.  Its cap is checked against the
 exact ball size before anything is built; then its sizes come from
 ``Group.default_ball_sizes``, its rows from ``Group.default_ball``, which
-lists them in ball order, and its lookup from ``Group.default_indexer``,
-which finds a row's position without them.  So a caller that only looks
-rows up or reads lengths, such as a bracket of two finitely supported
-states or of ``one`` or a character and such a state, builds none, and no
-closed-form ball builds a table of row keys.  Every other
+lists them in ball order, and its ``find_rows`` is ``Group._locate``, which
+finds a row's position without them.  So a caller that only looks rows up
+or reads lengths, such as a bracket of two finitely supported states or of
+``one`` or a character and such a state, builds none, and no closed-form
+ball builds a table of row keys.  Every other
 generating set has no known closed form, so ``_search_ball`` finds its
 shells by multiplying whole shells with the family's ``mul_rows``: the
 generators were checked when the group was built, so every product of ball
 rows belongs to the group.  Its sizes are the search's shell boundaries, and
-its rows are looked up by a sorted-key search (``groups.RowIndex``), built on
-the first lookup.  The search also runs on default sets, as the tests'
+its ``find_rows`` is a sorted-key search (``groups.RowIndex``), which sorts
+on the first lookup.  The search also runs on default sets, as the tests'
 oracle for the closed forms.
 """
 
@@ -67,15 +68,16 @@ class Ball:
     The elements are listed by (length, row), so row 0 is the identity, row 1
     the least generator, and the elements of length k sit at positions
     sizes[k - 1]..sizes[k] - 1: every length comes from the int64 sizes,
-    k = 0..radius.  The (n, row_width) int64 rows and their lookup are built
-    on first read, by ``listing()`` and ``indexer()``.
+    k = 0..radius.  The (n, row_width) int64 rows are built on first read,
+    by ``listing()``.  ``find_rows`` gives the ball index of each row of a
+    (..., row_width) int64 array, -1 outside the ball.
     """
 
     group: Group
     radius: int
     sizes: np.ndarray
     listing: Callable[[], np.ndarray]
-    indexer: Callable[[], Callable[[np.ndarray], np.ndarray]]
+    find_rows: Callable[[np.ndarray], np.ndarray]
 
     def __len__(self) -> int:
         return int(self.sizes[-1])
@@ -88,14 +90,6 @@ class Ball:
     def elements(self) -> tuple[GroupElement, ...]:
         """The rows as canonical elements, in ball order."""
         return tuple(self.group.from_rows(self.rows))
-
-    @cached_property
-    def _find(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.indexer()
-
-    def find_rows(self, rows: np.ndarray) -> np.ndarray:
-        """Ball index of each row of a (..., row_width) array, -1 outside the ball."""
-        return self._find(rows)
 
     def lengths_at(self, positions: np.ndarray) -> np.ndarray:
         """Word length at each ball position p: the number of k with |B(k)| <= p."""
@@ -142,7 +136,7 @@ def enumerate_ball(group: Group, radius: int,
                 lo = mid
         raise _cap_error(cap, hi)
     return Ball(group, radius, group.default_ball_sizes(np.arange(radius + 1, dtype=np.int64)),
-                partial(group.default_ball, radius), partial(group.default_indexer, radius))
+                partial(group.default_ball, radius), partial(group._locate, radius=radius))
 
 
 def _search_ball(group: Group, radius: int, cap: int) -> Ball:
@@ -181,8 +175,10 @@ def _search_ball(group: Group, radius: int, cap: int) -> Ball:
         # about ten times slower
         order = np.lexsort((bound, *pool.T[::-1]))
         pool, bound = pool.take(order, axis=0), bound.take(order)
+        # column by column, because numpy reduces a short last axis slowly
         first = np.ones(len(pool), dtype=bool)
-        first[1:] = np.any(pool[1:] != pool[:-1], axis=1)
+        first[1:] = np.logical_or.reduce([pool[1:, j] != pool[:-1, j]
+                                          for j in range(group.row_width)])
         new = first & (bound > k)
         pool, bound = pool.compress(new, axis=0), bound.compress(new)
         order = np.lexsort((*pool.T[::-1], bound))
@@ -196,7 +192,7 @@ def _search_ball(group: Group, radius: int, cap: int) -> Ball:
         k += m
     # a ball that stops growing keeps its size out to the radius
     sizes = np.pad(np.array(starts[1:], dtype=np.int64), (0, radius - k), mode="edge")
-    return Ball(group, radius, sizes, lambda: rows, lambda: RowIndex(rows).find)
+    return Ball(group, radius, sizes, lambda: rows, RowIndex(rows).find)
 
 
 @dataclass

@@ -481,13 +481,18 @@ def finite_pairs(draw):
     return name, radius, phi, psi
 
 
+def outside_bound(state, ball):
+    """e = max(1, |value|) over the state's keys that ball.find_rows places at -1."""
+    return float(np.abs(state._values[ball.find_rows(state._rows) < 0]).max(initial=1.0))
+
+
 def dense_bracket(phi, psi, ball):
     """(lo, hi, tail) of d_inf and of d_2 from every ball position: c = phi - psi coefficients."""
     c = phi.coeff_array(ball) - psi.coeff_array(ball)
     c[0] = 0.0
     ratios = np.abs(c[1:]) / ball.lengths[1:]
     lo = float(ratios.max())
-    outside = phi.outside_bound(ball) + psi.outside_bound(ball)
+    outside = outside_bound(phi, ball) + outside_bound(psi, ball)
     tail_inf = outside / (ball.radius + 1)
     lo_2 = float(np.sqrt(np.cumsum(np.bincount(ball.lengths[1:], ratios ** 2,
                                                ball.radius + 1))[-1]))
@@ -544,6 +549,44 @@ def test_finite_pair_on_a_default_ball_builds_no_rows(name, monkeypatch):
     a = AlgebraElement({group.identity: 2.0, s: 1.0, reference_inv(group, s): 0.5j})
     assert lemma2_lower(a, ball) == math.sqrt(1.25)
     assert commutator_norm_upper_l1(a, ball) == 1.5
+
+
+def _attributes(state):
+    """Each attribute's object, by id, and an array's bytes."""
+    return {k: (id(v), v.tobytes() if isinstance(v, np.ndarray) else None)
+            for k, v in vars(state).items()}
+
+
+@pytest.mark.parametrize("name", sorted(_PAIR_GROUPS))
+def test_a_bracket_looks_the_keys_up_once(name):
+    # one find_rows call for the keys of both states when either has a table,
+    # none for two unimodular states; the states keep nothing from it
+    group = _PAIR_GROUPS[name]
+    s = group.generators[0]
+    density = DensityState(group, AlgebraElement({group.identity: 1.0, s: 0.5j}))
+    table = TableState(group, {s: 0.25, reference_inv(group, s): 0.25})
+    units = [OneState(group)]
+    if isinstance(group, FreeAbelian):
+        units.append(CharacterState(group, [0.6 + 0.8j] * group.rank))
+    pairs = [(density, table, 1), (table, table, 1), (density, TraceState(group), 1)]
+    pairs += [(unit, finite, 1) for unit in units for finite in (density, table)]
+    pairs += [(table, unit, 1) for unit in units]
+    pairs += [(a, b, 0) for a in units for b in units]
+    for phi, psi, calls in pairs:
+        ball = enumerate_ball(group, 30)
+        lookup, looked_up = ball.find_rows, []
+
+        def spy(rows):
+            looked_up.append(len(rows))
+            return lookup(rows)
+
+        ball.find_rows = spy
+        kept = [dict(vars(phi)), dict(vars(psi))]  # alive, so no id is reused
+        before = [_attributes(phi), _attributes(psi)]
+        bracket = connes_bracket(phi, psi, ball)
+        assert len(looked_up) == calls, (phi, psi)
+        assert bracket.lo <= bracket.hi
+        assert [_attributes(phi), _attributes(psi)] == before and kept
 
 
 # ---------------------------------------------------------------------------

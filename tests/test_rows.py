@@ -18,7 +18,8 @@ from qmetric.groups import (FiniteGroupTable, FreeAbelian, Group, GroupElement,
                             InfiniteDihedral, ProductZFinite, RowIndex, _row_keys)
 from qmetric.opalgebra import (AlgebraElement, commutator_matrix, commutator_triplets,
                                lemma2_lower)
-from qmetric.states import StateRep, TableState
+from qmetric.metrics import connes_bracket
+from qmetric.states import StateRep, TableState, TraceState
 from qmetric.wordlength import enumerate_ball
 
 GROUPS = {
@@ -206,10 +207,14 @@ def test_far_elements_are_in_no_ball(case):
     table = {**near, **far}
     phi, phi_near = StateRep(group, table), StateRep(group, near)
     assert phi.coeff_array(ball).tobytes() == phi_near.coeff_array(ball).tobytes()
-    inside = set(ball.elements)
-    # numpy's modulus, which can differ from Python's abs in the last bit
-    assert phi.outside_bound(ball) == max(
-        [1.0] + [float(np.abs(v)) for g, v in table.items() if g not in inside])
+    # the bracket's d_inf tail against the trace (e = 1) is (e_phi + 1) / (r + 1),
+    # with e_phi from numpy's modulus, which can differ from Python's abs in the
+    # last bit; a bracket needs radius >= 1
+    wide = ball if ball.radius else enumerate_ball(group, 1)
+    inside = set(wide.elements)
+    e_phi = max([1.0] + [float(np.abs(v)) for g, v in table.items() if g not in inside])
+    tail = connes_bracket(phi, TraceState(group), wide).d_inf.tail_bound
+    assert tail.hex() == ((e_phi + 1.0) / (wide.radius + 1)).hex()
     # the far elements of the support get no triplets, the near ones keep theirs
     rows, cols, index, diff = commutator_triplets(group.to_rows(support), ball)
     places = np.array([i for i, g in enumerate(support) if g in near], dtype=np.intp)

@@ -9,6 +9,7 @@ from qmetric import states
 from qmetric.errors import ConfigError, GroupError, ResourceError, StateError
 from qmetric.groups import (FiniteGroupTable, FreeAbelian, GroupElement,
                             InfiniteDihedral, ProductZFinite)
+from qmetric.metrics import connes_bracket
 from qmetric.opalgebra import AlgebraElement
 from qmetric.states import (CharacterState, DensityState, OneState, TableState,
                             TraceState, VectorState, _PD_TOL, kappa_bounds, pd_check,
@@ -183,19 +184,26 @@ def test_table_key_beyond_int64_is_only_reached_pointwise():
 
 
 class TestOutsideBound:
+    """The bracket's d_inf tail is (e_phi + e_psi) / (r + 1), bit for bit.
+
+    e = max(1, |value|) over a state's keys outside the ball.
+    """
+
     def test_closed_form_kinds_are_bounded_by_one(self, z_group):
-        ball = enumerate_ball(z_group, 3)
-        assert OneState(z_group).outside_bound(ball) == 1.0
-        assert CharacterState(z_group, [np.exp(0.3j)]).outside_bound(ball) == 1.0
+        one, character = OneState(z_group), CharacterState(z_group, [np.exp(0.3j)])
+        tail = connes_bracket(one, character, enumerate_ball(z_group, 3)).d_inf.tail_bound
+        assert tail.hex() == ((1.0 + 1.0) / 4).hex()
 
     def test_table_counts_only_keys_outside_the_ball(self, z_group):
         phi = TableState(z_group, {GroupElement((2,)): 30.0, GroupElement((-5,)): -7j,
                                    GroupElement((6,)): 0.5})
-        assert phi.outside_bound(enumerate_ball(z_group, 1)) == 30.0
-        assert phi.outside_bound(enumerate_ball(z_group, 2)) == 7.0
-        # a key of modulus below 1 leaves the floor of 1
-        assert phi.outside_bound(enumerate_ball(z_group, 5)) == 1.0
-        assert phi.outside_bound(enumerate_ball(z_group, 6)) == 1.0
+        trace = TraceState(z_group)
+        # a key of modulus below 1 leaves the floor of 1 (radius 5)
+        for radius, e_phi in ((1, 30.0), (2, 7.0), (5, 1.0), (6, 1.0)):
+            ball = enumerate_ball(z_group, radius)
+            for pair in ((phi, trace), (trace, phi)):
+                tail = connes_bracket(*pair, ball).d_inf.tail_bound
+                assert tail.hex() == ((e_phi + 1.0) / (radius + 1)).hex()
 
 
 def _gram_double_loop(state, ball):

@@ -316,15 +316,16 @@ class TestClosedForms:
     def test_default_index_inverts_default_ball(self):
         for name, radius in INDEX_BALLS:
             rows = DEFAULT_GROUPS[name].default_ball(radius)
-            found = DEFAULT_GROUPS[name].default_indexer(radius)(rows)
+            found = enumerate_ball(DEFAULT_GROUPS[name], radius).find_rows(rows)
             assert found.tolist() == list(range(len(rows))), (name, radius)
 
     @settings(deadline=None, max_examples=300)
     @given(index_probes())
     def test_default_index_matches_a_sorted_index(self, case):
         group, radius, index, probes = case
+        ball = enumerate_ball(group, radius)
         for rows in probes:
-            found = group.default_indexer(radius)(rows)
+            found = ball.find_rows(rows)
             assert found.dtype == np.int64 and found.shape == rows.shape[:-1]
             assert found.tolist() == index.find(rows).tolist()
 

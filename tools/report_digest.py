@@ -16,15 +16,17 @@ It writes these configs into a temporary directory:
 
 Each config runs in this process through ``qmetric.cli.main``, once with a
 CSV and once with a JSON report.  One line ``exit sha256 experiment name``
-is printed per report, then one line with the number of reports and the
+is printed per report.  Then each script of ``demos/`` runs in this process
+as ``__main__``, and one line ``exit sha256 demo name`` is printed for its
+stdout.  Last comes one line with the numbers of reports and demos and the
 sha256 of all the lines before it.  Two checkouts that print the same total
-gave the same exit codes and byte-identical reports.
+gave the same exit codes, byte-identical reports and the same demo output.
 
 qmetric is imported from ``src/`` of the checkout that holds this script,
-and ``qbench/`` and the golden test from the same checkout; no bytecode is
-written next to them.  BLAS and OpenMP are pinned to one thread before
-numpy loads, as in ``qbench/run.py``, because the reports of ``growth`` and
-the heuristic come from LAPACK.
+and ``qbench/``, the golden test and the demos from the same checkout; no
+bytecode is written next to them.  BLAS and OpenMP are pinned to one thread
+before numpy loads, as in ``qbench/run.py``, because the reports of
+``growth`` and the heuristic, and some demo output, come from LAPACK.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ import contextlib  # noqa: E402
 import hashlib  # noqa: E402
 import io  # noqa: E402
 import json  # noqa: E402
+import runpy  # noqa: E402
 import sys  # noqa: E402
 import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
@@ -108,9 +111,26 @@ def main() -> int:
                 lines.append(f"{code} {hashlib.sha256(report).hexdigest()} "
                              f"{experiment} {name}.{fmt}")
                 print(lines[-1], flush=True)
+    reports = len(lines)
+    demos = sorted((ROOT / "demos").glob("*.py"))
+    for script in demos:
+        lines.append(f"{demo_digest(script)} {script.stem}")
+        print(lines[-1], flush=True)
     total = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    print(f"total {len(lines)} reports {total}")
+    print(f"total {reports} reports {len(demos)} demos {total}")
     return 0
+
+
+def demo_digest(script: Path) -> str:
+    """``exit sha256 demo``: a demo's exit code (1 if it raised) and the sha256 of its stdout."""
+    out = io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            runpy.run_path(str(script), run_name="__main__")
+        except Exception:  # recorded as exit 1, so that the total moves
+            code = 1
+    return f"{code} {hashlib.sha256(out.getvalue().encode()).hexdigest()} demo"
 
 
 if __name__ == "__main__":
